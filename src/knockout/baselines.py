@@ -167,52 +167,132 @@ def impute(imputer: Imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         filled = np.where(mask == 1, 0.0, x)
         out = np.hstack([filled, mask.astype(float)])
     elif isinstance(imputer, KNN):
-        out = x.copy()
-        for i in range(x.shape[0]):
-            if mask[i].any():
-                out[i] = _impute_knn_row(imputer, x[i], mask[i])
+        out = _impute_knn(imputer, x, mask)
     elif isinstance(imputer, LinReg):
-        out = x.copy()
-        for i in range(x.shape[0]):
-            if mask[i].any():
-                out[i] = _impute_linreg_row(imputer, x[i], mask[i])
+        out = _impute_linreg(imputer, x, mask)
     else:
         raise TypeError(f"unknown imputer: {imputer!r}")
     return out[0] if single else out
 
 
-def _impute_knn_row(imputer: KNN, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    both_observed = (mask == 0) & (imputer.train_observed == 0)
-    counts = both_observed.sum(axis=1)
-    diffs = np.where(both_observed, imputer.train_x - row, 0.0)
-    with np.errstate(invalid="ignore"):
-        dists = np.where(counts > 0, (diffs**2).sum(axis=1) / np.maximum(counts, 1), np.inf)
-    if not np.isfinite(dists).any():
-        return np.where(mask == 1, imputer.fallback, row)
-    # Stable sort keeps the lowest row index first among ties.
-    order = np.argsort(dists, kind="stable")[: imputer.k]
-    out = row.copy()
-    for j in np.flatnonzero(mask):
-        donor_rows = [r for r in order if imputer.train_observed[r, j] == 0]
-        if donor_rows:
-            out[j] = imputer.train_x[donor_rows, j].mean()
-        else:
-            out[j] = imputer.fallback[j]
+# Cap on the (query rows x training rows) pairs screened at once, which
+# bounds the KNN chunk's temporaries at a few of these many floats.
+_KNN_CHUNK_PAIRS = 1 << 14
+
+
+def _impute_knn(imputer: KNN, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """KNN fill of every row with a masked entry.
+
+    Neighbours are ranked by the mean squared difference over the
+    coordinates observed in both rows; training rows sharing no coordinate
+    are infinitely far, and ties keep the lower training index. A row
+    sharing no coordinate with any training row is filled with the
+    fallback. Each masked entry is the mean of the entry over the
+    neighbours that observe it, or the fallback if none does.
+    """
+    out = x.copy()
+    rows = np.flatnonzero((mask != 0).any(axis=1))
+    if rows.size == 0:
+        return out
+    missing = mask[rows] != 0
+    train_ok = imputer.train_observed == 0
+    neighbours = np.full((rows.size, min(imputer.k, train_ok.shape[0])), -1)
+    screen = _KnnScreen(imputer.train_x, train_ok)
+    step = max(1, _KNN_CHUNK_PAIRS // train_ok.shape[0])
+    for start in range(0, rows.size, step):
+        chunk = slice(start, start + step)
+        neighbours[chunk] = screen.neighbours(x[rows[chunk]], ~missing[chunk], neighbours.shape[1])
+
+    # A row sharing no coordinate has no neighbours (-1), hence no donors,
+    # so every masked entry of it takes the fallback.
+    donors_ok = train_ok[neighbours] & (neighbours >= 0)[:, :, None]  # (rows, k, d)
+    n_donors = donors_ok.sum(axis=1)
+    donor_values = imputer.train_x[neighbours]
+    filled = np.where(missing, imputer.fallback, x[rows])
+    for c in range(1, neighbours.shape[1] + 1):
+        i, j = np.nonzero(missing & (n_donors == c))
+        if i.size == 0:
+            continue
+        # The c donors of each entry, first to last neighbour, in a
+        # contiguous (entries, c) block: its row means add in the same
+        # order as the mean of one entry's donors.
+        first = np.argsort(~donors_ok[i, :, j], axis=1, kind="stable")[:, :c]
+        values = np.ascontiguousarray(np.take_along_axis(donor_values[i, :, j], first, axis=1))
+        filled[i, j] = values.mean(axis=1)
+    out[rows] = filled
     return out
 
 
-def _impute_linreg_row(imputer: LinReg, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    d = row.shape[0]
-    # Missing covariates of a feature model are mean-filled first.
-    base = np.where(mask == 1, imputer.fallback, row)
-    out = row.copy()
-    for j in np.flatnonzero(mask):
-        beta = imputer.coefs[j]
+class _KnnScreen:
+    """Exact k-nearest training rows for a chunk of query rows.
+
+    Three matmuls give every masked squared distance up to a rounding
+    error bounded per pair; every training row the bound cannot rule out
+    of the k nearest is then re-ranked with the exact elementwise
+    arithmetic, so the neighbours and their order are those of a stable
+    sort of the exact distances.
+    """
+
+    def __init__(self, train_x: np.ndarray, train_ok: np.ndarray):
+        self.train_x = train_x
+        self.train_ok = train_ok
+        self.ok_t = train_ok.T.astype(float)
+        t = np.where(train_ok, train_x, 0.0)
+        self.t_t = np.ascontiguousarray(t.T)
+        self.t_sq_t = np.ascontiguousarray((t * t).T)
+
+    def neighbours(self, x: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
+        """(rows, k) training indices, nearest first; -1 rows share no coordinate."""
+        d = x.shape[1]
+        q = observed.astype(float)
+        xq = np.where(observed, x, 0.0)
+        count = q @ self.ok_t  # shared coordinates, exact in float
+        t1 = q @ self.t_sq_t
+        t3 = (xq * xq) @ self.ok_t
+        shared = count > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            approx = np.where(shared, (t1 - 2.0 * (xq @ self.t_t) + t3) / count, np.inf)
+            # t1 + t3 bounds every term of both sums (|2xt| <= x^2 + t^2), so
+            # the matmuls and the exact elementwise sum each round by a few
+            # (d + 2) eps (t1 + t3); tol bounds their difference with room.
+            tol = np.where(shared, 8 * (d + 2) * np.finfo(float).eps * (t1 + t3 + 1.0) / count, 0.0)
+        tol = tol.max(axis=1)
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # A row of the exact k nearest is within kth + tol exactly, hence
+        # within kth + 2 tol on the screen. With fewer than k finite
+        # distances kth is inf and every row is kept, as the exact ranking
+        # takes the unshared rows in index order.
+        live = shared.any(axis=1)
+        candidates = (approx <= (kth + 2.0 * tol)[:, None]) & live[:, None]
+        qi, ti = np.nonzero(candidates)
+        both = observed[qi] & self.train_ok[ti]
+        counts = both.sum(axis=1)
+        diffs = np.where(both, self.train_x[ti] - x[qi], 0.0)
+        with np.errstate(invalid="ignore"):
+            dists = np.where(counts > 0, (diffs**2).sum(axis=1) / np.maximum(counts, 1), np.inf)
+        # lexsort is stable and ti ascends within each row, so equal
+        # distances keep the lower training index first. Every live row has
+        # at least k candidates: the k screened nearest.
+        order = np.lexsort((dists, qi))
+        starts = np.concatenate([[0], np.cumsum(candidates.sum(axis=1))[:-1]])
+        out = np.full((x.shape[0], k), -1)
+        out[live] = ti[order[starts[live, None] + np.arange(k)]]
+        return out
+
+
+def _impute_linreg(imputer: LinReg, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-feature regression fill; missing covariates are mean-filled first."""
+    missing = mask != 0
+    base = np.where(missing, imputer.fallback, x)
+    out = x.copy()
+    for j, beta in enumerate(imputer.coefs):
+        rows = np.flatnonzero(missing[:, j])
+        if rows.size == 0:
+            continue
         if beta is None:
-            out[j] = imputer.fallback[j]
+            out[rows, j] = imputer.fallback[j]
         else:
-            others = np.delete(base, j)
-            out[j] = float(others @ beta[:-1] + beta[-1])
+            out[rows, j] = np.delete(base[rows], j, axis=1) @ beta[:-1] + beta[-1]
     return out
 
 

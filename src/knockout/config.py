@@ -83,23 +83,22 @@ class MethodConfig:
 
     def __post_init__(self):
         if self.kind not in _METHOD_KINDS:
-            raise ConfigError(f"method {self.name!r}: unknown kind {self.kind!r}")
+            self._reject("kind", f"unknown kind {self.kind!r}")
         if self.placeholder not in ("derived", "mean"):
-            raise ConfigError(
-                f"method {self.name!r}: placeholder must be 'derived' or 'mean'"
-            )
+            self._reject("placeholder", "must be 'derived' or 'mean'")
         if not 0.0 < self.p_clean < 1.0:
-            raise ConfigError(f"method {self.name!r}: p_clean must be in (0, 1)")
+            self._reject("p_clean", f"must be in (0, 1), got {self.p_clean}")
         if self.rate is not None and not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"method {self.name!r}: rate must be in [0, 1]")
+            self._reject("rate", f"must be in [0, 1], got {self.rate}")
         if self.k < 1:
-            raise ConfigError(f"method {self.name!r}: k must be >= 1")
+            self._reject("k", f"must be >= 1, got {self.k}")
         if (self.knockout_value is not None) and (
             self.observed_value is not None
         ) and self.knockout_value == self.observed_value:
-            raise ConfigError(
-                f"method {self.name!r}: observed_value must differ from knockout_value"
-            )
+            self._reject("observed_value", "must differ from knockout_value")
+
+    def _reject(self, key: str, problem: str) -> None:
+        raise ConfigError(f"section [method.{self.name}], key {key!r}: {problem}")
 
 
 @dataclass(frozen=True)

@@ -197,14 +197,15 @@ def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
 
 
 def _method_policy(
-    method: MethodConfig, schema: FeatureSchema, stats: NormalizationStats
+    method: MethodConfig, schema: FeatureSchema, stats: NormalizationStats, fills: np.ndarray
 ) -> PlaceholderPolicy:
     if method.placeholder == "mean":
-        # Suboptimal mean/mode placeholders: zero in z-scored coordinates.
+        # Suboptimal mean/mode placeholders: the mean/mode fill values.
         # The observed-missing value only exists to keep the policy valid;
         # mean-placeholder variants always merge with the union mask.
-        knock = _fill_values(schema, stats)
-        return PlaceholderPolicy(knock, knock - 1.0, zscore_magnitude=method.zscore_magnitude)
+        policy = PlaceholderPolicy(fills, fills - 1.0, zscore_magnitude=method.zscore_magnitude)
+        policy.validate()
+        return policy
     policy = derive_placeholders(schema, stats, method.zscore_magnitude)
     if method.knockout_value is not None or method.observed_value is not None:
         knock = policy.knockout_values.copy()
@@ -218,17 +219,17 @@ def _method_policy(
     return policy
 
 
-def _fill_values(schema: FeatureSchema, stats: NormalizationStats) -> np.ndarray:
+def _fill_values(schema: FeatureSchema, z_train: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Mean/mode imputation values in normalized coordinates.
 
     Z-scored features have observed mean exactly 0 after normalization;
-    categorical codes keep their raw mode, resolved at fit time.
+    categorical codes take the mode of their observed training entries.
     """
-    fills = np.zeros(schema.d)
-    for i, (_, kind) in enumerate(schema.features):
-        if isinstance(kind, Categorical):
-            fills[i] = np.nan  # replaced by the fitted mode below
-    return fills
+    categorical = [isinstance(kind, Categorical) for kind in schema.kinds]
+    if not any(categorical):
+        return np.zeros(schema.d)
+    fitted = fit_imputer("mean_mode", z_train, observed, schema=schema)
+    return np.where(categorical, fitted.fill_values, 0.0)
 
 
 @dataclass
@@ -437,10 +438,7 @@ def train_method(
     has_observed_missing = bool(observed.any())
     merge_mode = {"mcar": "mcar", "mnar_self_censor": "mnar", "none": None}[cfg.mechanism]
 
-    fills = _fill_values(schema, stats)
-    if np.isnan(fills).any():
-        fitted = fit_imputer("mean_mode", z_train, observed, schema=schema)
-        fills = np.where(np.isnan(fills), fitted.fill_values, fills)
+    fills = _fill_values(schema, z_train, observed)
 
     if task == "regression":
         targets = (data.y_train - data.y_mean) / data.y_std
@@ -465,7 +463,7 @@ def train_method(
     augment = None
 
     if method.kind == "knockout":
-        policy = _method_policy(method, schema, stats)
+        policy = _method_policy(method, schema, stats, fills)
         rate = method.rate if method.rate is not None else calibrate_rate(d, method.p_clean)
         dist = IID(d, rate)
         # Mean-placeholder variants never use the dual placeholder: they
@@ -735,12 +733,12 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         for name, entries in jsd_agg.items():
             agg.setdefault(name, {}).update(entries)
     with open(out / "aggregates.json", "w") as fh:
-        json.dump(agg, fh, indent=2, sort_keys=True)
+        json.dump(agg, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     for (name, rep), pipe in sorted(pipelines.items()):
         with open(out / "models" / f"{name}_rep{rep}.json", "w") as fh:
-            json.dump(pipe.to_json_dict(), fh, sort_keys=True)
+            json.dump(pipe.to_json_dict(), fh, sort_keys=True, allow_nan=False)
             fh.write("\n")
     for (name, rep), trace in sorted(traces.items()):
         _write_csv(out / "traces" / f"{name}_rep{rep}.csv", ["step", "loss"], trace)
@@ -748,7 +746,7 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
     for data in reps:
         if data.world is not None:
             with open(out / "worlds" / f"rep{data.rep}.json", "w") as fh:
-                json.dump(data.world.to_json_dict(), fh, sort_keys=True)
+                json.dump(data.world.to_json_dict(), fh, sort_keys=True, allow_nan=False)
                 fh.write("\n")
         train_rows = [tuple(x) + (y,) for x, y in zip(data.x_train, data.y_train)]
         _write_csv(
@@ -788,7 +786,7 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             manifest["files"][str(path.relative_to(out))] = digest
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -142,13 +142,14 @@ class NormalizationStats:
                 )
 
     def to_json_dict(self) -> dict:
+        # Unused (NaN) slots are written as null, which reads back as NaN.
         return {
             "modes": list(self.modes),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-            "shift": self.shift.tolist(),
+            "mean": _nan_to_none(self.mean),
+            "std": _nan_to_none(self.std),
+            "lo": _nan_to_none(self.lo),
+            "hi": _nan_to_none(self.hi),
+            "shift": _nan_to_none(self.shift),
             "upper_sided": [bool(u) for u in self.upper_sided],
         }
 
@@ -163,6 +164,10 @@ class NormalizationStats:
             shift=np.asarray(obj["shift"], dtype=float),
             upper_sided=np.asarray(obj["upper_sided"], dtype=bool),
         )
+
+
+def _nan_to_none(values: np.ndarray) -> list:
+    return [None if np.isnan(v) else float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,10 @@ class PlaceholderPolicy:
     def validate(self) -> None:
         if self.knockout_values.shape != self.observed_values.shape:
             raise ValueError("placeholder vectors must have equal length")
+        for name, values in (("knockout", self.knockout_values), ("observed", self.observed_values)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} placeholder is not finite for feature(s) {bad.tolist()}")
         clashes = np.flatnonzero(self.knockout_values == self.observed_values)
         if clashes.size:
             raise ValueError(
@@ -452,7 +461,7 @@ def placeholder_in_support_violations(
 
 
 def stats_to_json(stats: NormalizationStats) -> str:
-    return json.dumps(stats.to_json_dict(), sort_keys=True)
+    return json.dumps(stats.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def stats_from_json(text: str) -> NormalizationStats:

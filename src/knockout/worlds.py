@@ -275,7 +275,7 @@ def empirical_conditional(
 
 
 def world_to_json(world: GaussianWorld) -> str:
-    return json.dumps(world.to_json_dict(), sort_keys=True)
+    return json.dumps(world.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def world_from_json(text: str) -> GaussianWorld:

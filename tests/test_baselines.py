@@ -1,8 +1,164 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from knockout.baselines import ZeroIndicator, dropout_augment, fit_imputer, impute
+from knockout import baselines
+from knockout.baselines import KNN, LinReg, ZeroIndicator, dropout_augment, fit_imputer, impute
 from knockout.schema import Categorical, FeatureSchema
+
+
+# Row-at-a-time reference implementations of the KNN and lin-reg fills:
+# `impute` must reproduce them (KNN bitwise, lin-reg to rounding).
+
+
+def _impute_knn_row(imputer: KNN, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    both_observed = (mask == 0) & (imputer.train_observed == 0)
+    counts = both_observed.sum(axis=1)
+    diffs = np.where(both_observed, imputer.train_x - row, 0.0)
+    with np.errstate(invalid="ignore"):
+        dists = np.where(counts > 0, (diffs**2).sum(axis=1) / np.maximum(counts, 1), np.inf)
+    if not np.isfinite(dists).any():
+        return np.where(mask == 1, imputer.fallback, row)
+    # Stable sort keeps the lowest row index first among ties.
+    order = np.argsort(dists, kind="stable")[: imputer.k]
+    out = row.copy()
+    for j in np.flatnonzero(mask):
+        donor_rows = [r for r in order if imputer.train_observed[r, j] == 0]
+        if donor_rows:
+            out[j] = imputer.train_x[donor_rows, j].mean()
+        else:
+            out[j] = imputer.fallback[j]
+    return out
+
+
+def _impute_linreg_row(imputer: LinReg, row: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # Missing covariates of a feature model are mean-filled first.
+    base = np.where(mask == 1, imputer.fallback, row)
+    out = row.copy()
+    for j in np.flatnonzero(mask):
+        beta = imputer.coefs[j]
+        if beta is None:
+            out[j] = imputer.fallback[j]
+        else:
+            others = np.delete(base, j)
+            out[j] = float(others @ beta[:-1] + beta[-1])
+    return out
+
+
+def _row_loop(fill_row, imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    out = x.copy()
+    for i in range(x.shape[0]):
+        if mask[i].any():
+            out[i] = fill_row(imputer, x[i], mask[i])
+    return out
+
+
+# Few distinct values, so exact ties and duplicate rows are common.
+_VALUES = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _knn_case(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    train_x = draw(hnp.arrays(float, (n, d), elements=_VALUES))
+    train_observed = draw(hnp.arrays(np.uint8, (n, d), elements=st.sampled_from([0, 0, 1])))
+    train_observed[0, train_observed.all(axis=0)] = 0  # every feature observed somewhere
+    if draw(st.booleans()):
+        train_x[draw(st.integers(0, n - 1))] = train_x[0]  # a duplicate row
+    m = draw(st.integers(1, 25))
+    x = draw(hnp.arrays(float, (m, d), elements=_VALUES))
+    mask = draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
+    x[mask == 1] = np.nan
+    # A large common offset makes the screen's matmul terms cancel, so its
+    # rounding error dwarfs the gaps between near-tied distances.
+    offset = draw(st.sampled_from([0.0, 0.0, 1e4]))
+    train_x += offset
+    x += offset
+    k = draw(st.integers(1, 15))  # often more than n
+    chunk_pairs = draw(st.sampled_from([1, 7, baselines._KNN_CHUNK_PAIRS]))
+    return train_x, train_observed, x, mask, k, chunk_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_case())
+def test_knn_matches_row_loop(case):
+    train_x, train_observed, x, mask, k, chunk_pairs = case
+    imp = fit_imputer("knn", train_x, train_observed, k=k)
+    with mock.patch.object(baselines, "_KNN_CHUNK_PAIRS", chunk_pairs):
+        out = impute(imp, x, mask)
+    assert np.array_equal(out, _row_loop(_impute_knn_row, imp, x, mask))
+
+
+def test_knn_matches_row_loop_on_named_edge_cases():
+    train_x = np.array(
+        [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 5.0], [0.0, 9.0, 7.0], [4.0, 0.0, 1.0]]
+    )
+    train_observed = np.array(
+        [[0, 0, 1], [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0]], dtype=np.uint8
+    )
+    x = np.array(
+        [
+            [0.0, 1.0, np.nan],  # ties between duplicate rows 0 and 1
+            [np.nan, np.nan, 3.0],  # only rows 2, 3 and 4 share a coordinate
+            [np.nan, np.nan, np.nan],  # nothing shared: whole-row fallback
+            [0.0, np.nan, np.nan],  # no neighbour among the nearest observes x3
+            [1.0, 1.0, 2.0],  # complete row passes through
+        ]
+    )
+    mask = np.isnan(x).astype(np.uint8)
+    for k in (1, 2, 4, 5, 9):  # k = 4 leaves fewer finite distances than k for row 1
+        imp = fit_imputer("knn", train_x, train_observed, k=k)
+        assert np.array_equal(impute(imp, x, mask), _row_loop(_impute_knn_row, imp, x, mask))
+
+
+def test_knn_screen_rounding_does_not_reorder_ties():
+    # Rows mirrored about a query far from the origin tie exactly in the
+    # loop's arithmetic; the screen's cancelling matmul terms rank row 1
+    # first, so only the exact re-rank keeps row 0.
+    train_x = np.array([[9998.673, 9998.776, 1.0], [9999.919, 9998.694, 2.0]])
+    x = np.array([9999.296, 9998.735, np.nan])
+    mask = np.array([0, 0, 1], dtype=np.uint8)
+    imp = fit_imputer("knn", train_x, k=1)
+    assert impute(imp, x, mask)[2] == 1.0
+    assert _impute_knn_row(imp, x, mask)[2] == 1.0
+
+
+def test_knn_matches_row_loop_across_chunks():
+    rng = np.random.default_rng(11)
+    train_x = rng.normal(size=(64, 6))
+    train_observed = (train_x > 1.0).astype(np.uint8)
+    x = rng.normal(size=(700, 6))  # several chunks of the default budget
+    mask = (x > 0.8).astype(np.uint8)
+    mask[::5, 3] = 1
+    assert 700 * 64 > 2 * baselines._KNN_CHUNK_PAIRS
+    imp = fit_imputer("knn", train_x, train_observed, k=5)
+    assert np.array_equal(impute(imp, x, mask), _row_loop(_impute_knn_row, imp, x, mask))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 20), st.integers(2, 5)), elements=_VALUES),
+    st.data(),
+)
+def test_linreg_matches_row_loop(x, data):
+    m, d = x.shape
+    mask = data.draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
+    x[mask == 1] = np.nan
+    coef = hnp.arrays(float, d, elements=st.floats(-3.0, 3.0, allow_subnormal=False))
+    coefs = [data.draw(st.one_of(st.none(), coef)) for _ in range(d)]
+    fallback = data.draw(hnp.arrays(float, d, elements=_VALUES))
+    imp = LinReg(coefs, fallback, fell_back=[j for j, c in enumerate(coefs) if c is None])
+    np.testing.assert_allclose(
+        impute(imp, x, mask), _row_loop(_impute_linreg_row, imp, x, mask), rtol=0, atol=1e-12
+    )
 
 
 def test_meanmode_fit_examples():

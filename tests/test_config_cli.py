@@ -71,6 +71,8 @@ def test_config_validates_values():
             "[world]\nkind = gaussian\n[method.k]\nkind = knockout\n"
             "knockout_value = 10\nobserved_value = 10\n"
         )
+    with pytest.raises(ConfigError, match=r"section \[method\.nn\], key 'k': must be >= 1"):
+        parse_config("[world]\nkind = gaussian\n[method.nn]\nkind = knn\nk = 0\n")
 
 
 def test_cli_run_minimal_config(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from knockout.config import parse_config
 from knockout.runner import build_repetition, pipeline_from_json, train_method
@@ -242,3 +243,91 @@ kind = knockout
     )
     with pytest.raises(ValueError, match="continuous"):
         ablate_placeholder(cfg, [0.0, 10.0], out_dir="/tmp/never_written")
+
+
+def test_knockout_star_on_mixed_world_uses_fitted_mode(tmp_path):
+    import json
+
+    from knockout.runner import run_experiment
+
+    cfg = parse_config(
+        """
+[world]
+kind = mixed
+n_total = 400
+train_fraction = 0.5
+
+[train]
+steps = 30
+batch_size = 32
+hidden = 8
+loss = cross_entropy
+
+[sweep]
+k_max = 1
+repetitions = 1
+
+[method.knockout_star]
+kind = knockout
+placeholder = mean
+"""
+    )
+    art = run_experiment(cfg, out_dir=tmp_path)
+    pipe = art.pipelines[("knockout_star", 0)]
+    data = art.repetitions[0]
+    codes, counts = np.unique(data.x_train[:, 0], return_counts=True)
+    assert pipe.policy.knockout_values[0] == codes[np.argmax(counts)]
+    assert np.isfinite(pipe.policy.observed_values).all()
+    text = (tmp_path / "models" / "knockout_star_rep0.json").read_text()
+    json.loads(text, parse_constant=lambda name: pytest.fail(f"model JSON holds {name}"))
+    values = [r.value for report in art.reports.values() for r in report.results]
+    assert values and np.isfinite(values).all()
+
+
+MNAR_IMPUTERS = """
+[world]
+kind = gaussian
+dim = 5
+n_total = 300
+train_fraction = 0.4
+
+[missingness]
+mechanism = mnar_self_censor
+q = 0.8
+
+[train]
+steps = 20
+batch_size = 32
+hidden = 8
+seed0 = 5
+
+[sweep]
+k_max = 2
+repetitions = 2
+
+[method.knn]
+kind = knn
+k = 3
+
+[method.lin_reg]
+kind = lin_reg
+"""
+
+
+def test_imputer_methods_end_to_end_serial_matches_parallel(tmp_path):
+    import json
+
+    from knockout.runner import run_experiment
+
+    cfg = parse_config(MNAR_IMPUTERS)
+    run_experiment(cfg, out_dir=tmp_path / "serial", jobs=1)
+    run_experiment(cfg, out_dir=tmp_path / "parallel", jobs=2)
+    for name in ("report_long.csv", "aggregates.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+    rows = (tmp_path / "serial" / "report_long.csv").read_text().splitlines()[1:]
+    methods = {row.split(",")[0] for row in rows}
+    assert methods == {"knn", "lin_reg"}
+    assert all(np.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
+    agg = json.loads((tmp_path / "serial" / "aggregates.json").read_text())
+    means = [entry["mean"] for method in agg.values() for entry in method.values()]
+    assert means and np.isfinite(means).all()

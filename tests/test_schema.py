@@ -188,6 +188,12 @@ def test_policy_rejects_equal_placeholders():
         policy.validate()
 
 
+def test_policy_rejects_non_finite_placeholders():
+    policy = PlaceholderPolicy(np.array([np.nan, 2.0]), np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match=r"not finite for feature\(s\) \[0\]"):
+        policy.validate()
+
+
 def test_zscore_magnitude_configurable():
     schema = unbounded_schema(2)
     stats = fit_normalization(schema, np.random.default_rng(2).normal(size=(30, 2)))
@@ -235,7 +241,10 @@ def test_one_hot_zero_vector_encoding():
 def test_stats_json_round_trip():
     schema = unbounded_schema(3)
     stats = fit_normalization(schema, np.random.default_rng(3).normal(size=(20, 3)))
-    restored = stats_from_json(stats_to_json(stats))
+    text = stats_to_json(stats)
+    assert "NaN" not in text  # unused slots are written as null
+    restored = stats_from_json(text)
     np.testing.assert_array_equal(restored.mean, stats.mean)
     np.testing.assert_array_equal(restored.std, stats.std)
+    np.testing.assert_array_equal(restored.lo, stats.lo)  # NaN slots survive
     assert restored.modes == stats.modes
