@@ -8,7 +8,7 @@ in for whatever is missing.
 
 __version__ = "0.1.0"
 
-from .augment import AugmentedRow, apply_knockout, impute_for_inference, merge_observed
+from .augment import apply_knockout, merge_observed
 from .discrete import (
     DiscreteJoint,
     UnreachableEvidenceError,
@@ -54,14 +54,12 @@ from .worlds import (
     generate_mixed_classification,
     sample_gaussian_world,
 )
-from .evaluate import jsd, marginal_fidelity, mse, mse_vs_bayes, run_pattern_sweep
+from .evaluate import jsd, mse, mse_vs_bayes, run_pattern_sweep
 from .baselines import dropout_augment, fit_imputer, impute
 
 __all__ = [
     "__version__",
-    "AugmentedRow",
     "apply_knockout",
-    "impute_for_inference",
     "merge_observed",
     "DiscreteJoint",
     "UnreachableEvidenceError",
@@ -107,7 +105,6 @@ __all__ = [
     "generate_mixed_classification",
     "sample_gaussian_world",
     "jsd",
-    "marginal_fidelity",
     "mse",
     "mse_vs_bayes",
     "run_pattern_sweep",

@@ -7,20 +7,11 @@ independence from the data is preserved.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .schema import PlaceholderPolicy
 
-__all__ = [
-    "AugmentedRow",
-    "apply_knockout",
-    "merge_observed",
-    "augment_row",
-    "impute_for_inference",
-]
+__all__ = ["apply_knockout", "merge_observed"]
 
 
 def _broadcast_pair(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,65 +65,3 @@ def merge_observed(
         out = np.where(observed == 1, policy.observed_values, x)
         return np.where(induced == 1, policy.knockout_values, out)
     raise ValueError(f"unknown merge mode {mode!r} (expected 'mcar' or 'mnar')")
-
-
-@dataclass(frozen=True)
-class AugmentedRow:
-    """A fully augmented row together with the masks that produced it."""
-
-    values: np.ndarray
-    induced_mask: np.ndarray
-    observed_mask: np.ndarray
-
-    def validate(self, x: np.ndarray, mode: str, policy: PlaceholderPolicy) -> None:
-        expected = merge_observed(x, self.observed_mask, self.induced_mask, mode, policy)
-        if not np.array_equal(self.values, expected):
-            raise ValueError("augmented values do not satisfy the placement rule")
-
-
-def augment_row(
-    x: np.ndarray,
-    observed_mask: np.ndarray | None,
-    induced_mask: np.ndarray,
-    mode: str | None,
-    policy: PlaceholderPolicy,
-) -> AugmentedRow:
-    values = merge_observed(x, observed_mask, induced_mask, mode, policy)
-    d = np.asarray(x).shape[-1]
-    if observed_mask is None:
-        observed_mask = np.zeros(d, dtype=np.uint8)
-    return AugmentedRow(values, np.asarray(induced_mask, dtype=np.uint8), np.asarray(observed_mask, dtype=np.uint8))
-
-
-def impute_for_inference(
-    x: np.ndarray,
-    policy: PlaceholderPolicy,
-    mcar_mask: np.ndarray | None = None,
-    mnar_mask: np.ndarray | None = None,
-    untagged_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fill missing test entries with the placeholder matching their cause.
-
-    Entries known to be missing completely at random get the knockout
-    placeholders; entries known to be missing not at random get the
-    observed-missingness placeholders. Untagged missing entries default
-    to the knockout placeholders with a warning, since the choice needs
-    a priori knowledge of the mechanism.
-    """
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    if mcar_mask is not None:
-        _, m = _broadcast_pair(x, mcar_mask)
-        out = np.where(m == 1, policy.knockout_values, out)
-    if mnar_mask is not None:
-        _, m = _broadcast_pair(x, mnar_mask)
-        out = np.where(m == 1, policy.observed_values, out)
-    if untagged_mask is not None and np.any(untagged_mask):
-        warnings.warn(
-            "missing entries without a tagged mechanism; imputing the knockout "
-            "placeholder, which assumes they are missing completely at random",
-            stacklevel=2,
-        )
-        _, m = _broadcast_pair(x, untagged_mask)
-        out = np.where(m == 1, policy.knockout_values, out)
-    return out

@@ -53,6 +53,24 @@ class KNN:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "knn",
+            "k": self.k,
+            "train_x": self.train_x.tolist(),
+            "train_observed": self.train_observed.tolist(),
+            "fallback": self.fallback.tolist(),
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "KNN":
+        return cls(
+            k=int(obj["k"]),
+            train_x=np.asarray(obj["train_x"], dtype=float),
+            train_observed=np.asarray(obj["train_observed"], dtype=np.uint8),
+            fallback=np.asarray(obj["fallback"], dtype=float),
+        )
+
 
 @dataclass
 class LinReg:
@@ -61,6 +79,22 @@ class LinReg:
     coefs: list[np.ndarray | None]  # per feature: (d,) intercept-last layout or None
     fallback: np.ndarray
     fell_back: list[int] = field(default_factory=list)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "lin_reg",
+            "coefs": [c.tolist() if c is not None else None for c in self.coefs],
+            "fallback": self.fallback.tolist(),
+            "fell_back": self.fell_back,
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "LinReg":
+        return cls(
+            coefs=[np.asarray(c, dtype=float) if c is not None else None for c in obj["coefs"]],
+            fallback=np.asarray(obj["fallback"], dtype=float),
+            fell_back=list(obj["fell_back"]),
+        )
 
 
 Imputer = MeanMode | ZeroIndicator | KNN | LinReg

@@ -28,6 +28,7 @@ class ConfigError(ValueError):
 
 
 _WORLD_KINDS = ("gaussian", "continuous2d", "mixed", "csv")
+_CLASSIFICATION_WORLDS = ("continuous2d", "mixed")
 _MECHANISMS = ("none", "mcar", "mnar_self_censor")
 _METHOD_KINDS = (
     "knockout",
@@ -145,8 +146,16 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.k_max < 0:
             raise ConfigError("k_max must be >= 0")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.loss != _task_loss(self.world_kind):
+            raise ConfigError(
+                f"section [train], key 'loss': world kind {self.world_kind!r} trains with "
+                f"{_task_loss(self.world_kind)!r}, got {self.loss!r}"
+            )
+
+
+def _task_loss(world_kind: str) -> str:
+    """The training loss of a world's task: classification worlds use cross-entropy."""
+    return "cross_entropy" if world_kind in _CLASSIFICATION_WORLDS else "mse"
 
 
 def _check_keys(section: str, present, allowed: set[str]) -> None:
@@ -158,6 +167,7 @@ def _check_keys(section: str, present, allowed: set[str]) -> None:
 
 
 def _get(parser, section, key, cast, default):
+    # has_option is false for a missing section too: both give the default.
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
@@ -246,40 +256,20 @@ def parse_config(text: str) -> ExperimentConfig:
         train_fraction=_get(parser, "world", "train_fraction", float, 0.1),
         csv_path=_get(parser, "world", "path", str, None),
         csv_target=_get(parser, "world", "target", str, None),
-        mechanism=_get(parser, "missingness", "mechanism", str, "none")
-        if parser.has_section("missingness")
-        else "none",
-        mcar_p=_get(parser, "missingness", "p", float, 0.1)
-        if parser.has_section("missingness")
-        else 0.1,
-        mnar_q=_get(parser, "missingness", "q", float, 0.9)
-        if parser.has_section("missingness")
-        else 0.9,
-        steps=_get(parser, "train", "steps", int, 5000) if parser.has_section("train") else 5000,
-        batch_size=_get(parser, "train", "batch_size", int, 128)
-        if parser.has_section("train")
-        else 128,
-        learning_rate=_get(parser, "train", "learning_rate", float, 3e-3)
-        if parser.has_section("train")
-        else 3e-3,
-        hidden=_get(parser, "train", "hidden", _hidden, (100, 100))
-        if parser.has_section("train")
-        else (100, 100),
-        seed0=_get(parser, "train", "seed0", int, 17) if parser.has_section("train") else 17,
-        loss=_get(parser, "train", "loss", str, "mse") if parser.has_section("train") else "mse",
-        mask_granularity=_get(parser, "train", "mask_granularity", str, "per_batch")
-        if parser.has_section("train")
-        else "per_batch",
-        k_max=_get(parser, "sweep", "k_max", int, 3) if parser.has_section("sweep") else 3,
-        repetitions=_get(parser, "sweep", "repetitions", int, 10)
-        if parser.has_section("sweep")
-        else 10,
-        out_dir=_get(parser, "output", "dir", str, "out")
-        if parser.has_section("output")
-        else "out",
-        dump_test_data=_get(parser, "output", "dump_test_data", bool, False)
-        if parser.has_section("output")
-        else False,
+        mechanism=_get(parser, "missingness", "mechanism", str, "none"),
+        mcar_p=_get(parser, "missingness", "p", float, 0.1),
+        mnar_q=_get(parser, "missingness", "q", float, 0.9),
+        steps=_get(parser, "train", "steps", int, 5000),
+        batch_size=_get(parser, "train", "batch_size", int, 128),
+        learning_rate=_get(parser, "train", "learning_rate", float, 3e-3),
+        hidden=_get(parser, "train", "hidden", _hidden, (100, 100)),
+        seed0=_get(parser, "train", "seed0", int, 17),
+        loss=_get(parser, "train", "loss", str, _task_loss(world_kind)),
+        mask_granularity=_get(parser, "train", "mask_granularity", str, "per_batch"),
+        k_max=_get(parser, "sweep", "k_max", int, 3),
+        repetitions=_get(parser, "sweep", "repetitions", int, 10),
+        out_dir=_get(parser, "output", "dir", str, "out"),
+        dump_test_data=_get(parser, "output", "dump_test_data", bool, False),
         methods=tuple(methods),
     )
 

@@ -14,7 +14,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .missingness import mask_to_bits
-from .schema import PlaceholderPolicy
 from .worlds import BinnedConditional, GaussianWorld, bayes_conditional_mean
 
 __all__ = [
@@ -24,11 +23,9 @@ __all__ = [
     "mse_vs_bayes",
     "error_rate",
     "jsd",
-    "marginal_fidelity",
     "marginal_fidelity_binned",
     "regression_pattern_metrics",
     "classification_pattern_metrics",
-    "marginal_jsd_metrics",
     "run_pattern_sweep",
     "report_rows",
     "aggregates_dict",
@@ -107,26 +104,6 @@ def marginal_fidelity_binned(
         for pm, pe in zip(model_p1[occupied], estimate.p1[occupied])
     ]
     return float(np.dot(weights, divs))
-
-
-def marginal_fidelity(
-    predict_proba: Callable[[np.ndarray], np.ndarray],
-    estimate: BinnedConditional,
-    feature: int,
-    d: int,
-    policy: PlaceholderPolicy,
-) -> float:
-    """JSD between model marginals and an empirical estimate for one feature.
-
-    The model is queried with the conditioning feature at each bin
-    position and every other feature at its knockout placeholder.
-    """
-    rows = np.tile(policy.knockout_values, (estimate.positions.shape[0], 1))
-    if rows.shape[1] != d:
-        raise ValueError("policy length does not match d")
-    rows[:, feature] = estimate.positions
-    proba = np.asarray(predict_proba(rows), dtype=float)
-    return marginal_fidelity_binned(proba[:, 1], estimate)
 
 
 @dataclass(frozen=True)
@@ -253,9 +230,7 @@ def regression_pattern_metrics(
         return {"mse_obs": _mse_obs}
 
     def _mse_bayes(pattern: np.ndarray) -> float:
-        observed_idx = [i for i, b in enumerate(pattern) if b == 0]
-        oracle = bayes_conditional_mean(world, observed_idx, x_test[:, observed_idx])
-        return mse(_predictions(pattern), oracle)
+        return mse_vs_bayes(lambda x, p: _predictions(p), world, x_test, pattern)
 
     return {"mse_obs": _mse_obs, "mse_bayes": _mse_bayes}
 
@@ -272,23 +247,6 @@ def classification_pattern_metrics(
         return error_rate(np.argmax(proba, axis=1), y_test)
 
     return {"error": _error}
-
-
-def marginal_jsd_metrics(marginal_jsd_fn: Callable[[int], float]) -> dict[str, Callable]:
-    """Marginal-fidelity metric for the single-observed-feature patterns.
-
-    Run this as its own sweep restricted to patterns with exactly one
-    unmasked feature; ``marginal_jsd_fn(feature)`` evaluates the fidelity
-    for that feature.
-    """
-
-    def _marginal_jsd(pattern: np.ndarray) -> float:
-        observed = [i for i, b in enumerate(pattern) if b == 0]
-        if len(observed) != 1:
-            raise ValueError("marginal_jsd applies only to single-observed patterns")
-        return marginal_jsd_fn(observed[0])
-
-    return {"marginal_jsd": _marginal_jsd}
 
 
 def report_rows(reports: Mapping[str, SweepReport]) -> list[tuple]:

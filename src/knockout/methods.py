@@ -1,0 +1,258 @@
+"""Method kinds and their missing-input rules.
+
+Each kind has one rule: ``rule.inputs(z, induced, observed)`` maps
+normalized rows ``z``, an induced mask (one pattern for every row, or one
+mask per row) and the data's own missingness ``observed`` (1 = missing,
+or None) to model inputs. Training calls it with the masks it samples,
+inference with the swept pattern, and a saved model stores the rule's
+fitted state, so all three apply the same rule.
+
+``RULES`` maps each kind to its rule class. A rule class provides
+``fit(cfg, method, schema, z_train, observed) -> (rule, augment)``, where
+``augment`` is the per-batch training hook, or None when the training
+inputs are the rule's output with no induced mask, computed once;
+``from_json(obj, schema)`` and ``to_json()`` for the model file; and
+``width()`` for the network's input width.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+
+from .augment import merge_observed
+from .baselines import (
+    KNN,
+    Imputer,
+    LinReg,
+    MeanMode,
+    ZeroIndicator,
+    dropout_augment,
+    fit_imputer,
+    impute,
+)
+from .missingness import IID, calibrate_rate, sample_mask, sample_masks
+from .schema import (
+    Categorical,
+    FeatureSchema,
+    PlaceholderPolicy,
+    derive_placeholders,
+    encode_inputs,
+    encoded_width,
+)
+
+__all__ = ["RULES"]
+
+
+def _union(z: np.ndarray, induced: np.ndarray, observed: np.ndarray | None) -> np.ndarray:
+    union = np.broadcast_to(np.asarray(induced, dtype=np.uint8), z.shape)
+    return union if observed is None else np.maximum(union, observed)
+
+
+def _mask_sampler(method, d: int, granularity: str):
+    """Induced masks for a batch of n rows: one shared mask, or one per row."""
+    dist = IID(d, method.rate if method.rate is not None else calibrate_rate(d, method.p_clean))
+    if granularity == "per_batch":
+        return lambda rng, n: sample_mask(dist, rng)
+    return lambda rng, n: sample_masks(dist, n, rng)
+
+
+def _masked_training(rule, sample):
+    """Training hook of a kind whose rule sees sampled induced masks."""
+
+    def augment(xb, nb, rng):
+        return rule.inputs(xb, sample(rng, xb.shape[0]), nb)
+
+    return augment
+
+
+def _require_continuous(method, schema: FeatureSchema) -> None:
+    if any(isinstance(kind, Categorical) for kind in schema.kinds):
+        raise ValueError(
+            f"method {method.name!r} ({method.kind}) supports continuous features only"
+        )
+
+
+def _fill_values(schema: FeatureSchema, z_train: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Mean/mode imputation values in normalized coordinates.
+
+    Z-scored features have observed mean exactly 0 after normalization;
+    categorical codes take the mode of their observed training entries.
+    """
+    categorical = [isinstance(kind, Categorical) for kind in schema.kinds]
+    if not any(categorical):
+        return np.zeros(schema.d)
+    fitted = fit_imputer("mean_mode", z_train, observed, schema=schema)
+    return np.where(categorical, fitted.fill_values, 0.0)
+
+
+def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> PlaceholderPolicy:
+    if method.placeholder == "mean":
+        # Suboptimal mean/mode placeholders: the mean/mode fill values. The
+        # observed-missing value only exists to keep the policy valid.
+        fills = _fill_values(schema, z_train, observed)
+        policy = PlaceholderPolicy(fills, fills - 1.0, zscore_magnitude=method.zscore_magnitude)
+        policy.validate()
+        return policy
+    policy = derive_placeholders(schema, schema.stats, method.zscore_magnitude)
+    if method.knockout_value is not None or method.observed_value is not None:
+        knock = policy.knockout_values.copy()
+        obs = policy.observed_values.copy()
+        if method.knockout_value is not None:
+            knock[:] = method.knockout_value
+        if method.observed_value is not None:
+            obs[:] = method.observed_value
+        policy = PlaceholderPolicy(knock, obs, method.zscore_magnitude)
+        policy.validate()
+    return policy
+
+
+@dataclass
+class Rule:
+    """What every rule holds: the fitted schema its rows are encoded with."""
+
+    schema: FeatureSchema
+
+    def width(self) -> int:
+        return encoded_width(self.schema)
+
+    def to_json(self) -> dict:
+        return {}
+
+
+@dataclass
+class KnockoutRule(Rule):
+    """Knockout placeholders at induced entries. Observed-missing entries get
+    the observed-missingness placeholders with ``dual_placeholder`` ("mnar"
+    merge), else they join the induced mask ("mcar" merge)."""
+
+    policy: PlaceholderPolicy
+    dual_placeholder: bool = True
+
+    @classmethod
+    def fit(cls, cfg, method, schema, z_train, observed):
+        policy = _knockout_policy(method, schema, z_train, observed)
+        rule = cls(schema, policy, method.dual_placeholder)
+        # Training uses the dual placeholder only for derived placeholders
+        # under MNAR (MCAR test data has no missing entries to tell apart),
+        # but knockout* (placeholder = mean) keeps the flag for inference:
+        # a known mismatch, see the FOUND entry on knockout* in CHANGES.md.
+        mnar = cfg.mechanism == "mnar_self_censor"
+        dual = method.dual_placeholder and method.placeholder == "derived" and mnar
+        train_rule = dataclasses.replace(rule, dual_placeholder=dual)
+        sample = _mask_sampler(method, schema.d, cfg.mask_granularity)
+        return rule, _masked_training(train_rule, sample)
+
+    def inputs(self, z, induced, observed):
+        mode = "mnar" if self.dual_placeholder else "mcar"
+        return encode_inputs(self.schema, merge_observed(z, observed, induced, mode, self.policy))
+
+    def to_json(self) -> dict:
+        return {"policy": self.policy.to_json_dict(), "dual_placeholder": self.dual_placeholder}
+
+    @classmethod
+    def from_json(cls, obj: dict, schema: FeatureSchema) -> "KnockoutRule":
+        policy = PlaceholderPolicy.from_json_dict(obj["policy"])
+        return cls(schema, policy, bool(obj.get("dual_placeholder", True)))
+
+
+@dataclass
+class ImputedRule(Rule):
+    """Fill the union of the induced and observed masks with an imputer."""
+
+    imputer: Imputer
+
+    def inputs(self, z, induced, observed):
+        return encode_inputs(self.schema, impute(self.imputer, z, _union(z, induced, observed)))
+
+
+class CommonBaselineRule(ImputedRule):
+    """Mean/mode fill; training fills the data's own missing entries."""
+
+    @classmethod
+    def fit(cls, cfg, method, schema, z_train, observed):
+        return cls(schema, MeanMode(_fill_values(schema, z_train, observed))), None
+
+    def to_json(self) -> dict:
+        return {"fill_values": self.imputer.fill_values.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict, schema: FeatureSchema) -> "CommonBaselineRule":
+        return cls(schema, MeanMode(np.asarray(obj["fill_values"], dtype=float)))
+
+
+class DropoutRule(ImputedRule):
+    """Zero fill (the mean of z-scored features); training also zeroes
+    entries at random, rescaling survivors with ``rescale``."""
+
+    @classmethod
+    def fit(cls, cfg, method, schema, z_train, observed):
+        _require_continuous(method, schema)
+        rule = cls.from_json({}, schema)  # nothing to fit
+        rate = method.dropout_rate
+        if rate is None:
+            rate = calibrate_rate(schema.d, method.p_clean)
+        no_mask = np.zeros(schema.d, dtype=np.uint8)
+
+        def augment(xb, nb, rng):
+            out = dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
+            if method.rescale and rate < 1.0:
+                out = out / (1.0 - rate)
+            return out
+
+        return rule, augment
+
+    @classmethod
+    def from_json(cls, obj: dict, schema: FeatureSchema) -> "DropoutRule":
+        return cls(schema, MeanMode(np.zeros(schema.d)))
+
+
+class ZeroIndicatorRule(ImputedRule):
+    """Zero fill plus the filled mask as indicator inputs; continuous
+    features only, so the rows need no encoding."""
+
+    @classmethod
+    def fit(cls, cfg, method, schema, z_train, observed):
+        _require_continuous(method, schema)
+        rule = cls.from_json({}, schema)  # nothing to fit
+        return rule, _masked_training(rule, _mask_sampler(method, schema.d, cfg.mask_granularity))
+
+    def inputs(self, z, induced, observed):
+        return impute(self.imputer, z, _union(z, induced, observed))
+
+    def width(self) -> int:
+        return 2 * self.schema.d
+
+    @classmethod
+    def from_json(cls, obj: dict, schema: FeatureSchema) -> "ZeroIndicatorRule":
+        return cls(schema, ZeroIndicator(schema.d))
+
+
+class FittedImputerRule(ImputedRule):
+    """KNN or per-feature linear-regression fill, fitted on the training split."""
+
+    @classmethod
+    def fit(cls, cfg, method, schema, z_train, observed):
+        _require_continuous(method, schema)
+        imputer = fit_imputer(method.kind, z_train, observed, schema=schema, k=method.k)
+        return cls(schema, imputer), None
+
+    def to_json(self) -> dict:
+        return {"imputer": self.imputer.to_json_dict()}
+
+    @classmethod
+    def from_json(cls, obj: dict, schema: FeatureSchema) -> "FittedImputerRule":
+        imputer = {"knn": KNN, "lin_reg": LinReg}[obj["imputer"]["kind"]]
+        return cls(schema, imputer.from_json_dict(obj["imputer"]))
+
+
+RULES = {
+    "knockout": KnockoutRule,
+    "common_baseline": CommonBaselineRule,
+    "dropout": DropoutRule,
+    "zero_indicator": ZeroIndicatorRule,
+    "knn": FittedImputerRule,
+    "lin_reg": FittedImputerRule,
+}

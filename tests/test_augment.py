@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knockout.augment import (
-    apply_knockout,
-    augment_row,
-    impute_for_inference,
-    merge_observed,
-)
+from knockout.augment import apply_knockout, merge_observed
 from knockout.schema import PlaceholderPolicy
 
 POLICY = PlaceholderPolicy(np.array([10.0, 10.0]), np.array([-10.0, -10.0]))
@@ -89,28 +84,3 @@ def test_mcar_merge_equals_union_knockout(x, n_bits, m_bits):
     union = apply_knockout(x, np.maximum(n, m), policy)
     np.testing.assert_array_equal(merged, union)
 
-
-def test_augmented_row_validates_placement():
-    row = augment_row(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 0]), "mnar", POLICY)
-    row.validate(np.array([0.3, 0.7]), "mnar", POLICY)
-    np.testing.assert_array_equal(row.values, [-10.0, 0.7])
-    bad = type(row)(np.array([0.0, 0.0]), row.induced_mask, row.observed_mask)
-    with pytest.raises(ValueError):
-        bad.validate(np.array([0.3, 0.7]), "mnar", POLICY)
-
-
-def test_impute_for_inference_tagging():
-    x = np.array([1.0, 2.0, 3.0])
-    policy = PlaceholderPolicy(np.full(3, 9.0), np.full(3, -9.0))
-    out = impute_for_inference(
-        x, policy, mcar_mask=np.array([1, 0, 0]), mnar_mask=np.array([0, 1, 0])
-    )
-    np.testing.assert_array_equal(out, [9.0, -9.0, 3.0])
-
-
-def test_impute_for_inference_untagged_warns_and_uses_knockout_value():
-    x = np.array([1.0, 2.0])
-    policy = PlaceholderPolicy(np.full(2, 9.0), np.full(2, -9.0))
-    with pytest.warns(UserWarning, match="missing completely at random"):
-        out = impute_for_inference(x, policy, untagged_mask=np.array([0, 1]))
-    np.testing.assert_array_equal(out, [1.0, 9.0])

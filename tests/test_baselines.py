@@ -340,4 +340,4 @@ placeholder = mean
     star_cfg = [m for m in cfg.methods if m.name == "knockout_star"][0]
     pipe, _ = train_method(cfg, star_cfg, data, 1)
     assert pipe.kind == "knockout"
-    np.testing.assert_allclose(pipe.policy.knockout_values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(pipe.rule.policy.knockout_values, 0.0, atol=1e-12)

@@ -73,6 +73,18 @@ def test_config_validates_values():
         )
     with pytest.raises(ConfigError, match=r"section \[method\.nn\], key 'k': must be >= 1"):
         parse_config("[world]\nkind = gaussian\n[method.nn]\nkind = knn\nk = 0\n")
+    method = "[method.k]\nkind = knockout\n"
+    for world, loss in (("gaussian", "cross_entropy"), ("continuous2d", "mse"), ("mixed", "mse")):
+        with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+            parse_config(f"[world]\nkind = {world}\n[train]\nloss = {loss}\n{method}")
+    with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+        parse_config(f"[world]\nkind = csv\npath = d.csv\n[train]\nloss = cross_entropy\n{method}")
+    with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+        parse_config(f"[world]\nkind = gaussian\n[train]\nloss = hinge\n{method}")
+    # Without the key the loss is the task's, with or without a [train] section.
+    assert parse_config(f"[world]\nkind = gaussian\n{method}").loss == "mse"
+    assert parse_config(f"[world]\nkind = mixed\n{method}").loss == "cross_entropy"
+    assert parse_config(f"[world]\nkind = continuous2d\n[train]\nsteps = 5\n{method}").loss == "cross_entropy"
 
 
 def test_cli_run_minimal_config(tmp_path):
@@ -183,6 +195,76 @@ def test_cli_sweep_on_saved_models_matches_run(tmp_path):
     assert (sweep_out / "report_long.csv").read_bytes() == (out / "report_long.csv").read_bytes()
 
 
+ALL_KINDS_MNAR = """
+[world]
+kind = gaussian
+dim = 5
+n_total = 300
+train_fraction = 0.4
+
+[missingness]
+mechanism = mnar_self_censor
+q = 0.8
+
+[train]
+steps = 20
+batch_size = 32
+hidden = 8
+seed0 = 11
+
+[sweep]
+k_max = 2
+repetitions = 2
+
+[output]
+dir = {out}
+
+[method.knockout]
+kind = knockout
+
+[method.common_baseline]
+kind = common_baseline
+
+[method.dropout]
+kind = dropout
+
+[method.zero_indicator]
+kind = zero_indicator
+
+[method.knn]
+kind = knn
+k = 3
+
+[method.lin_reg]
+kind = lin_reg
+"""
+
+
+def test_cli_sweep_reproduces_every_report_of_all_six_kinds(tmp_path):
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, ALL_KINDS_MNAR.format(out=out))
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    sweep_out = tmp_path / "sweep"
+    result = runner.invoke(
+        main,
+        ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(sweep_out)],
+    )
+    assert result.exit_code == 0, result.output
+    methods = {line.split(",")[0] for line in (out / "report_long.csv").read_text().splitlines()[1:]}
+    assert methods == {"knockout", "common_baseline", "dropout", "zero_indicator", "knn", "lin_reg"}
+    for name in ("report_long.csv", "plotdata.csv", "aggregates.json"):
+        assert (sweep_out / name).read_bytes() == (out / name).read_bytes(), name
+    # The sweep writes the loaded models back unchanged, and a manifest.
+    for path in (out / "models").iterdir():
+        assert (sweep_out / "models" / path.name).read_bytes() == path.read_bytes()
+    manifest = json.loads((sweep_out / "manifest.json").read_text())
+    assert manifest["files"]["report_long.csv"] == hashlib.sha256(
+        (out / "report_long.csv").read_bytes()
+    ).hexdigest()
+
+
 def test_cli_sweep_missing_model_errors(tmp_path):
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
@@ -247,6 +329,16 @@ def test_shipped_configs_parse():
         cfg = parse_config((configs_dir / name).read_text())
         assert cfg.methods
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_config_parses():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert [m.name for m in cfg.methods] == ["common_baseline", "knockout", "knockout_star"]
+    assert cfg.loss == "mse" and cfg.mask_granularity == "per_batch"
 
 
 def test_cli_run_csv_world(tmp_path):

@@ -9,7 +9,6 @@ from knockout.evaluate import (
     PatternResult,
     error_rate,
     jsd,
-    marginal_fidelity,
     marginal_fidelity_binned,
     mse,
     mse_vs_bayes,
@@ -18,7 +17,6 @@ from knockout.evaluate import (
     report_rows,
 )
 from knockout.missingness import enumerate_patterns
-from knockout.schema import PlaceholderPolicy
 from knockout.worlds import (
     bayes_conditional_mean,
     empirical_conditional,
@@ -115,25 +113,6 @@ def test_marginal_fidelity_prior_model_is_positive():
     est = empirical_conditional(x, y, bins=20)
     prior = np.full(est.positions.shape[0], y.mean())
     assert marginal_fidelity_binned(prior, est) > 0.01
-
-
-def test_marginal_fidelity_queries_placeholder_rows():
-    policy = PlaceholderPolicy(np.array([10.0, 10.0]), np.array([-10.0, -10.0]))
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=3000)
-    y = (x > 0).astype(int)
-    est = empirical_conditional(x, y, bins=10)
-    seen_rows = []
-
-    def fake_model(rows):
-        seen_rows.append(rows.copy())
-        p1 = (rows[:, 0] > 0).astype(float) * 0.98 + 0.01
-        return np.column_stack([1 - p1, p1])
-
-    value = marginal_fidelity(fake_model, est, feature=0, d=2, policy=policy)
-    assert value < math.log(2)
-    assert (seen_rows[0][:, 1] == 10.0).all()  # other feature knocked out
-    np.testing.assert_array_equal(seen_rows[0][:, 0], est.positions)
 
 
 def _toy_metrics(offset):

@@ -1,0 +1,37 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import knockout
+
+MODULES = sorted(
+    f"knockout.{info.name}" for info in pkgutil.iter_modules(knockout.__path__)
+)
+
+# Superseded by the per-kind missing-input rules in knockout.methods.
+DELETED = {
+    "knockout.augment": ("AugmentedRow", "augment_row", "impute_for_inference"),
+    "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics"),
+}
+
+
+def test_every_package_export_resolves():
+    for name in knockout.__all__:
+        assert hasattr(knockout, name), name
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_module_export_resolves(module_name):
+    module = importlib.import_module(module_name)
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize("module_name", sorted(DELETED))
+def test_deleted_names_are_gone(module_name):
+    module = importlib.import_module(module_name)
+    for name in DELETED[module_name]:
+        assert not hasattr(module, name), f"{module_name}.{name}"
+        assert not hasattr(knockout, name), name
+        assert name not in knockout.__all__
