@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,6 +31,7 @@ class ConfigError(ValueError):
 _WORLD_KINDS = ("gaussian", "continuous2d", "mixed", "csv")
 _CLASSIFICATION_WORLDS = ("continuous2d", "mixed")
 _MECHANISMS = ("none", "mcar", "mnar_self_censor")
+_MASK_GRANULARITIES = ("per_batch", "per_sample")
 _METHOD_KINDS = (
     "knockout",
     "common_baseline",
@@ -99,7 +101,7 @@ class MethodConfig:
             self._reject("observed_value", "must differ from knockout_value")
 
     def _reject(self, key: str, problem: str) -> None:
-        raise ConfigError(f"section [method.{self.name}], key {key!r}: {problem}")
+        _reject(f"method.{self.name}", key, problem)
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,35 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.k_max < 0:
             raise ConfigError("k_max must be >= 0")
+        if self.dim < 2:
+            _reject("world", "dim", f"must be >= 2 (the target and a feature), got {self.dim}")
+        if not 0.0 <= self.mcar_p <= 1.0:
+            _reject("missingness", "p", f"must be in [0, 1], got {self.mcar_p}")
+        if not 0.0 < self.mnar_q < 1.0:
+            _reject("missingness", "q", f"must be in (0, 1), got {self.mnar_q}")
+        if self.steps < 0:
+            _reject("train", "steps", f"must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            _reject("train", "batch_size", f"must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            _reject("train", "learning_rate", f"must be finite and > 0, got {self.learning_rate}")
         if self.loss != _task_loss(self.world_kind):
-            raise ConfigError(
-                f"section [train], key 'loss': world kind {self.world_kind!r} trains with "
-                f"{_task_loss(self.world_kind)!r}, got {self.loss!r}"
+            _reject(
+                "train",
+                "loss",
+                f"world kind {self.world_kind!r} trains with "
+                f"{_task_loss(self.world_kind)!r}, got {self.loss!r}",
             )
+        if self.mask_granularity not in _MASK_GRANULARITIES:
+            _reject(
+                "train",
+                "mask_granularity",
+                f"must be one of {list(_MASK_GRANULARITIES)}, got {self.mask_granularity!r}",
+            )
+
+
+def _reject(section: str, key: str, problem: str) -> None:
+    raise ConfigError(f"section [{section}], key {key!r}: {problem}")
 
 
 def _task_loss(world_kind: str) -> str:

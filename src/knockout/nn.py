@@ -4,10 +4,16 @@ Float64 numpy throughout, ReLU hidden layers, a linear or logits head,
 Adam, and a training loop that is bitwise reproducible given a seed.
 Kept deliberately small so the gradient can be cross-checked against
 central finite differences.
+
+The training step and the forward pass allocate nothing per call: the
+activations live in per-thread scratch buffers that are reused while
+their shape stays the same, the gradient is written into views of one
+flat vector, and Adam updates its moments and the parameters in place.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +36,23 @@ __all__ = [
 
 class TrainingDivergedError(RuntimeError):
     pass
+
+
+class _Scratch(threading.local):
+    """Arrays reused across calls, one set per thread; an array is
+    reallocated only when the shape asked for changes."""
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+    def get(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        buf = self.arrays.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self.arrays[key] = np.empty(shape, dtype=dtype)
+        return buf
+
+
+_scratch = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -81,17 +104,22 @@ class Parameters:
         return np.concatenate(parts)
 
     @classmethod
-    def from_flat(cls, spec: NetworkSpec, vec: np.ndarray) -> "Parameters":
+    def views(cls, spec: NetworkSpec, vec: np.ndarray) -> "Parameters":
+        """Weights and biases that are views into the flat vector ``vec``."""
         weights, biases = [], []
         pos = 0
         for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-            weights.append(vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+            weights.append(vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
             pos += fan_in * fan_out
-            biases.append(vec[pos : pos + fan_out].copy())
+            biases.append(vec[pos : pos + fan_out])
             pos += fan_out
         if pos != vec.size:
             raise ValueError(f"flat vector has {vec.size} entries, expected {pos}")
         return cls(weights, biases)
+
+    @classmethod
+    def from_flat(cls, spec: NetworkSpec, vec: np.ndarray) -> "Parameters":
+        return cls.views(spec, vec).copy()
 
     def copy(self) -> "Parameters":
         return Parameters([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -113,8 +141,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.loss not in ("mse", "cross_entropy"):
             raise ValueError(f"unsupported loss {self.loss!r}")
         if self.mask_granularity not in ("per_batch", "per_sample"):
@@ -149,24 +179,33 @@ def _check_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(
-    spec: NetworkSpec, params: Parameters, batch: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    spec: NetworkSpec, params: Parameters, batch: np.ndarray, check_finite: bool = False
+) -> list[np.ndarray]:
+    """The batch and every layer's output, the latter in scratch buffers.
+
+    ReLU runs in place on the pre-activation, so a hidden layer's output
+    is positive exactly where its pre-activation was. ``check_finite``
+    rejects a non-finite pre-activation before the ReLU can hide it.
+    """
     hs = [batch]
-    zs = []
-    h = batch
     for layer in range(spec.n_layers):
-        z = h @ params.weights[layer] + params.biases[layer]
-        zs.append(z)
-        h = np.maximum(z, 0.0) if layer < spec.n_layers - 1 else z
-        hs.append(h)
-    return hs, zs
+        z = _scratch.get(("h", layer), (batch.shape[0], spec.widths[layer + 1]))
+        np.matmul(hs[-1], params.weights[layer], out=z)
+        z += params.biases[layer]
+        if check_finite:
+            finite = np.isfinite(z, out=_scratch.get(("mask", layer + 1), z.shape, bool))
+            if not finite.all():
+                raise ValueError(f"non-finite values after layer {layer}")
+        if layer < spec.n_layers - 1:
+            np.maximum(z, 0.0, out=z)
+        hs.append(z)
+    return hs
 
 
 def forward(spec: NetworkSpec, params: Parameters, batch: np.ndarray) -> np.ndarray:
     """Raw network outputs (reals for a linear head, logits otherwise)."""
     batch = _check_batch(spec, batch)
-    hs, _ = _forward_pass(spec, params, batch)
-    return hs[-1]
+    return _forward_pass(spec, params, batch)[-1].copy()
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,27 +252,27 @@ def loss_and_grad(
     batch: np.ndarray,
     targets: np.ndarray,
     loss: str,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its exact gradient as one flat vector."""
+    """Batch-mean loss and its exact gradient as one flat vector.
+
+    The gradient is written into ``out`` (``n_params`` float64 entries)
+    when given, else into a new array.
+    """
     batch = _check_batch(spec, batch)
-    hs, zs = _forward_pass(spec, params, batch)
-    for layer, z in enumerate(zs):
-        if not np.isfinite(z).all():
-            raise ValueError(f"non-finite values after layer {layer}")
+    hs = _forward_pass(spec, params, batch, check_finite=True)
     value, dz = _loss_and_output_grad(spec, hs[-1], targets, loss)
-    grads_w = [None] * spec.n_layers
-    grads_b = [None] * spec.n_layers
+    flat = np.empty(spec.n_params) if out is None else out
+    grads = Parameters.views(spec, flat)
     for layer in reversed(range(spec.n_layers)):
-        grads_w[layer] = hs[layer].T @ dz
-        grads_b[layer] = dz.sum(axis=0)
+        np.matmul(hs[layer].T, dz, out=grads.weights[layer])
+        dz.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
-            dh = dz @ params.weights[layer].T
-            dz = dh * (zs[layer - 1] > 0)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return value, np.concatenate(parts)
+            dh = _scratch.get(("dh", layer), hs[layer].shape)
+            np.matmul(dz, params.weights[layer].T, out=dh)
+            active = np.greater(hs[layer], 0.0, out=_scratch.get(("mask", layer), dh.shape, bool))
+            dz = np.multiply(dh, active, out=dh)
+    return value, flat
 
 
 def grad(
@@ -267,35 +306,63 @@ def train(
     if n == 0 and cfg.steps > 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(spec, rng)
-    theta = params.flat()
+    theta = init_params(spec, rng).flat()
+    params = Parameters.views(spec, theta)  # updated in place with theta
+    g = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
     trace: list[tuple[int, float]] = []
 
-    for step in range(cfg.steps):
-        idx = rng.integers(0, n, size=cfg.batch_size)
-        xb = inputs[idx]
-        yb = targets[idx]
-        nb = observed_mask[idx] if observed_mask is not None else None
-        if augment is not None:
-            xb = augment(xb, nb, rng)
-        try:
-            value, g = loss_and_grad(spec, params, xb, yb, cfg.loss)
-        except ValueError as exc:
-            raise TrainingDivergedError(f"diverged at step {step}: {exc}") from exc
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"non-finite loss at step {step}")
-        if step % cfg.trace_every == 0:
-            trace.append((step, value))
-        t = step + 1
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        params = Parameters.from_flat(spec, theta)
-    return TrainResult(params=params, trace=trace)
+    try:
+        for step in range(cfg.steps):
+            idx = rng.integers(0, n, size=cfg.batch_size)
+            xb = inputs[idx]
+            yb = targets[idx]
+            nb = observed_mask[idx] if observed_mask is not None else None
+            if augment is not None:
+                xb = augment(xb, nb, rng)
+            try:
+                value, _ = loss_and_grad(spec, params, xb, yb, cfg.loss, out=g)
+            except ValueError as exc:
+                raise TrainingDivergedError(
+                    f"diverged at step {step}: {exc}{_last_traced(trace)}"
+                ) from exc
+            if not np.isfinite(value):
+                raise TrainingDivergedError(
+                    f"non-finite loss at step {step}{_last_traced(trace)}"
+                )
+            if step % cfg.trace_every == 0:
+                trace.append((step, value))
+            # Adam, in place, in the operation order of
+            #   m = b1 * m + (1 - b1) * g
+            #   v = b2 * v + (1 - b2) * g * g
+            #   theta = theta - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+            # so that every entry rounds exactly as those expressions do.
+            t = step + 1
+            m *= cfg.beta1
+            m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+            v *= cfg.beta2
+            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, 1.0 - cfg.beta2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += cfg.eps
+            step_size = np.divide(m, 1.0 - cfg.beta1**t, out=g)  # g is spent
+            step_size *= cfg.learning_rate
+            step_size /= tmp
+            theta -= step_size
+    finally:
+        _scratch.arrays.clear()  # release the activation buffers
+    return TrainResult(params=params.copy(), trace=trace)
+
+
+def _last_traced(trace: list[tuple[int, float]]) -> str:
+    if not trace:
+        return " (no loss traced yet)"
+    step, value = trace[-1]
+    return f" (last traced loss {value!r} at step {step})"
 
 
 def predict(spec: NetworkSpec, params: Parameters, rows: np.ndarray) -> np.ndarray:

@@ -81,6 +81,35 @@ def test_config_validates_values():
         parse_config(f"[world]\nkind = csv\npath = d.csv\n[train]\nloss = cross_entropy\n{method}")
     with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
         parse_config(f"[world]\nkind = gaussian\n[train]\nloss = hinge\n{method}")
+    bad_values = (
+        ("train", "steps", "-1"),
+        ("train", "batch_size", "0"),
+        ("train", "learning_rate", "0"),
+        ("train", "learning_rate", "-3e-3"),
+        ("train", "learning_rate", "nan"),
+        ("train", "learning_rate", "inf"),
+        ("train", "mask_granularity", "per_row"),
+        ("world", "dim", "0"),
+        ("world", "dim", "1"),
+        ("missingness", "p", "-0.1"),
+        ("missingness", "p", "1.5"),
+        ("missingness", "p", "nan"),
+        ("missingness", "q", "0"),
+        ("missingness", "q", "1"),
+        ("missingness", "q", "nan"),
+    )
+    for section, key, value in bad_values:
+        extra = "" if section == "world" else f"[{section}]\n"
+        text = f"[world]\nkind = gaussian\n{extra}{key} = {value}\n{method}"
+        with pytest.raises(ConfigError, match=rf"section \[{section}\], key '{key}'"):
+            parse_config(text)
+    # The edge values that are allowed.
+    ok = parse_config(
+        "[world]\nkind = gaussian\ndim = 2\n[missingness]\np = 0\nq = 0.5\n"
+        f"[train]\nsteps = 0\nbatch_size = 1\nmask_granularity = per_sample\n{method}"
+    )
+    assert (ok.dim, ok.mcar_p, ok.steps, ok.batch_size) == (2, 0.0, 0, 1)
+    assert parse_config(f"[world]\nkind = gaussian\n[missingness]\np = 1\n{method}").mcar_p == 1.0
     # Without the key the loss is the task's, with or without a [train] section.
     assert parse_config(f"[world]\nkind = gaussian\n{method}").loss == "mse"
     assert parse_config(f"[world]\nkind = mixed\n{method}").loss == "cross_entropy"
