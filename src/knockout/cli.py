@@ -39,10 +39,13 @@ def _resolve_out(cfg_dir: str, out: str | None) -> Path:
 
 
 def _apply_overrides(cfg, seeds: int | None, k_max: int | None):
-    if seeds is not None:
-        cfg = dataclasses.replace(cfg, repetitions=seeds)
-    if k_max is not None:
-        cfg = dataclasses.replace(cfg, k_max=k_max)
+    try:
+        if seeds is not None:
+            cfg = dataclasses.replace(cfg, repetitions=seeds)
+        if k_max is not None:
+            cfg = dataclasses.replace(cfg, k_max=k_max)
+    except ConfigError as exc:
+        raise click.ClickException(f"invalid override: {exc}") from exc
     return cfg
 
 
@@ -69,7 +72,7 @@ def cmd_run(config_path, out, seeds, jobs, k_max):
 
 
 @main.command("verify")
-@click.option("--joints", default=200, type=int, show_default=True,
+@click.option("--joints", default=200, type=click.IntRange(min=1), show_default=True,
               help="Random joints for the exact marginalization theorem.")
 @click.option("--seed", default=20240, type=int, show_default=True)
 def cmd_verify(joints, seed):

@@ -21,6 +21,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "config_hash",
+    "check_k_max",
 ]
 
 
@@ -147,9 +148,12 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.k_max < 0:
-            raise ConfigError("k_max must be >= 0")
+            _reject("sweep", "k_max", f"must be >= 0, got {self.k_max}")
         if self.dim < 2:
             _reject("world", "dim", f"must be >= 2 (the target and a feature), got {self.dim}")
+        d = _feature_count(self.world_kind, self.dim)
+        if d is not None:
+            check_k_max(self.k_max, d)
         if not 0.0 <= self.mcar_p <= 1.0:
             _reject("missingness", "p", f"must be in [0, 1], got {self.mcar_p}")
         if not 0.0 < self.mnar_q < 1.0:
@@ -177,6 +181,21 @@ class ExperimentConfig:
 
 def _reject(section: str, key: str, problem: str) -> None:
     raise ConfigError(f"section [{section}], key {key!r}: {problem}")
+
+
+def check_k_max(k_max: int, d: int) -> None:
+    """Reject a sweep depth above the feature count: no pattern has that many missing."""
+    if k_max > d:
+        _reject("sweep", "k_max", f"must be <= {d}, the world's feature count, got {k_max}")
+
+
+def _feature_count(world_kind: str, dim: int) -> int | None:
+    """Features of the world's inputs; None for a csv world, whose header decides."""
+    if world_kind == "gaussian":
+        return dim - 1  # one of the dim jointly gaussian coordinates is the target
+    if world_kind in _CLASSIFICATION_WORLDS:
+        return 2
+    return None
 
 
 def _task_loss(world_kind: str) -> str:
@@ -275,9 +294,13 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     methods.sort(key=lambda m: m.name)
 
+    dim = _get(parser, "world", "dim", int, 10)
+    # Without the key the sweep goes 3 deep, or to every feature if fewer.
+    d = _feature_count(world_kind, dim)
+    default_k_max = 3 if d is None else max(0, min(3, d))
     return ExperimentConfig(
         world_kind=world_kind,
-        dim=_get(parser, "world", "dim", int, 10),
+        dim=dim,
         n_total=_get(parser, "world", "n_total", int, 30000),
         train_fraction=_get(parser, "world", "train_fraction", float, 0.1),
         csv_path=_get(parser, "world", "path", str, None),
@@ -292,7 +315,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed0=_get(parser, "train", "seed0", int, 17),
         loss=_get(parser, "train", "loss", str, _task_loss(world_kind)),
         mask_granularity=_get(parser, "train", "mask_granularity", str, "per_batch"),
-        k_max=_get(parser, "sweep", "k_max", int, 3),
+        k_max=_get(parser, "sweep", "k_max", int, default_k_max),
         repetitions=_get(parser, "sweep", "repetitions", int, 10),
         out_dir=_get(parser, "output", "dir", str, "out"),
         dump_test_data=_get(parser, "output", "dump_test_data", bool, False),

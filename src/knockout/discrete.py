@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -27,8 +28,6 @@ __all__ = [
     "marginal_discrete",
     "induced_conditional_discrete",
     "insupport_deviation",
-    "make_evidence",
-    "reachable_evidence",
     "out_of_support_placeholders",
     "verify_out_of_support",
     "tv_distance",
@@ -46,7 +45,11 @@ class UnreachableEvidenceError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteJoint:
-    """Finite joint distribution over feature tuples and labels."""
+    """Finite joint distribution over feature tuples and labels.
+
+    The table must not change once the joint is used: ``is_exact`` and
+    ``dense_table`` are computed on first access and cached.
+    """
 
     alphabets: tuple[tuple[int, ...], ...]
     y_values: tuple[int, ...]
@@ -56,9 +59,33 @@ class DiscreteJoint:
     def d(self) -> int:
         return len(self.alphabets)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(isinstance(p, (Fraction, int)) for p in self.table.values())
+
+    @cached_property
+    def dense_table(self) -> tuple[np.ndarray, int]:
+        """The table as one array over (x_1, ..., x_d, y), and its denominator.
+
+        Axis i runs over ``alphabets[i]`` and the last axis over
+        ``y_values``, in their declared order. An exact table gives
+        Python-int numerators (``dtype=object``) over the common
+        denominator of its probabilities; a float table gives the
+        probabilities themselves and the denominator 1.
+        """
+        exact = self.is_exact
+        den = 1
+        if exact:
+            for p in self.table.values():
+                den = math.lcm(den, p.denominator)
+        shape = [len(alph) for alph in self.alphabets] + [len(self.y_values)]
+        dense = np.zeros(shape, dtype=object if exact else float)
+        index = [{v: j for j, v in enumerate(alph)} for alph in self.alphabets]
+        y_index = {y: j for j, y in enumerate(self.y_values)}
+        for (x, y), p in self.table.items():
+            cell = (*(ix[v] for ix, v in zip(index, x)), y_index[y])
+            dense[cell] = p.numerator * (den // p.denominator) if exact else p
+        return dense, den
 
     def p(self, x: tuple[int, ...], y: int) -> Prob:
         return self.table.get((x, y), Fraction(0) if self.is_exact else 0.0)
@@ -76,11 +103,14 @@ class DiscreteJoint:
                 raise ValueError(f"label {y} outside the declared label set")
             if p < 0:
                 raise ValueError(f"negative probability at ({x}, {y})")
-        total = sum(self.table.values())
         if self.is_exact:
+            dense, den = self.dense_table
+            total = Fraction(dense.sum(), den)
             if total != 1:
                 raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
-        elif abs(total - 1.0) > 1e-12:
+            return
+        total = sum(self.table.values())
+        if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total}")
 
 
@@ -100,31 +130,79 @@ def marginal_discrete(
     pattern = tuple(int(b) for b in pattern)
     if len(pattern) != joint.d:
         raise ValueError(f"pattern length {len(pattern)} != d {joint.d}")
-    obs_idx = [i for i, b in enumerate(pattern) if b == 0]
+    dense, _ = joint.dense_table
+    sums = dense.sum(axis=tuple(i for i, b in enumerate(pattern) if b))
+    obs_alphabets = [alph for alph, b in zip(joint.alphabets, pattern) if not b]
     exact = joint.is_exact
-    sums: dict[tuple[int, ...], dict[int, Prob]] = {}
-    for (x, y), p in joint.table.items():
-        if p == 0:
-            continue
-        key = tuple(x[i] for i in obs_idx)
-        row = sums.setdefault(key, {})
-        row[y] = row.get(y, _zero(exact)) + p
     out = {}
-    for key, row in sums.items():
-        total = sum(row.values())
-        out[key] = {y: row.get(y, _zero(exact)) / total for y in joint.y_values}
+    for cell in np.ndindex(sums.shape[:-1]):
+        row = sums[cell]
+        total = row.sum()
+        if total == 0:
+            continue
+        key = tuple(alph[j] for alph, j in zip(obs_alphabets, cell))
+        out[key] = {
+            y: Fraction(n, total) if exact else float(n / total)
+            for y, n in zip(joint.y_values, row)
+        }
     return out
 
 
-def make_evidence(
-    pattern: np.ndarray | Iterable[int],
-    x: tuple[int, ...],
+def _numeric_table(joint: DiscreteJoint, q: Prob) -> tuple[np.ndarray, Prob, Prob]:
+    """The dense table and q = qn / qd in one number type.
+
+    A rational table and a rational q give integers: int64 when a bound
+    proves that no value the oracles form can overflow it, Python ints
+    (``dtype=object``) otherwise. Anything else gives float64 probabilities.
+    """
+    dense, den = joint.dense_table
+    if joint.is_exact and isinstance(q, (Fraction, int)):
+        q = Fraction(q)
+        if not 0 <= q <= 1:
+            raise ValueError(f"q must be in [0, 1], got {q}")
+        # Every weight is at most qd, so an induced numerator is at most
+        # qd**d times the table's total mass; the equality test multiplies
+        # it by a marginal total, which is at most that mass again.
+        mass = abs(dense).sum()
+        if q.denominator**joint.d * mass * mass < 2**63:
+            dense = dense.astype(np.int64)
+        return dense, q.numerator, q.denominator
+    qf = float(q)
+    if not 0.0 <= qf <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {qf}")
+    return dense.astype(float) / den, qf, 1.0
+
+
+def _induced_numerators(
+    table: np.ndarray,
+    alphabets: tuple[tuple[int, ...], ...],
     placeholders: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Augmented-input evidence: placeholder where masked, x elsewhere."""
-    return tuple(
-        placeholders[i] if b else x[i] for i, b in enumerate(int(b) for b in pattern)
-    )
+    evidence: Iterable[Iterable[int]],
+    qn: Prob,
+    qd: Prob,
+) -> np.ndarray:
+    """Unnormalized p(Y | X' = e) for every evidence e in a grid.
+
+    ``evidence[i]`` lists the values feature i may show, and the result is
+    indexed [e_1, ..., e_d, y] over that grid. Under i.i.d. knockout with
+    q = qn / qd, feature i shows e with weight
+
+        w_i(e, x_i) = qn * [e == placeholder_i] + (qd - qn) * [x_i == e]
+
+    (mask bit 1 forces the placeholder; bit 0 keeps the true value), so the
+    numerators are the table contracted with one (values x alphabet) weight
+    matrix per feature.
+    """
+    out = table
+    for alph, ph, values in zip(alphabets, placeholders, evidence):
+        e = np.asarray(values)[:, None]
+        shows_ph = (e == ph).astype(table.dtype)
+        keeps_x = (e == np.asarray(alph)).astype(table.dtype)
+        w = shows_ph * qn + keeps_x * (qd - qn)
+        # Contract the leading x_i axis; the e_i axis goes last, so after d
+        # steps the axes are (y, e_1, ..., e_d).
+        out = (out.reshape(len(alph), -1).T @ w.T).reshape(*out.shape[1:], len(w))
+    return np.moveaxis(out, 0, -1)
 
 
 def induced_conditional_discrete(
@@ -144,65 +222,16 @@ def induced_conditional_discrete(
     """
     if len(evidence) != joint.d or len(placeholders) != joint.d:
         raise ValueError("evidence and placeholders must have length d")
-    exact = joint.is_exact and isinstance(q, (Fraction, int))
-    if exact:
-        q = Fraction(q)
-        if not 0 <= q <= 1:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        qn, qd = q.numerator, q.denominator
-        match_ph = [qn if evidence[i] == placeholders[i] else 0 for i in range(joint.d)]
-        keep = qd - qn
-        num: dict[int, int] = {y: 0 for y in joint.y_values}
-        for (x, y), p in joint.table.items():
-            if p == 0:
-                continue
-            w = 1
-            for i in range(joint.d):
-                wi = match_ph[i] + (keep if x[i] == evidence[i] else 0)
-                if wi == 0:
-                    w = 0
-                    break
-                w *= wi
-            if w:
-                frac = Fraction(p)
-                num[y] += w * frac.numerator * _scaled_den(frac, joint)
-        total = sum(num.values())
-        if total == 0:
-            raise UnreachableEvidenceError(f"unreachable evidence {evidence}")
-        return {y: Fraction(n, total) for y, n in num.items()}
-
-    qf = float(q)
-    if not 0.0 <= qf <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {qf}")
-    num_f = {y: 0.0 for y in joint.y_values}
-    for (x, y), p in joint.table.items():
-        if p == 0:
-            continue
-        w = 1.0
-        for i in range(joint.d):
-            wi = (qf if evidence[i] == placeholders[i] else 0.0) + (
-                (1.0 - qf) if x[i] == evidence[i] else 0.0
-            )
-            if wi == 0.0:
-                w = 0.0
-                break
-            w *= wi
-        num_f[y] += w * float(p)
-    total_f = sum(num_f.values())
-    if total_f == 0.0:
+    table, qn, qd = _numeric_table(joint, q)
+    num = _induced_numerators(
+        table, joint.alphabets, placeholders, [(e,) for e in evidence], qn, qd
+    ).reshape(-1)
+    total = num.sum()
+    if total == 0:
         raise UnreachableEvidenceError(f"unreachable evidence {evidence}")
-    return {y: n / total_f for y, n in num_f.items()}
-
-
-def _scaled_den(frac: Fraction, joint: DiscreteJoint) -> int:
-    # Integer sums need a common denominator; cache its LCM on the joint.
-    lcm = getattr(joint, "_den_lcm", None)
-    if lcm is None:
-        lcm = 1
-        for p in joint.table.values():
-            lcm = math.lcm(lcm, Fraction(p).denominator)
-        object.__setattr__(joint, "_den_lcm", lcm)
-    return lcm // frac.denominator
+    if table.dtype == float:
+        return {y: float(n / total) for y, n in zip(joint.y_values, num)}
+    return {y: Fraction(int(n), int(total)) for y, n in zip(joint.y_values, num)}
 
 
 def insupport_deviation(
@@ -257,28 +286,6 @@ def insupport_deviation(
     return out
 
 
-def reachable_evidence(
-    joint: DiscreteJoint,
-    pattern: np.ndarray | Iterable[int],
-    placeholders: tuple[int, ...],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(observed values, full evidence) pairs with positive probability."""
-    pattern = tuple(int(b) for b in pattern)
-    obs_idx = [i for i, b in enumerate(pattern) if b == 0]
-    seen = set()
-    out = []
-    for (x, _), p in joint.table.items():
-        if p == 0:
-            continue
-        key = tuple(x[i] for i in obs_idx)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((key, make_evidence(pattern, x, placeholders)))
-    out.sort()
-    return out
-
-
 def out_of_support_placeholders(joint: DiscreteJoint) -> tuple[int, ...]:
     """One placeholder per feature guaranteed outside its alphabet."""
     return tuple(max(alph) + 1 for alph in joint.alphabets)
@@ -289,29 +296,45 @@ def verify_out_of_support(joint: DiscreteJoint, q: Prob) -> int:
 
     Uses out-of-support placeholders; exact equality is required for
     rational tables and 1e-12 agreement for float tables. Returns the
-    number of (pattern, evidence, label) comparisons made.
+    number of (pattern, evidence, label) comparisons made: every label of
+    every observed-value tuple with positive probability.
     """
     placeholders = out_of_support_placeholders(joint)
-    exact = joint.is_exact and isinstance(q, (Fraction, int))
+    table, qn, qd = _numeric_table(joint, q)
+    exact = table.dtype != float
     checks = 0
     for bits in itertools.product((0, 1), repeat=joint.d):
-        marg = marginal_discrete(joint, bits)
-        for obs_values, evidence in reachable_evidence(joint, bits, placeholders):
-            induced = induced_conditional_discrete(joint, q, placeholders, evidence)
-            expected = marg[obs_values]
-            for y in joint.y_values:
-                if exact:
-                    if induced[y] != expected[y]:
-                        raise ValueError(
-                            f"induced != marginal at pattern {bits}, evidence {evidence}, "
-                            f"y={y}: {induced[y]} vs {expected[y]}"
-                        )
-                elif abs(induced[y] - expected[y]) > 1e-12:
-                    raise ValueError(
-                        f"induced != marginal at pattern {bits}, evidence {evidence}, "
-                        f"y={y}: {induced[y]} vs {expected[y]}"
-                    )
-                checks += 1
+        # A masked feature shows its placeholder, an observed one any value.
+        evidence = [
+            (ph,) if b else alph for b, ph, alph in zip(bits, placeholders, joint.alphabets)
+        ]
+        induced = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
+        marg = table.sum(axis=tuple(i for i, b in enumerate(bits) if b), keepdims=True)
+        induced_total = induced.sum(axis=-1, keepdims=True)
+        marg_total = marg.sum(axis=-1, keepdims=True)
+        if exact:
+            wrong = induced * marg_total != marg * induced_total
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wrong = np.abs(induced / induced_total - marg / marg_total) > 1e-12
+        reachable = marg_total > 0
+        wrong = reachable & (wrong | (induced_total == 0))
+        if wrong.any():
+            *cell, j = np.argwhere(wrong)[0]
+            shown = tuple(values[k] for values, k in zip(evidence, cell))
+            got, want = induced[tuple(cell)], marg[tuple(cell)]
+            if got.sum() == 0:
+                raise UnreachableEvidenceError(f"unreachable evidence {shown} at pattern {bits}")
+            if exact:
+                got = Fraction(int(got[j]), int(got.sum()))
+                want = Fraction(int(want[j]), int(want.sum()))
+            else:
+                got, want = float(got[j] / got.sum()), float(want[j] / want.sum())
+            raise ValueError(
+                f"induced != marginal at pattern {bits}, evidence {shown}, "
+                f"y={joint.y_values[j]}: {got} vs {want}"
+            )
+        checks += int(np.count_nonzero(reachable)) * len(joint.y_values)
     return checks
 
 

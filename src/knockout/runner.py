@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, MethodConfig, config_hash, serialize_config
+from .config import ExperimentConfig, MethodConfig, check_k_max, config_hash, serialize_config
 from .evaluate import (
     classification_pattern_metrics,
     marginal_fidelity_binned,
@@ -83,12 +83,36 @@ def _schema_for(cfg: ExperimentConfig) -> FeatureSchema:
 
 def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Numeric CSV with a header row; the target column is named by the config."""
-    with open(cfg.csv_path, newline="") as fh:
+    path = cfg.csv_path
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if cfg.csv_target is None or cfg.csv_target not in header:
-        raise ValueError(f"csv world needs a target column; got {cfg.csv_target!r}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        if cfg.csv_target is None or cfg.csv_target not in header:
+            raise ValueError(f"csv world needs a target column; got {cfg.csv_target!r}")
+        check_k_max(cfg.k_max, len(header) - 1)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: "
+                    f"{len(row)} cells, the header has {len(header)}"
+                )
+            values = []
+            for column, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}, column {column!r}: "
+                        f"not a number: {cell!r}"
+                    ) from None
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     target_idx = header.index(cfg.csv_target)
     data = np.asarray(rows, dtype=float)
     y = data[:, target_idx]
@@ -369,7 +393,7 @@ def _sweep_and_write(cfg, out: Path, reps, pipelines, traces) -> RunArtifacts:
     """Sweep every (method, repetition) pipeline and write all artifacts."""
     task = _task_for(cfg)
     d = reps[0].schema.d
-    patterns = enumerate_patterns(d, min(cfg.k_max, d))
+    patterns = enumerate_patterns(d, cfg.k_max)
     method_metrics = {
         method.name: [_rep_metrics(task, pipelines[(method.name, data.rep)], data) for data in reps]
         for method in cfg.methods

@@ -202,6 +202,42 @@ def test_cli_verify_passes_and_prints_reference_values():
     assert "all 6 checks passed" in result.output
 
 
+@pytest.mark.parametrize("joints", ["0", "-3"])
+def test_cli_verify_rejects_joints_below_one(joints):
+    result = CliRunner().invoke(main, ["verify", "--joints", joints])
+    assert result.exit_code == 2
+    assert "--joints" in result.output and "x>=1" in result.output
+    assert "exact equalities" not in result.output
+
+
+def test_k_max_above_feature_count_is_rejected(tmp_path):
+    method = "[method.k]\nkind = knockout\n"
+    key = r"section \[sweep\], key 'k_max'"
+    for world, k_max in (("gaussian\ndim = 3", 3), ("continuous2d", 3), ("mixed", 3)):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[world]\nkind = {world}\n[sweep]\nk_max = {k_max}\n{method}")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"[world]\nkind = gaussian\n[sweep]\nk_max = -1\n{method}")
+    ok = parse_config(f"[world]\nkind = gaussian\ndim = 3\n[sweep]\nk_max = 2\n{method}")
+    assert ok.k_max == 2
+    # Without the key the sweep stops at the feature count if that is below 3.
+    assert parse_config(f"[world]\nkind = gaussian\ndim = 2\n{method}").k_max == 1
+    assert parse_config(f"[world]\nkind = mixed\n{method}").k_max == 2
+    assert parse_config(f"[world]\nkind = gaussian\n{method}").k_max == 3
+    # The command-line override goes through the same check (9 features here).
+    cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "o"))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg_path), "--k-max", "10"])
+    assert result.exit_code != 0
+    assert "section [sweep], key 'k_max': must be <= 9" in result.output
+    assert not (tmp_path / "o").exists()
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--config", str(cfg_path), "--models", str(tmp_path), "--k-max", "10"],
+    )
+    assert result.exit_code != 0
+    assert "section [sweep], key 'k_max': must be <= 9" in result.output
+
+
 def test_cli_sweep_on_saved_models_matches_run(tmp_path):
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
@@ -416,3 +452,28 @@ kind = knockout
     assert metrics == {"mse_obs"}  # no exact oracle without a generative world
     patterns = {line.split(",")[1] for line in report[1:]}
     assert len(patterns) == 4  # complete + one per feature
+
+
+@pytest.mark.parametrize(
+    "rows, k_max, message",
+    [
+        (["a,b,target", "1,2,3", "4,,6"], 1, "data.csv, line 3, column 'b': not a number: ''"),
+        (["a,b,target", "1,x1,3"], 1, "data.csv, line 2, column 'b': not a number: 'x1'"),
+        (["a,b,target", "1,2,3", "1,2"], 1, "data.csv, line 3: 2 cells, the header has 3"),
+        (["a,b,target"], 1, "data.csv: no data rows"),
+        ([], 1, "data.csv: empty file"),
+        (["a,b,target", "1,2,3"], 3, "section [sweep], key 'k_max': must be <= 2"),
+    ],
+)
+def test_cli_run_csv_world_rejects_bad_files(tmp_path, rows, k_max, message):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("".join(line + "\n" for line in rows))
+    cfg_path = write_config(
+        tmp_path,
+        f"[world]\nkind = csv\npath = {csv_path}\ntarget = target\n"
+        f"[sweep]\nk_max = {k_max}\n[output]\ndir = {tmp_path / 'o'}\n"
+        "[method.knockout]\nkind = knockout\n",
+    )
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 1
+    assert message in result.output

@@ -5,22 +5,92 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knockout import discrete
 from knockout.discrete import (
     DiscreteJoint,
     UnreachableEvidenceError,
+    _induced_numerators,
+    _numeric_table,
     dump_joint_table,
     induced_conditional_discrete,
     insupport_deviation,
     load_joint_table,
-    make_evidence,
     marginal_discrete,
     out_of_support_placeholders,
     random_discrete_joint,
-    reachable_evidence,
     verify_out_of_support,
 )
-from knockout.verify import counterexample_joint
+from knockout.verify import check_out_of_support, counterexample_joint
+
+
+def make_evidence(pattern, x, placeholders):
+    """Augmented-input evidence: placeholder where masked, x elsewhere."""
+    return tuple(placeholders[i] if int(b) else x[i] for i, b in enumerate(pattern))
+
+
+def reachable_evidence(joint, pattern, placeholders):
+    """(observed values, full evidence) pairs with positive probability."""
+    obs_idx = [i for i, b in enumerate(pattern) if int(b) == 0]
+    seen = set()
+    out = []
+    for (x, _), p in joint.table.items():
+        if p == 0:
+            continue
+        key = tuple(x[i] for i in obs_idx)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((key, make_evidence(pattern, x, placeholders)))
+    out.sort()
+    return out
+
+
+def reference_numerators(joint, q, placeholders, evidence):
+    """Per-evidence loop over the table: sum of p * prod_i w_i for each label.
+
+    w_i = qn * [e_i = placeholder_i] + (qd - qn) * [x_i = e_i] for q = qn / qd,
+    in Fractions when the table and q are rational and in floats otherwise.
+    """
+    exact = joint.is_exact and isinstance(q, (Fraction, int))
+    if exact:
+        q = Fraction(q)
+        qn, qd, zero = q.numerator, q.denominator, Fraction(0)
+    else:
+        qn, qd, zero = float(q), 1.0, 0.0
+    num = {y: zero for y in joint.y_values}
+    for (x, y), p in joint.table.items():
+        w = 1
+        for i in range(joint.d):
+            w *= (qn if evidence[i] == placeholders[i] else 0) + (
+                (qd - qn) if x[i] == evidence[i] else 0
+            )
+        num[y] += w * (p if exact else float(p))
+    return num
+
+
+def reference_verify_out_of_support(joint, q):
+    """The per-evidence check: normalize the reference numerators of every
+    reachable evidence and compare them with the marginal, label by label."""
+    placeholders = out_of_support_placeholders(joint)
+    exact = joint.is_exact and isinstance(q, (Fraction, int))
+    checks = 0
+    for bits in itertools.product((0, 1), repeat=joint.d):
+        marg = marginal_discrete(joint, bits)
+        for obs_values, evidence in reachable_evidence(joint, bits, placeholders):
+            num = reference_numerators(joint, q, placeholders, evidence)
+            total = sum(num.values())
+            if total == 0:
+                raise UnreachableEvidenceError(f"unreachable evidence {evidence}")
+            for y in joint.y_values:
+                induced, expected = num[y] / total, marg[obs_values][y]
+                wrong = (induced != expected) if exact else (abs(induced - expected) > 1e-12)
+                if wrong:
+                    raise ValueError(f"induced != marginal at pattern {bits}, evidence {evidence}")
+                checks += 1
+    return checks
 
 
 def test_counterexample_exact_value():
@@ -223,3 +293,100 @@ def test_joint_validation_rejects_bad_tables():
         DiscreteJoint(((1, 2),), (0,), {((1,), 0): Fraction(1, 2)}).validate()
     with pytest.raises(ValueError, match="alphabets"):
         DiscreteJoint(((1, 2),), (0,), {((3,), 0): Fraction(1)}).validate()
+
+
+@st.composite
+def knockout_cases(draw):
+    """A random joint, q, placeholders and an evidence grid for the kernel."""
+    exact = draw(st.booleans())
+    joint = random_discrete_joint(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), exact=exact
+    )
+    # 0 and 1 are the edges; the large denominator forces Python ints.
+    k = draw(st.integers(1, 19))
+    q = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(k, 20), Fraction(k, 2**61 - 1)]))
+    if not exact or draw(st.booleans()):
+        q = float(q)
+    placeholders = tuple(
+        draw(st.sampled_from([*alph, max(alph) + 1])) for alph in joint.alphabets
+    )
+    # Every value of the alphabet, the placeholder and one value neither shows.
+    evidence = [
+        sorted({*alph, ph, max(alph) + 7}) for alph, ph in zip(joint.alphabets, placeholders)
+    ]
+    return joint, q, placeholders, evidence
+
+
+@settings(max_examples=150, deadline=None)
+@given(knockout_cases())
+def test_batched_numerators_match_per_evidence_oracle(case):
+    joint, q, placeholders, evidence = case
+    table, qn, qd = _numeric_table(joint, q)
+    batched = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
+    assert batched.shape == (*(len(v) for v in evidence), len(joint.y_values))
+    _, den = joint.dense_table
+    for cell in itertools.product(*(range(len(v)) for v in evidence)):
+        shown = tuple(v[k] for v, k in zip(evidence, cell))
+        expected = reference_numerators(joint, q, placeholders, shown)
+        for j, y in enumerate(joint.y_values):
+            got = batched[(*cell, j)]
+            if table.dtype == float:
+                assert got == pytest.approx(expected[y], rel=1e-12, abs=1e-15)
+            else:
+                assert Fraction(int(got), den) == expected[y]
+
+
+def test_verify_count_matches_per_evidence_oracle():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        joint = random_discrete_joint(rng)
+        q = Fraction(int(rng.integers(1, 20)), 20)
+        assert verify_out_of_support(joint, q) == reference_verify_out_of_support(joint, q)
+        joint = random_discrete_joint(rng, exact=False)
+        assert verify_out_of_support(joint, 0.37) == reference_verify_out_of_support(joint, 0.37)
+    # qd**d * total**2 passes 2**63 here, so the check runs on Python ints.
+    joint = random_discrete_joint(rng)
+    while joint.d < 3:
+        joint = random_discrete_joint(rng)
+    q = Fraction(5, 2**31 - 1)
+    assert _numeric_table(joint, q)[0].dtype == object
+    assert _numeric_table(joint, Fraction(5, 20))[0].dtype == np.int64
+    assert verify_out_of_support(joint, q) == reference_verify_out_of_support(joint, q)
+
+
+@pytest.mark.parametrize(
+    "n_joints, seed, equalities",
+    [(200, 20240, 13188), (300, 17000, 19355), (300, 17001, 20445), (300, 17002, 21371)],
+)
+def test_out_of_support_equality_counts_are_pinned(n_joints, seed, equalities):
+    result = check_out_of_support(n_joints=n_joints, seed=seed)
+    assert result.passed, result.detail
+    assert result.detail == f"{n_joints} random joints, {equalities} exact equalities"
+
+
+def test_in_support_placeholders_fail_the_check(monkeypatch):
+    joint = counterexample_joint()
+    monkeypatch.setattr(
+        discrete, "out_of_support_placeholders", lambda j: tuple(a[0] for a in j.alphabets)
+    )
+    with pytest.raises(ValueError, match=r"pattern \(0,\), evidence \(1,\), y=0: 6/13 vs 1"):
+        verify_out_of_support(joint, Fraction(1, 2))
+    rng = np.random.default_rng(8)
+    failed = 0
+    for _ in range(20):
+        joint = random_discrete_joint(rng, d_max=2)
+        try:
+            verify_out_of_support(joint, Fraction(1, 3))
+        except ValueError as exc:
+            assert "pattern (" in str(exc) and "evidence (" in str(exc)
+            failed += 1
+    assert failed > 10
+
+
+def test_out_of_support_check_rejects_unreachable_evidence():
+    # q = 0 never shows a placeholder and q = 1 never shows a true value.
+    joint = counterexample_joint()
+    with pytest.raises(UnreachableEvidenceError, match=r"evidence \(3,\) at pattern \(1,\)"):
+        verify_out_of_support(joint, Fraction(0))
+    with pytest.raises(UnreachableEvidenceError, match=r"evidence \(1,\) at pattern \(0,\)"):
+        verify_out_of_support(joint, Fraction(1))
