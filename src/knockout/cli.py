@@ -58,7 +58,8 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, help="Output directory (overrides the config).")
 @click.option("--seeds", default=None, type=int, help="Number of repetitions to run.")
-@click.option("--jobs", default=1, type=int, show_default=True)
+@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True,
+              help="Worker processes; each trains and sweeps one (method, repetition).")
 @click.option("--k-max", default=None, type=int, help="Largest pattern popcount to sweep.")
 def cmd_run(config_path, out, seeds, jobs, k_max):
     """Train every configured method and write the sweep reports."""
@@ -95,7 +96,8 @@ def cmd_verify(joints, seed):
               help="Comma-separated placeholder magnitudes to train.")
 @click.option("--out", default=None)
 @click.option("--seeds", default=None, type=int)
-@click.option("--jobs", default=1, type=int, show_default=True)
+@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True,
+              help="Worker processes; each trains and sweeps one model.")
 def cmd_ablate(config_path, values, out, seeds, jobs):
     """Train one knockout model per placeholder value and sweep each."""
     cfg = _apply_overrides(_load_config(config_path), seeds, None)

@@ -27,6 +27,7 @@ __all__ = [
     "regression_pattern_metrics",
     "classification_pattern_metrics",
     "run_pattern_sweep",
+    "merge_repetitions",
     "report_rows",
     "aggregates_dict",
 ]
@@ -185,23 +186,43 @@ def run_pattern_sweep(
         for r, rep in enumerate(reps):
             if sorted(rep) != metric_names:
                 raise ValueError(f"method {name!r} repetition {r} has inconsistent metrics")
-        results = []
-        for metric in metric_names:
-            for pattern in patterns:
-                values = tuple(float(reps[r][metric](pattern)) for r in range(len(reps)))
+        # Pattern by pattern, so that a model's work on one pattern (say, a
+        # prediction shared by its metrics) can be dropped before the next.
+        # The results keep the metric-major order.
+        by_metric = {metric: [] for metric in metric_names}
+        for pattern in patterns:
+            bits = mask_to_bits(pattern)
+            for metric in metric_names:
+                values = tuple(float(rep[metric](pattern)) for rep in reps)
                 if any(not math.isfinite(v) for v in values):
                     raise ValueError(
-                        f"non-finite {metric} for method {name!r} at pattern "
-                        f"{mask_to_bits(pattern)}"
+                        f"non-finite {metric} for method {name!r} at pattern {bits}"
                     )
-                results.append(PatternResult(mask_to_bits(pattern), metric, values, n_test))
+                by_metric[metric].append(PatternResult(bits, metric, values, n_test))
         reports[name] = SweepReport(
             method=name,
             metrics=tuple(metric_names),
-            results=tuple(results),
+            results=tuple(r for metric in metric_names for r in by_metric[metric]),
             n_reps=len(reps),
         )
     return reports
+
+
+def merge_repetitions(reports: Sequence[SweepReport]) -> SweepReport:
+    """One method's report over all repetitions, from its per-repetition
+    reports (as `run_pattern_sweep` returns them) in repetition order."""
+    first = reports[0]
+    layout = [(r.metric, r.pattern) for r in first.results]
+    for report in reports[1:]:
+        if (report.method, report.metrics) != (first.method, first.metrics) or layout != [
+            (r.metric, r.pattern) for r in report.results
+        ]:
+            raise ValueError(f"repetition reports of method {first.method!r} do not align")
+    results = []
+    for same in zip(*(report.results for report in reports)):
+        per_rep = tuple(v for r in same for v in r.per_rep)
+        results.append(PatternResult(same[0].pattern, same[0].metric, per_rep, same[0].n_test))
+    return SweepReport(first.method, first.metrics, tuple(results), sum(r.n_reps for r in reports))
 
 
 def regression_pattern_metrics(
@@ -213,15 +234,17 @@ def regression_pattern_metrics(
     """Metric callables for one trained regression model (one repetition).
 
     Without a world (e.g. data loaded from a file) there is no exact
-    oracle, so only the observation MSE is produced.
+    oracle, so only the observation MSE is produced. Both metrics share one
+    prediction per pattern; only the latest pattern's prediction is kept.
     """
-    cache: dict[str, np.ndarray] = {}
+    latest: dict[str, np.ndarray] = {}
 
     def _predictions(pattern: np.ndarray) -> np.ndarray:
         key = mask_to_bits(pattern)
-        if key not in cache:
-            cache[key] = predict_fn(x_test, pattern)
-        return cache[key]
+        if key not in latest:
+            latest.clear()  # drop the previous pattern's prediction first
+            latest[key] = predict_fn(x_test, pattern)
+        return latest[key]
 
     def _mse_obs(pattern: np.ndarray) -> float:
         return mse(_predictions(pattern), y_test)

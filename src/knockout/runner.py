@@ -24,6 +24,7 @@ from .config import ExperimentConfig, MethodConfig, check_k_max, config_hash, se
 from .evaluate import (
     classification_pattern_metrics,
     marginal_fidelity_binned,
+    merge_repetitions,
     regression_pattern_metrics,
     report_rows,
     aggregates_dict,
@@ -66,7 +67,12 @@ def _train_seed(seed0: int, rep: int, method_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _schema_for(cfg: ExperimentConfig) -> FeatureSchema:
+def _world_table(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """A csv world's file, read once per command; None for generated worlds."""
+    return _load_csv_world(cfg) if cfg.world_kind == "csv" else None
+
+
+def _schema_for(cfg: ExperimentConfig, table: tuple | None = None) -> FeatureSchema:
     if cfg.world_kind == "gaussian":
         features = tuple((f"x{i + 1}", ContinuousUnbounded()) for i in range(cfg.dim - 1))
     elif cfg.world_kind == "continuous2d":
@@ -74,7 +80,7 @@ def _schema_for(cfg: ExperimentConfig) -> FeatureSchema:
     elif cfg.world_kind == "mixed":
         features = (("x1", Categorical(2)), ("x2", ContinuousUnbounded()))
     elif cfg.world_kind == "csv":
-        names, _, _ = _load_csv_world(cfg)
+        names, _, _ = table if table is not None else _load_csv_world(cfg)
         features = tuple((name, ContinuousUnbounded()) for name in names)
     else:
         raise ValueError(f"unknown world kind {cfg.world_kind!r}")
@@ -141,16 +147,24 @@ def _task_for(cfg: ExperimentConfig) -> str:
     return "classification" if cfg.loss == "cross_entropy" else "regression"
 
 
-def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
-    """Deterministically generate one repetition's world, data, and schema."""
-    schema = _schema_for(cfg)
+def build_repetition(
+    cfg: ExperimentConfig, rep: int, table: tuple | None = None
+) -> RepetitionData:
+    """Deterministically generate one repetition's world, data, and schema.
+
+    ``table`` is the csv world's file as `_world_table` read it; it is read
+    here when not given.
+    """
+    if table is None:
+        table = _world_table(cfg)
+    schema = _schema_for(cfg, table)
     world = None
     rng_data = _rng_for(cfg.seed0, rep, _DATA_STREAM)
     if cfg.world_kind == "gaussian":
         world = sample_gaussian_world(_rng_for(cfg.seed0, rep, _WORLD_STREAM), cfg.dim)
         x_all, y_all = draw_dataset(world, cfg.n_total, rng_data)
     elif cfg.world_kind == "csv":
-        _, x_all, y_all = _load_csv_world(cfg)
+        _, x_all, y_all = table
         order = rng_data.permutation(x_all.shape[0])  # fresh split per repetition
         x_all, y_all = x_all[order], y_all[order]
     else:
@@ -358,11 +372,6 @@ def train_method(
     return pipeline, result.trace
 
 
-def _train_job(payload: tuple) -> tuple[ModelPipeline, list]:
-    cfg, method, data, method_index = payload
-    return train_method(cfg, method, data, method_index)
-
-
 @dataclass
 class RunArtifacts:
     out_dir: Path
@@ -372,37 +381,78 @@ class RunArtifacts:
     repetitions: list
 
 
+def _method_job(
+    cfg: ExperimentConfig,
+    method: MethodConfig,
+    data: RepetitionData,
+    method_index: int,
+    pipeline: ModelPipeline | None = None,
+):
+    """One (method, repetition), from training to its finished sweep.
+
+    Trains unless given a loaded ``pipeline``, then sweeps that one model.
+    Returns ``(pipeline, trace, report, jsd_report)``: the trace is None for
+    a loaded pipeline, and the JSD report None for regression.
+    """
+    trace = None
+    if pipeline is None:
+        pipeline, trace = train_method(cfg, method, data, method_index)
+    task = _task_for(cfg)
+    n_test = data.x_test.shape[0]
+    patterns = enumerate_patterns(data.schema.d, cfg.k_max)
+    metrics = {method.name: [_rep_metrics(task, pipeline, data)]}
+    report = run_pattern_sweep(metrics, patterns, n_test)[method.name]
+    jsd_report = None
+    if task == "classification":
+        single_observed = list(1 - np.eye(data.schema.d, dtype=np.uint8))
+        jsd_metrics = {method.name: [_jsd_metrics(pipeline, data)]}
+        jsd_report = run_pattern_sweep(jsd_metrics, single_observed, n_test)[method.name]
+    return pipeline, trace, report, jsd_report
+
+
+def _repetitions(cfg: ExperimentConfig, table: tuple | None) -> list[RepetitionData]:
+    return [build_repetition(cfg, rep, table) for rep in range(cfg.repetitions)]
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     jobs: int = 1,
 ) -> RunArtifacts:
     """Execute a full config: train, sweep, and write all artifacts."""
-    reps = [build_repetition(cfg, rep) for rep in range(cfg.repetitions)]
-    payloads = [(cfg, method, data, mi) for mi, method in enumerate(cfg.methods) for data in reps]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_train_job, payloads))
-    keys = [(method.name, data.rep) for _, method, data, _ in payloads]
-    pipelines = {key: pipeline for key, (pipeline, _) in zip(keys, results)}
-    traces = {key: trace for key, (_, trace) in zip(keys, results)}
+    reps = _repetitions(cfg, _world_table(cfg))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    return _sweep_and_write(cfg, out, reps, pipelines, traces)
+    return _run_jobs(cfg, out, reps, jobs)
 
 
-def _sweep_and_write(cfg, out: Path, reps, pipelines, traces) -> RunArtifacts:
-    """Sweep every (method, repetition) pipeline and write all artifacts."""
-    task = _task_for(cfg)
-    d = reps[0].schema.d
-    patterns = enumerate_patterns(d, cfg.k_max)
-    method_metrics = {
-        method.name: [_rep_metrics(task, pipelines[(method.name, data.rep)], data) for data in reps]
-        for method in cfg.methods
-    }
-    n_test = reps[0].x_test.shape[0]
-    reports = run_pattern_sweep(method_metrics, patterns, n_test)
+def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> RunArtifacts:
+    """Map `_method_job` over every (method, repetition), in a pool of up to
+    ``jobs`` workers, then merge the reports and write all artifacts.
+
+    ``loaded`` maps (method name, rep) to a saved pipeline to sweep instead
+    of training one.
+    """
+    payloads = [
+        (cfg, method, data, mi, None if loaded is None else loaded[(method.name, data.rep)])
+        for mi, method in enumerate(cfg.methods)
+        for data in reps
+    ]
+    workers = min(jobs, len(payloads))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_method_job, *zip(*payloads)))
+
+    pipelines, traces, per_rep, per_rep_jsd = {}, {}, {}, {}
+    for (_, method, data, _, _), (pipe, trace, report, jsd_report) in zip(payloads, results):
+        pipelines[(method.name, data.rep)] = pipe
+        if trace is not None:
+            traces[(method.name, data.rep)] = trace
+        per_rep.setdefault(method.name, []).append(report)  # in repetition order
+        if jsd_report is not None:
+            per_rep_jsd.setdefault(method.name, []).append(jsd_report)
+    reports = {name: merge_repetitions(per_rep[name]) for name in sorted(per_rep)}
     jsd_reports = None
-    if task == "classification":
-        jsd_reports = _classification_jsd_sweep(cfg, reps, pipelines, n_test)
+    if per_rep_jsd:
+        jsd_reports = {name: merge_repetitions(per_rep_jsd[name]) for name in sorted(per_rep_jsd)}
 
     out.mkdir(parents=True, exist_ok=True)
     _write_artifacts(cfg, out, reps, pipelines, traces, reports, jsd_reports)
@@ -423,47 +473,37 @@ def _rep_metrics(task: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
     )
 
 
-def _classification_jsd_sweep(cfg, reps, pipelines, n_test):
+def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
     """Marginal-fidelity JSD for every single-observed-feature pattern.
 
-    The empirical marginal is estimated from all data (train and test
-    pooled) in normalized coordinates; each model is queried through its
-    own missing-input rule.
+    The empirical marginal is estimated from all of the repetition's data
+    (train and test pooled) in normalized coordinates; the model is queried
+    through its own missing-input rule.
     """
-    estimates = []
-    for data in reps:
-        x_all = np.vstack([data.x_train, data.x_test])
-        y_all = np.concatenate([data.y_train, data.y_test]).astype(int)
-        z_all = apply_normalization(x_all, data.schema.stats)
-        estimates.append(
-            [
-                empirical_conditional(
-                    z_all[:, j], y_all, bins=50, discrete=isinstance(kind, Categorical)
-                )
-                for j, (_, kind) in enumerate(data.schema.features)
-            ]
-        )
+    x_all = np.vstack([data.x_train, data.x_test])
+    y_all = np.concatenate([data.y_train, data.y_test]).astype(int)
+    z_all = apply_normalization(x_all, data.schema.stats)
+    estimates = [
+        empirical_conditional(z_all[:, j], y_all, bins=50, discrete=isinstance(kind, Categorical))
+        for j, (_, kind) in enumerate(data.schema.features)
+    ]
 
-    method_metrics = {}
-    for method in cfg.methods:
-        per_rep = []
-        for data in reps:
-            pipe = pipelines[(method.name, data.rep)]
+    def _jsd_for_pattern(pattern):
+        (j,) = np.flatnonzero(pattern == 0)
+        est = estimates[j]
+        rows_z = np.zeros((est.positions.shape[0], pattern.shape[0]))
+        rows_z[:, j] = est.positions
+        proba = pipe.proba_for_pattern(invert_normalization(rows_z, data.schema.stats), pattern)
+        return marginal_fidelity_binned(proba[:, 1], est)
 
-            def _jsd_for_pattern(
-                pattern, _pipe=pipe, _est=estimates[data.rep], _stats=data.schema.stats
-            ):
-                (j,) = np.flatnonzero(pattern == 0)
-                est = _est[j]
-                rows_z = np.zeros((est.positions.shape[0], pattern.shape[0]))
-                rows_z[:, j] = est.positions
-                proba = _pipe.proba_for_pattern(invert_normalization(rows_z, _stats), pattern)
-                return marginal_fidelity_binned(proba[:, 1], est)
+    return {"marginal_jsd": _jsd_for_pattern}
 
-            per_rep.append({"marginal_jsd": _jsd_for_pattern})
-        method_metrics[method.name] = per_rep
-    single_observed = list(1 - np.eye(reps[0].schema.d, dtype=np.uint8))
-    return run_pattern_sweep(method_metrics, single_observed, n_test)
+
+def _write_json_line(path: Path, obj) -> None:
+    # `json.dumps` without indent runs the C encoder; `json.dump` never does.
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, allow_nan=False))
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -500,17 +540,13 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         fh.write("\n")
 
     for (name, rep), pipe in sorted(pipelines.items()):
-        with open(out / "models" / f"{name}_rep{rep}.json", "w") as fh:
-            json.dump(pipe.to_json_dict(), fh, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json_line(out / "models" / f"{name}_rep{rep}.json", pipe.to_json_dict())
     for (name, rep), trace in sorted(traces.items()):
         _write_csv(out / "traces" / f"{name}_rep{rep}.csv", ["step", "loss"], trace)
 
     for data in reps:
         if data.world is not None:
-            with open(out / "worlds" / f"rep{data.rep}.json", "w") as fh:
-                json.dump(data.world.to_json_dict(), fh, sort_keys=True, allow_nan=False)
-                fh.write("\n")
+            _write_json_line(out / "worlds" / f"rep{data.rep}.json", data.world.to_json_dict())
         train_rows = [tuple(x) + (y,) for x, y in zip(data.x_train, data.y_train)]
         _write_csv(
             out / "data" / f"train_rep{data.rep}.csv",
@@ -567,8 +603,8 @@ def ablate_placeholder(
     """
     if not values:
         raise ValueError("ablation needs at least one placeholder value")
-    schema = _schema_for(cfg)
-    if any(not isinstance(kind, ContinuousUnbounded) for kind in schema.kinds):
+    table = _world_table(cfg)
+    if any(not isinstance(kind, ContinuousUnbounded) for kind in _schema_for(cfg, table).kinds):
         raise ValueError("placeholder ablation needs z-scored continuous features only")
     methods = []
     for v in values:
@@ -583,7 +619,8 @@ def ablate_placeholder(
             )
         )
     ablate_cfg = dataclasses.replace(cfg, methods=tuple(methods))
-    return run_experiment(ablate_cfg, out_dir=out_dir, jobs=jobs)
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    return _run_jobs(ablate_cfg, out, _repetitions(ablate_cfg, table), jobs)
 
 
 def sweep_saved_models(
@@ -593,7 +630,9 @@ def sweep_saved_models(
     sweep and write every artifact as `run_experiment` does."""
     if k_max is not None:
         cfg = dataclasses.replace(cfg, k_max=k_max)
-    reps = [build_repetition(cfg, rep) for rep in range(cfg.repetitions)]
+    table = _world_table(cfg)
+    reps = _repetitions(cfg, table)
+    template = _schema_for(cfg, table)
     pipelines = {}
     for method in cfg.methods:
         for data in reps:
@@ -603,6 +642,6 @@ def sweep_saved_models(
                     f"missing model for method {method.name!r}, repetition {data.rep}: {path}"
                 )
             pipelines[(method.name, data.rep)] = pipeline_from_json(
-                json.loads(path.read_text()), _schema_for(cfg)
+                json.loads(path.read_text()), template
             )
-    return _sweep_and_write(cfg, Path(out_dir), reps, pipelines, traces={})
+    return _run_jobs(cfg, Path(out_dir), reps, 1, pipelines)

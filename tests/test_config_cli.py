@@ -477,3 +477,13 @@ def test_cli_run_csv_world_rejects_bad_files(tmp_path, rows, k_max, message):
     result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
     assert result.exit_code == 1
     assert message in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "ablate-placeholder"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_below_one_is_rejected(tmp_path, command, jobs):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "o"))
+    result = CliRunner().invoke(main, [command, "--config", str(cfg_path), "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output and "x>=1" in result.output
+    assert not (tmp_path / "o").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knockout.evaluate import (
     PatternResult,
     error_rate,
+    merge_repetitions,
     jsd,
     marginal_fidelity_binned,
     mse,
@@ -164,6 +165,18 @@ def test_report_rows_canonical_order_is_method_independent():
         {"b": [_toy_metrics(1.0)], "a": [_toy_metrics(0.0)]}, patterns, 10
     )
     assert report_rows(a_first) == report_rows(b_first)
+
+
+def test_merged_repetition_reports_equal_one_sweep_over_all_repetitions():
+    patterns = enumerate_patterns(3, 2)
+    reps = [_toy_metrics(0.0), _toy_metrics(1.0), _toy_metrics(0.25)]
+    whole = run_pattern_sweep({"a": reps}, patterns, n_test=10)["a"]
+    parts = [run_pattern_sweep({"a": [rep]}, patterns, n_test=10)["a"] for rep in reps]
+    assert merge_repetitions(parts) == whole
+    assert merge_repetitions(parts).by_popcount() == whole.by_popcount()
+    fewer = run_pattern_sweep({"a": [reps[0]]}, enumerate_patterns(3, 1), n_test=10)["a"]
+    with pytest.raises(ValueError, match="do not align"):
+        merge_repetitions([parts[0], fewer])
 
 
 def test_regression_metrics_cache_predictions():

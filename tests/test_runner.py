@@ -243,19 +243,26 @@ def test_training_determinism_across_processes_payload():
     import json
     import pickle
 
-    from knockout.runner import _train_job
+    from knockout.runner import _method_job
 
     cfg = make_cfg()
     data = build_repetition(cfg, 0)
     # A worker receives the payload and returns its result pickled.
-    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], data, 0)))
-    pipe_a, trace_a = pickle.loads(pickle.dumps(_train_job(payload)))
+    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], data, 0, None)))
+    pipe_a, trace_a, report_a, jsd_a = pickle.loads(pickle.dumps(_method_job(*payload)))
     pipe_b, trace_b = train_method(cfg, cfg.methods[0], data, 0)
     assert trace_a == trace_b
     # Serialized comparison: NaN slots in the stats defeat dict equality.
     assert json.dumps(pipe_a.to_json_dict(), sort_keys=True) == json.dumps(
         pipe_b.to_json_dict(), sort_keys=True
     )
+    # Sweeping the locally trained model, as `knockout sweep` does, gives
+    # the worker's report.
+    pipe_c, trace_c, report_c, jsd_c = _method_job(cfg, cfg.methods[0], data, 0, pipe_b)
+    assert pipe_c is pipe_b and trace_c is None
+    assert report_c == report_a
+    assert report_a.n_reps == 1 and len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
+    assert jsd_a is None and jsd_c is None
 
 
 def test_classification_runner_mixed_world(tmp_path):
@@ -411,3 +418,127 @@ def test_imputer_methods_end_to_end_serial_matches_parallel(tmp_path):
     agg = json.loads((tmp_path / "serial" / "aggregates.json").read_text())
     means = [entry["mean"] for method in agg.values() for entry in method.values()]
     assert means and np.isfinite(means).all()
+
+
+WORLD_SECTIONS = {
+    "gaussian": "kind = gaussian\ndim = 5\nn_total = 300\n",
+    "continuous2d": "kind = continuous2d\nn_total = 300\n",
+    "mixed": "kind = mixed\nn_total = 300\n",
+    "csv": "kind = csv\npath = {csv}\ntarget = target\n",
+}
+
+
+def _world_config(kind, tmp_path, repetitions=2):
+    """A small two-method config on one world kind; a csv world gets its file."""
+    csv_path = tmp_path / "data.csv"
+    if kind == "csv":
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 3))
+        y = x @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=200)
+        rows = ["a,b,c,target"] + [",".join(repr(float(v)) for v in (*r, t)) for r, t in zip(x, y)]
+        csv_path.write_text("\n".join(rows) + "\n")
+    return parse_config(
+        "[world]\n"
+        + WORLD_SECTIONS[kind].format(csv=csv_path)
+        + "train_fraction = 0.5\n"
+        + f"""
+[train]
+steps = 20
+batch_size = 32
+hidden = 8
+seed0 = 4
+
+[sweep]
+k_max = 1
+repetitions = {repetitions}
+
+[method.knockout]
+kind = knockout
+
+[method.common_baseline]
+kind = common_baseline
+"""
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(WORLD_SECTIONS))
+def test_jobs_and_serial_runs_write_the_same_bytes(kind, tmp_path):
+    from knockout.runner import run_experiment
+
+    cfg = _world_config(kind, tmp_path)
+    run_experiment(cfg, out_dir=tmp_path / "serial", jobs=1)
+    run_experiment(cfg, out_dir=tmp_path / "pool", jobs=2)
+    manifest = (tmp_path / "serial" / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "pool" / "manifest.json").read_bytes()
+    assert b"report_long.csv" in manifest and b"models/knockout_rep1.json" in manifest
+
+
+def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    import knockout.runner as runner
+
+    started = []
+
+    class RecordingPool:  # runs the jobs in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    cfg = _world_config("gaussian", tmp_path)  # 2 methods x 2 repetitions
+    runner.run_experiment(cfg, out_dir=tmp_path / "many", jobs=64)
+    runner.run_experiment(cfg, out_dir=tmp_path / "three", jobs=3)
+    runner.run_experiment(cfg, out_dir=tmp_path / "one", jobs=1)
+    assert started == [4, 3]  # one job needs no pool
+
+
+def test_csv_world_is_read_once_per_command(tmp_path):
+    import knockout.runner as runner
+
+    cfg = _world_config("csv", tmp_path, repetitions=3)
+    reads = mock.Mock(wraps=runner._load_csv_world)
+    with mock.patch.object(runner, "_load_csv_world", reads):
+        runner.run_experiment(cfg, out_dir=tmp_path / "run")
+        assert reads.call_count == 1
+        runner.sweep_saved_models(cfg, tmp_path / "run" / "models", tmp_path / "sweep")
+        assert reads.call_count == 2
+        runner.ablate_placeholder(cfg, [0.0, 10.0], out_dir=tmp_path / "ablate")
+        assert reads.call_count == 3
+    for name in ("report_long.csv", "aggregates.json"):
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_sweep_holds_at_most_one_earlier_prediction_per_model(tmp_path, monkeypatch):
+    import weakref
+
+    import knockout.runner as runner
+
+    predict = runner.ModelPipeline.predict_for_pattern
+    earlier = {}  # model name -> weak references to its earlier predictions
+    peak = {}
+    calls = []
+
+    def recording_predict(self, x_raw, pattern, observed=None):
+        calls.append(self.name)
+        alive = [ref for ref in earlier.setdefault(self.name, []) if ref() is not None]
+        peak[self.name] = max(peak.get(self.name, 0), len(alive))
+        out = predict(self, x_raw, pattern, observed)
+        earlier[self.name] = alive + [weakref.ref(out)]
+        return out
+
+    monkeypatch.setattr(runner.ModelPipeline, "predict_for_pattern", recording_predict)
+    cfg = _world_config("gaussian", tmp_path)  # 5 patterns, 2 metrics, 2 repetitions
+    runner.run_experiment(cfg, out_dir=tmp_path / "run")
+    assert set(peak) == {"knockout", "common_baseline"}
+    assert max(peak.values()) <= 1
+    # One prediction per (model, pattern), shared by both metrics; none
+    # outlives the run.
+    assert len(calls) == 2 * 2 * 5
+    assert all(ref() is None for refs in earlier.values() for ref in refs)
