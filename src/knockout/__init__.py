@@ -14,13 +14,11 @@ from .discrete import (
     UnreachableEvidenceError,
     induced_conditional_discrete,
     insupport_deviation,
-    load_joint_table,
     marginal_discrete,
 )
 from .missingness import (
     IID,
     MCAR,
-    Grouped,
     MNARSelfCensor,
     Weighted,
     calibrate_rate,
@@ -30,16 +28,13 @@ from .missingness import (
     sample_mask,
     sample_masks,
 )
-from .nn import NetworkSpec, Parameters, TrainConfig, forward, grad, predict, train
+from .nn import NetworkSpec, Parameters, TrainConfig, forward, predict, train
 from .schema import (
     Categorical,
-    ContinuousBounded,
-    ContinuousHalfBounded,
     ContinuousUnbounded,
     FeatureSchema,
     NormalizationStats,
     PlaceholderPolicy,
-    StructuredGroup,
     apply_normalization,
     derive_placeholders,
     fit_normalization,
@@ -65,11 +60,9 @@ __all__ = [
     "UnreachableEvidenceError",
     "induced_conditional_discrete",
     "insupport_deviation",
-    "load_joint_table",
     "marginal_discrete",
     "IID",
     "MCAR",
-    "Grouped",
     "MNARSelfCensor",
     "Weighted",
     "calibrate_rate",
@@ -82,17 +75,13 @@ __all__ = [
     "Parameters",
     "TrainConfig",
     "forward",
-    "grad",
     "predict",
     "train",
     "Categorical",
-    "ContinuousBounded",
-    "ContinuousHalfBounded",
     "ContinuousUnbounded",
     "FeatureSchema",
     "NormalizationStats",
     "PlaceholderPolicy",
-    "StructuredGroup",
     "apply_normalization",
     "derive_placeholders",
     "fit_normalization",

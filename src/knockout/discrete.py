@@ -32,8 +32,6 @@ __all__ = [
     "verify_out_of_support",
     "tv_distance",
     "random_discrete_joint",
-    "load_joint_table",
-    "dump_joint_table",
 ]
 
 Prob = Union[Fraction, float]
@@ -372,47 +370,3 @@ def random_discrete_joint(
     joint = DiscreteJoint(alphabets, y_values, table)
     joint.validate()
     return joint
-
-
-def load_joint_table(text: str) -> DiscreteJoint:
-    """Parse a joint from lines of 'x1 ... xd y probability'.
-
-    Probabilities may be decimals or fractions like 3/10; both parse to
-    exact rationals. Blank lines and '#' comments are skipped.
-    """
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: expected 'x... y prob', got {line!r}")
-        try:
-            x = tuple(int(v) for v in parts[:-2])
-            y = int(parts[-2])
-            p = Fraction(parts[-1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        rows.append((x, y, p))
-    if not rows:
-        raise ValueError("empty joint table")
-    d = len(rows[0][0])
-    if any(len(x) != d for x, _, _ in rows):
-        raise ValueError("inconsistent feature dimension across rows")
-    alphabets = tuple(
-        tuple(sorted({x[i] for x, _, _ in rows})) for i in range(d)
-    )
-    y_values = tuple(sorted({y for _, y, _ in rows}))
-    table = {(x, y): p for x, y, p in rows if p != 0}
-    joint = DiscreteJoint(alphabets, y_values, table)
-    joint.validate()
-    return joint
-
-
-def dump_joint_table(joint: DiscreteJoint) -> str:
-    lines = []
-    for (x, y), p in sorted(joint.table.items()):
-        frac = Fraction(p) if not isinstance(p, float) else p
-        lines.append(" ".join([*(str(v) for v in x), str(y), str(frac)]))
-    return "\n".join(lines) + "\n"

@@ -93,10 +93,10 @@ def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> Placeh
         # Suboptimal mean/mode placeholders: the mean/mode fill values. The
         # observed-missing value only exists to keep the policy valid.
         fills = _fill_values(schema, z_train, observed)
-        policy = PlaceholderPolicy(fills, fills - 1.0, zscore_magnitude=method.zscore_magnitude)
+        policy = PlaceholderPolicy(fills, fills - 1.0)
         policy.validate()
         return policy
-    policy = derive_placeholders(schema, schema.stats, method.zscore_magnitude)
+    policy = derive_placeholders(schema, method.zscore_magnitude)
     if method.knockout_value is not None or method.observed_value is not None:
         knock = policy.knockout_values.copy()
         obs = policy.observed_values.copy()
@@ -104,7 +104,7 @@ def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> Placeh
             knock[:] = method.knockout_value
         if method.observed_value is not None:
             obs[:] = method.observed_value
-        policy = PlaceholderPolicy(knock, obs, method.zscore_magnitude)
+        policy = PlaceholderPolicy(knock, obs)
         policy.validate()
     return policy
 
@@ -129,19 +129,22 @@ class KnockoutRule(Rule):
     merge), else they join the induced mask ("mcar" merge)."""
 
     policy: PlaceholderPolicy
-    dual_placeholder: bool = True
+    dual_placeholder: bool
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         policy = _knockout_policy(method, schema, z_train, observed)
-        rule = cls(schema, policy, method.dual_placeholder)
         # Training uses the dual placeholder only for derived placeholders
         # under MNAR (MCAR test data has no missing entries to tell apart),
-        # but knockout* (placeholder = mean) keeps the flag for inference:
-        # a known mismatch, see the FOUND entry on knockout* in CHANGES.md.
+        # and the model keeps the flag it trained with. knockout*
+        # (placeholder = mean) under MNAR keeps its configured flag for
+        # inference instead: a known mismatch, see ROADMAP item 3.
         mnar = cfg.mechanism == "mnar_self_censor"
         dual = method.dual_placeholder and method.placeholder == "derived" and mnar
-        train_rule = dataclasses.replace(rule, dual_placeholder=dual)
+        train_rule = cls(schema, policy, dual)
+        rule = train_rule
+        if method.placeholder == "mean" and mnar:
+            rule = dataclasses.replace(train_rule, dual_placeholder=method.dual_placeholder)
         sample = _mask_sampler(method, schema.d, cfg.mask_granularity)
         return rule, _masked_training(train_rule, sample)
 
@@ -155,7 +158,7 @@ class KnockoutRule(Rule):
     @classmethod
     def from_json(cls, obj: dict, schema: FeatureSchema) -> "KnockoutRule":
         policy = PlaceholderPolicy.from_json_dict(obj["policy"])
-        return cls(schema, policy, bool(obj.get("dual_placeholder", True)))
+        return cls(schema, policy, bool(obj["dual_placeholder"]))
 
 
 @dataclass

@@ -18,9 +18,7 @@ import numpy as np
 __all__ = [
     "as_mask",
     "mask_to_bits",
-    "bits_to_mask",
     "IID",
-    "Grouped",
     "Weighted",
     "MaskDistribution",
     "MCAR",
@@ -51,12 +49,6 @@ def mask_to_bits(mask: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in mask)
 
 
-def bits_to_mask(bits: str) -> np.ndarray:
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"bit string may contain only 0/1, got {bits!r}")
-    return np.array([int(c) for c in bits], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class IID:
     """Each feature knocked out independently with probability ``rate``."""
@@ -69,25 +61,6 @@ class IID:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-
-
-@dataclass(frozen=True)
-class Grouped:
-    """One Bernoulli draw per group; all members share the outcome."""
-
-    groups: tuple[tuple[int, ...], ...]
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        flat = [i for g in self.groups for i in g]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError("groups must partition the feature indices 0..d-1")
-
-    @property
-    def d(self) -> int:
-        return sum(len(g) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -114,12 +87,8 @@ class Weighted:
         # Tolerate text-config rounding by renormalizing within tolerance.
         object.__setattr__(self, "probabilities", tuple(probs / total))
 
-    @property
-    def d(self) -> int:
-        return len(self.patterns[0])
 
-
-MaskDistribution = IID | Grouped | Weighted
+MaskDistribution = IID | Weighted
 
 
 @dataclass(frozen=True)
@@ -166,12 +135,6 @@ def sample_masks(dist: MaskDistribution, n: int, rng: np.random.Generator) -> np
     """Draw n masks as an (n, d) uint8 matrix."""
     if isinstance(dist, IID):
         return (rng.random((n, dist.d)) < dist.rate).astype(np.uint8)
-    if isinstance(dist, Grouped):
-        draws = rng.random((n, len(dist.groups))) < dist.rate
-        out = np.zeros((n, dist.d), dtype=np.uint8)
-        for g, group in enumerate(dist.groups):
-            out[:, list(group)] = draws[:, g : g + 1]
-        return out
     if isinstance(dist, Weighted):
         idx = rng.choice(len(dist.patterns), size=n, p=np.asarray(dist.probabilities))
         table = np.stack(dist.patterns)

@@ -27,7 +27,6 @@ __all__ = [
     "init_params",
     "forward",
     "loss_and_grad",
-    "grad",
     "train",
     "predict",
     "softmax",
@@ -273,16 +272,6 @@ def loss_and_grad(
             active = np.greater(hs[layer], 0.0, out=_scratch.get(("mask", layer), dh.shape, bool))
             dz = np.multiply(dh, active, out=dh)
     return value, flat
-
-
-def grad(
-    spec: NetworkSpec,
-    params: Parameters,
-    batch: np.ndarray,
-    targets: np.ndarray,
-    loss: str,
-) -> np.ndarray:
-    return loss_and_grad(spec, params, batch, targets, loss)[1]
 
 
 def train(

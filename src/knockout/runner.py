@@ -39,7 +39,6 @@ from .schema import (
     FeatureSchema,
     NormalizationStats,
     apply_normalization,
-    derive_placeholders,
     fit_normalization,
     invert_normalization,
 )
@@ -137,7 +136,7 @@ class RepetitionData:
     x_test: np.ndarray
     y_test: np.ndarray
     test_observed: np.ndarray
-    schema: FeatureSchema  # fitted (stats + derived policy)
+    schema: FeatureSchema  # with the stats fitted on the training split
     y_mean: float
     y_std: float
 
@@ -195,9 +194,7 @@ def build_repetition(
     else:
         observed = np.zeros_like(x_train, dtype=np.uint8)
 
-    stats = fit_normalization(schema, x_train, observed)
-    policy = derive_placeholders(schema, stats)
-    schema = schema.with_stats(stats).with_policy(policy)
+    schema = schema.with_stats(fit_normalization(schema, x_train, observed))
 
     if _task_for(cfg) == "regression":
         y_mean = float(y_train.mean())
@@ -289,9 +286,6 @@ class ModelPipeline:
             "stats": self.schema.stats.to_json_dict(),
             "y_mean": self.y_mean,
             "y_std": self.y_std,
-            # Format version 1 writes the flag for every kind; only the
-            # knockout rule reads it, and writes its own.
-            "dual_placeholder": True,
             **self.rule.to_json(),
         }
 

@@ -1,16 +1,15 @@
 """Feature descriptions, normalization, and placeholder derivation.
 
-A feature schema declares what each input column is (categorical,
-bounded/half-bounded/unbounded continuous, or a member of a structured
-group), how it is normalized, and which placeholder values mark a
-knocked-out entry (``knockout_values``) versus an entry that was missing
-in the observed data (``observed_values``).
+A feature schema declares what each input column is (an integer-coded
+categorical or an unbounded continuous feature), how it is normalized,
+and which placeholder values mark a knocked-out entry
+(``knockout_values``) versus an entry that was missing in the observed
+data (``observed_values``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,10 +17,7 @@ import numpy as np
 
 __all__ = [
     "Categorical",
-    "ContinuousBounded",
-    "ContinuousHalfBounded",
     "ContinuousUnbounded",
-    "StructuredGroup",
     "FeatureKind",
     "NormalizationStats",
     "PlaceholderPolicy",
@@ -47,65 +43,20 @@ class Categorical:
 
 
 @dataclass(frozen=True)
-class ContinuousBounded:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"ContinuousBounded needs lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class ContinuousHalfBounded:
-    bound: float
-    side: str  # "lower": support [bound, inf); "upper": support (-inf, bound]
-
-    def __post_init__(self):
-        if self.side not in ("lower", "upper"):
-            raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
-
-
-@dataclass(frozen=True)
 class ContinuousUnbounded:
     pass
 
 
-@dataclass(frozen=True)
-class StructuredGroup:
-    """Marks a feature as one scalar of a jointly knocked-out group."""
+FeatureKind = Union[Categorical, ContinuousUnbounded]
 
-    dim: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("StructuredGroup dim must be >= 1")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("StructuredGroup member indices must be distinct")
-        if len(self.members) != self.dim:
-            raise ValueError("StructuredGroup dim must equal the number of members")
-
-
-FeatureKind = Union[
-    Categorical,
-    ContinuousBounded,
-    ContinuousHalfBounded,
-    ContinuousUnbounded,
-    StructuredGroup,
-]
-
-_MODES = ("zscore", "scale01", "scale0inf", "none")
+# Continuous features are z-scored; categorical codes pass through.
+_MODES = ("zscore", "none")
 
 
 def _mode_for_kind(kind: FeatureKind) -> str:
     if isinstance(kind, Categorical):
         return "none"
-    if isinstance(kind, ContinuousBounded):
-        return "scale01"
-    if isinstance(kind, ContinuousHalfBounded):
-        return "scale0inf"
-    if isinstance(kind, (ContinuousUnbounded, StructuredGroup)):
+    if isinstance(kind, ContinuousUnbounded):
         return "zscore"
     raise ValueError(f"unknown feature kind: {kind!r}")
 
@@ -114,32 +65,28 @@ def _mode_for_kind(kind: FeatureKind) -> str:
 class NormalizationStats:
     """Per-feature normalization parameters.
 
-    Unused slots hold NaN (e.g. ``mean`` for a scale01 feature). All
+    ``mean`` and ``std`` hold NaN for features that are not z-scored. All
     arrays have length d and the object is immutable once fitted.
     """
 
     modes: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    shift: np.ndarray
-    upper_sided: np.ndarray  # bool; True for half-bounded features with side="upper"
 
     @property
     def d(self) -> int:
         return len(self.modes)
 
     def validate(self) -> None:
+        if self.mean.shape != (self.d,) or self.std.shape != (self.d,):
+            raise ValueError(f"mean and std must have length {self.d}, one entry per mode")
         for i, mode in enumerate(self.modes):
             if mode not in _MODES:
                 raise ValueError(f"feature {i}: unknown normalization mode {mode!r}")
-            if mode == "zscore" and not self.std[i] > 0:
+            if mode == "zscore" and not np.isfinite(self.mean[i]):
+                raise ValueError(f"feature {i}: zscore mean must be finite, got {self.mean[i]}")
+            if mode == "zscore" and not 0 < self.std[i] < np.inf:
                 raise ValueError(f"feature {i}: zscore std must be > 0, got {self.std[i]}")
-            if mode == "scale01" and not self.hi[i] > self.lo[i]:
-                raise ValueError(
-                    f"feature {i}: scale01 needs hi > lo, got [{self.lo[i]}, {self.hi[i]}]"
-                )
 
     def to_json_dict(self) -> dict:
         # Unused (NaN) slots are written as null, which reads back as NaN.
@@ -147,23 +94,18 @@ class NormalizationStats:
             "modes": list(self.modes),
             "mean": _nan_to_none(self.mean),
             "std": _nan_to_none(self.std),
-            "lo": _nan_to_none(self.lo),
-            "hi": _nan_to_none(self.hi),
-            "shift": _nan_to_none(self.shift),
-            "upper_sided": [bool(u) for u in self.upper_sided],
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "NormalizationStats":
-        return cls(
+        # Keys of retired modes (lo, hi, shift, upper_sided) are ignored.
+        stats = cls(
             modes=tuple(obj["modes"]),
             mean=np.asarray(obj["mean"], dtype=float),
             std=np.asarray(obj["std"], dtype=float),
-            lo=np.asarray(obj["lo"], dtype=float),
-            hi=np.asarray(obj["hi"], dtype=float),
-            shift=np.asarray(obj["shift"], dtype=float),
-            upper_sided=np.asarray(obj["upper_sided"], dtype=bool),
         )
+        stats.validate()
+        return stats
 
 
 def _nan_to_none(values: np.ndarray) -> list:
@@ -182,7 +124,6 @@ class PlaceholderPolicy:
 
     knockout_values: np.ndarray
     observed_values: np.ndarray
-    zscore_magnitude: float = 10.0
 
     def validate(self) -> None:
         if self.knockout_values.shape != self.observed_values.shape:
@@ -202,50 +143,36 @@ class PlaceholderPolicy:
         return {
             "knockout_values": self.knockout_values.tolist(),
             "observed_values": self.observed_values.tolist(),
-            "zscore_magnitude": self.zscore_magnitude,
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PlaceholderPolicy":
-        return cls(
+        # A stored "zscore_magnitude" is ignored: the values already hold it.
+        policy = cls(
             knockout_values=np.asarray(obj["knockout_values"], dtype=float),
             observed_values=np.asarray(obj["observed_values"], dtype=float),
-            zscore_magnitude=float(obj["zscore_magnitude"]),
         )
+        policy.validate()
+        return policy
 
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature declarations plus fitted stats and policy."""
+    """Ordered feature declarations plus fitted stats."""
 
     features: tuple[tuple[str, FeatureKind], ...]
     stats: NormalizationStats | None = None
-    policy: PlaceholderPolicy | None = None
-    groups: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def d(self) -> int:
         return len(self.features)
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.features)
-
-    @property
     def kinds(self) -> tuple[FeatureKind, ...]:
         return tuple(kind for _, kind in self.features)
 
-    def __post_init__(self):
-        if self.groups is not None:
-            flat = [i for group in self.groups for i in group]
-            if sorted(flat) != list(range(self.d)):
-                raise ValueError("groups must form a partition of the feature indices")
-
     def with_stats(self, stats: NormalizationStats) -> "FeatureSchema":
         return dataclasses.replace(self, stats=stats)
-
-    def with_policy(self, policy: PlaceholderPolicy) -> "FeatureSchema":
-        return dataclasses.replace(self, policy=policy)
 
 
 def _as_matrix(rows: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -275,37 +202,22 @@ def fit_normalization(
         if observed_mask.shape != raw.shape:
             raise ValueError("observed_mask must match the data shape")
 
-    d = schema.d
     modes = tuple(_mode_for_kind(kind) for kind in schema.kinds)
-    mean = np.full(d, np.nan)
-    std = np.full(d, np.nan)
-    lo = np.full(d, np.nan)
-    hi = np.full(d, np.nan)
-    shift = np.full(d, np.nan)
-    upper = np.zeros(d, dtype=bool)
-
-    for i, (name, kind) in enumerate(schema.features):
+    mean = np.full(schema.d, np.nan)
+    std = np.full(schema.d, np.nan)
+    for i, (name, _) in enumerate(schema.features):
         col = raw[:, i]
         if observed_mask is not None:
             col = col[observed_mask[:, i] == 0]
         if col.size == 0:
             raise ValueError(f"feature {i} ({name!r}): no observed entries to fit")
-        mode = modes[i]
-        if mode == "zscore":
+        if modes[i] == "zscore":
             mean[i] = col.mean()
             std[i] = col.std()  # population std; deterministic preprocessing choice
             if std[i] == 0:
                 raise ValueError(f"feature {i} ({name!r}): constant feature, std is 0")
-        elif mode == "scale01":
-            lo[i], hi[i] = col.min(), col.max()
-            if hi[i] == lo[i]:
-                raise ValueError(f"feature {i} ({name!r}): constant feature, hi == lo")
-        elif mode == "scale0inf":
-            assert isinstance(kind, ContinuousHalfBounded)
-            upper[i] = kind.side == "upper"
-            shift[i] = col.max() if upper[i] else col.min()
 
-    stats = NormalizationStats(modes, mean, std, lo, hi, shift, upper)
+    stats = NormalizationStats(modes, mean, std)
     stats.validate()
     return stats
 
@@ -319,13 +231,6 @@ def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarr
     for i, mode in enumerate(stats.modes):
         if mode == "zscore":
             out[:, i] = (mat[:, i] - stats.mean[i]) / stats.std[i]
-        elif mode == "scale01":
-            out[:, i] = (mat[:, i] - stats.lo[i]) / (stats.hi[i] - stats.lo[i])
-        elif mode == "scale0inf":
-            if stats.upper_sided[i]:
-                out[:, i] = stats.shift[i] - mat[:, i]
-            else:
-                out[:, i] = mat[:, i] - stats.shift[i]
     return out[0] if single else out
 
 
@@ -338,82 +243,44 @@ def invert_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndar
     for i, mode in enumerate(stats.modes):
         if mode == "zscore":
             out[:, i] = mat[:, i] * stats.std[i] + stats.mean[i]
-        elif mode == "scale01":
-            out[:, i] = mat[:, i] * (stats.hi[i] - stats.lo[i]) + stats.lo[i]
-        elif mode == "scale0inf":
-            if stats.upper_sided[i]:
-                out[:, i] = stats.shift[i] - mat[:, i]
-            else:
-                out[:, i] = mat[:, i] + stats.shift[i]
     return out[0] if single else out
 
 
-def derive_placeholders(
-    schema: FeatureSchema,
-    stats: NormalizationStats,
-    zscore_magnitude: float = 10.0,
-) -> PlaceholderPolicy:
+def derive_placeholders(schema: FeatureSchema, zscore_magnitude: float = 10.0) -> PlaceholderPolicy:
     """Derive both placeholder vectors in normalized coordinates.
 
     Categorical features get the two extra codes n+1 (knockout) and n+2
-    (observed missing). Bounded and half-bounded features, whose
-    normalized supports are [0, 1] and [0, inf), get -1 and -2. Unbounded
-    scalars get +/- ``zscore_magnitude`` after z-scoring. Structured-group
-    members get the zero vector (the post-z-score mean); their
-    observed-missing value is -``zscore_magnitude``.
+    (observed missing); z-scored features get +/- ``zscore_magnitude``.
     """
     if zscore_magnitude <= 0:
         raise ValueError("zscore_magnitude must be positive")
-    d = schema.d
-    knock = np.empty(d)
-    observed = np.empty(d)
-    for i, (_, kind) in enumerate(schema.features):
+    knock = np.empty(schema.d)
+    observed = np.empty(schema.d)
+    for i, kind in enumerate(schema.kinds):
         if isinstance(kind, Categorical):
             knock[i] = kind.n_classes + 1
             observed[i] = kind.n_classes + 2
-        elif isinstance(kind, (ContinuousBounded, ContinuousHalfBounded)):
-            knock[i] = -1.0
-            observed[i] = -2.0
         elif isinstance(kind, ContinuousUnbounded):
             knock[i] = zscore_magnitude
             observed[i] = -zscore_magnitude
-        elif isinstance(kind, StructuredGroup):
-            knock[i] = 0.0
-            observed[i] = -zscore_magnitude
         else:
             raise ValueError(f"unknown feature kind: {kind!r}")
-    policy = PlaceholderPolicy(knock, observed, zscore_magnitude)
+    policy = PlaceholderPolicy(knock, observed)
     policy.validate()
     return policy
 
 
-def encoded_width(schema: FeatureSchema, categorical_encoding: str = "extra_class") -> int:
-    """Model input width after one-hot expansion of categorical features."""
-    width = 0
-    for _, kind in schema.features:
-        if isinstance(kind, Categorical):
-            if categorical_encoding == "extra_class":
-                width += kind.n_classes + 2  # real classes + knockout + observed slots
-            elif categorical_encoding == "zero_vector":
-                width += kind.n_classes
-            else:
-                raise ValueError(f"unknown categorical encoding {categorical_encoding!r}")
-        else:
-            width += 1
-    return width
+def encoded_width(schema: FeatureSchema) -> int:
+    """Model input width: real classes plus the knockout and observed slots
+    for each categorical feature, one column for each continuous one."""
+    return sum(kind.n_classes + 2 if isinstance(kind, Categorical) else 1 for kind in schema.kinds)
 
 
-def encode_inputs(
-    schema: FeatureSchema,
-    rows: np.ndarray,
-    categorical_encoding: str = "extra_class",
-) -> np.ndarray:
+def encode_inputs(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
     """Expand categorical codes to one-hot columns; continuous pass through.
 
-    Under ``extra_class`` the one-hot has width n+2 with dedicated slots
-    for the two placeholder codes. Under ``zero_vector`` the width is n
-    and any out-of-range code (placeholders included) encodes as all
-    zeros.
+    The one-hot of a feature with n classes has width n+2, with dedicated
+    slots for the two placeholder codes n+1 and n+2.
     """
     mat, single = _as_matrix(rows)
     if mat.shape[1] != schema.d:
@@ -423,10 +290,7 @@ def encode_inputs(
         if not isinstance(kind, Categorical):
             cols.append(mat[:, i : i + 1])
             continue
-        n = kind.n_classes
-        width = n + 2 if categorical_encoding == "extra_class" else n
-        if categorical_encoding not in ("extra_class", "zero_vector"):
-            raise ValueError(f"unknown categorical encoding {categorical_encoding!r}")
+        width = kind.n_classes + 2
         codes = np.rint(mat[:, i]).astype(int)
         block = np.zeros((mat.shape[0], width))
         valid = (codes >= 1) & (codes <= width)
@@ -434,35 +298,3 @@ def encode_inputs(
         cols.append(block)
     out = np.concatenate(cols, axis=1)
     return out[0] if single else out
-
-
-def placeholder_in_support_violations(
-    schema: FeatureSchema, policy: PlaceholderPolicy
-) -> list[int]:
-    """Indices whose knockout placeholder falls inside the normalized support.
-
-    Only bounded and half-bounded features have a checkable interval
-    ([0, 1] and [0, inf) after normalization). Structured-group members
-    are exempt: their zero placeholder is deliberately in-support.
-    """
-    bad = []
-    for i, (_, kind) in enumerate(schema.features):
-        v = policy.knockout_values[i]
-        if isinstance(kind, ContinuousBounded):
-            if 0.0 <= v <= 1.0:
-                bad.append(i)
-        elif isinstance(kind, ContinuousHalfBounded):
-            if v >= 0.0:
-                bad.append(i)
-        elif isinstance(kind, Categorical):
-            if 1 <= v <= kind.n_classes and float(v).is_integer():
-                bad.append(i)
-    return bad
-
-
-def stats_to_json(stats: NormalizationStats) -> str:
-    return json.dumps(stats.to_json_dict(), sort_keys=True, allow_nan=False)
-
-
-def stats_from_json(text: str) -> NormalizationStats:
-    return NormalizationStats.from_json_dict(json.loads(text))

@@ -8,7 +8,6 @@ empirical marginal estimator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,10 +62,6 @@ class GaussianWorld:
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GaussianWorld":
-        return cls(np.asarray(obj["mean"], dtype=float), np.asarray(obj["cov"], dtype=float))
 
 
 def sample_gaussian_world(rng: np.random.Generator, dim: int = 10) -> GaussianWorld:
@@ -272,11 +267,3 @@ def empirical_conditional(
     centers = (edges[:-1] + edges[1:]) / 2.0
     mass = counts / counts.sum()
     return BinnedConditional(centers, p1, mass, counts, edges)
-
-
-def world_to_json(world: GaussianWorld) -> str:
-    return json.dumps(world.to_json_dict(), sort_keys=True, allow_nan=False)
-
-
-def world_from_json(text: str) -> GaussianWorld:
-    return GaussianWorld.from_json_dict(json.loads(text))

@@ -14,10 +14,8 @@ from knockout.discrete import (
     UnreachableEvidenceError,
     _induced_numerators,
     _numeric_table,
-    dump_joint_table,
     induced_conditional_discrete,
     insupport_deviation,
-    load_joint_table,
     marginal_discrete,
     out_of_support_placeholders,
     random_discrete_joint,
@@ -271,21 +269,6 @@ def test_float_fallback_matches_rationals():
             approx = induced_conditional_discrete(joint_f, 0.25, placeholders, evidence)
             for y in joint.y_values:
                 assert abs(float(exact[y]) - approx[y]) < 1e-12
-
-
-def test_joint_table_text_round_trip():
-    text = """
-    # the suboptimal-placeholder example: x, y, probability
-    1 0 3/10
-    2 1 0.7
-    """
-    joint = load_joint_table(text)
-    assert joint.p((1,), 0) == Fraction(3, 10)
-    assert joint.p((2,), 1) == Fraction(7, 10)
-    induced = induced_conditional_discrete(joint, Fraction(1, 2), (1,), (1,))
-    assert induced[0] == Fraction(6, 13)
-    reparsed = load_joint_table(dump_joint_table(joint))
-    assert reparsed.table == joint.table
 
 
 def test_joint_validation_rejects_bad_tables():

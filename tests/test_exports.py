@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -13,8 +14,37 @@ DELETED = {
     # Superseded by the per-kind missing-input rules in knockout.methods.
     "knockout.augment": ("AugmentedRow", "augment_row", "impute_for_inference"),
     "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics"),
-    # The out-of-support check computes every evidence of a pattern at once.
-    "knockout.discrete": ("make_evidence", "reachable_evidence"),
+    # The out-of-support check computes every evidence of a pattern at once;
+    # nothing read or wrote joint tables as text.
+    "knockout.discrete": (
+        "make_evidence",
+        "reachable_evidence",
+        "load_joint_table",
+        "dump_joint_table",
+    ),
+    # No world or config produced bounded, half-bounded or grouped features.
+    "knockout.schema": (
+        "ContinuousBounded",
+        "ContinuousHalfBounded",
+        "StructuredGroup",
+        "placeholder_in_support_violations",
+        "stats_to_json",
+        "stats_from_json",
+    ),
+    "knockout.missingness": ("Grouped", "bits_to_mask"),
+    # World files are written, never read back.
+    "knockout.worlds": ("world_to_json", "world_from_json"),
+    "knockout.nn": ("grad",),
+}
+
+# Fields and methods no command reached: the slots of the retired
+# normalization modes, a policy copy nothing read, and unread accessors.
+DELETED_MEMBERS = {
+    "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided"),
+    "knockout.schema.PlaceholderPolicy": ("zscore_magnitude",),
+    "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
+    "knockout.missingness.Weighted": ("d",),
+    "knockout.worlds.GaussianWorld": ("from_json_dict",),
 }
 
 
@@ -37,3 +67,12 @@ def test_deleted_names_are_gone(module_name):
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(knockout, name), name
         assert name not in knockout.__all__
+
+
+@pytest.mark.parametrize("path", sorted(DELETED_MEMBERS))
+def test_deleted_members_are_gone(path):
+    module_name, class_name = path.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module_name), class_name)
+    fields = {field.name for field in dataclasses.fields(cls)}
+    for name in DELETED_MEMBERS[path]:
+        assert not hasattr(cls, name) and name not in fields, f"{path}.{name}"

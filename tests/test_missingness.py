@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from knockout.missingness import (
     IID,
-    Grouped,
     Weighted,
-    bits_to_mask,
+    as_mask,
     calibrate_rate,
     enumerate_patterns,
     inject_mcar,
@@ -54,15 +53,6 @@ def test_iid_all_zero_frequency_matches_closed_form():
     masks = sample_masks(IID(d, r), 100_000, rng)
     freq = (masks.sum(axis=1) == 0).mean()
     assert abs(freq - (1 - r) ** d) < 0.01
-
-
-def test_grouped_sampling_shares_draws():
-    dist = Grouped(((0, 1), (2,)), rate=0.5)
-    rng = np.random.default_rng(3)
-    masks = sample_masks(dist, 100_000, rng)
-    assert (masks[:, 0] == masks[:, 1]).all()
-    group_knocked = (masks[:, :2].sum(axis=1) == 2).mean()
-    assert abs(group_knocked - 0.5) < 0.01
 
 
 def test_weighted_distribution():
@@ -152,4 +142,4 @@ def test_enumerate_patterns_count_formula(d, data):
 def test_mask_bit_string_round_trip():
     mask = np.array([0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
     assert mask_to_bits(mask) == "010000000"
-    np.testing.assert_array_equal(bits_to_mask("010000000"), mask)
+    np.testing.assert_array_equal(as_mask([int(c) for c in "010000000"]), mask)

@@ -13,7 +13,6 @@ from knockout.nn import (
     TrainConfig,
     TrainingDivergedError,
     forward,
-    grad,
     init_params,
     loss_and_grad,
     predict,
@@ -231,7 +230,7 @@ def test_grad_zero_at_minimum():
     params = init_params(spec, rng)
     batch = rng.normal(size=(4, 2))
     targets = forward(spec, params, batch).ravel()
-    g = grad(spec, params, batch, targets, "mse")
+    g = loss_and_grad(spec, params, batch, targets, "mse")[1]
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 

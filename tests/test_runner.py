@@ -1,4 +1,5 @@
 import functools
+import json
 from unittest import mock
 
 import numpy as np
@@ -207,23 +208,29 @@ def test_inference_inputs_equal_training_inputs_with_the_pattern_forced(
     name, mechanism, pattern, start
 ):
     """A saved model's inputs for a pattern are the training inputs with the
-    induced mask forced to that pattern, on test rows with their own
-    missingness."""
+    induced mask forced to that pattern, on test rows and on training rows,
+    each with their own missingness (MCAR leaves the test rows complete, so
+    only its training rows show the merge of observed and induced masks)."""
     data, saved, rule, augment = _saved_and_fitted(name, mechanism)
     pattern = np.asarray(pattern, dtype=np.uint8)
-    x = data.x_test[start : start + 20]
-    observed = data.test_observed[start : start + 20] if data.test_observed.any() else None
-    inference = saved._model_inputs(x, pattern, observed)
+    train_start = start % (data.x_train.shape[0] - 20)
+    for x_all, observed_all, rows in (
+        (data.x_test, data.test_observed, slice(start, start + 20)),
+        (data.x_train, data.train_observed, slice(train_start, train_start + 20)),
+    ):
+        x = x_all[rows]
+        observed = observed_all[rows] if observed_all.any() else None
+        inference = saved._model_inputs(x, pattern, observed)
 
-    z = apply_normalization(x, data.schema.stats)
-    if augment is None:  # training inputs computed once, with no induced mask
-        training = rule.inputs(z, pattern, observed)
-    else:
-        with mock.patch("knockout.methods.sample_mask", lambda dist, rng: pattern), mock.patch(
-            "knockout.methods.sample_masks", lambda dist, n, rng: np.tile(pattern, (n, 1))
-        ):
-            training = augment(z, observed, np.random.default_rng(0))
-    np.testing.assert_array_equal(inference, training)
+        z = apply_normalization(x, data.schema.stats)
+        if augment is None:  # training inputs computed once, with no induced mask
+            training = rule.inputs(z, pattern, observed)
+        else:
+            with mock.patch("knockout.methods.sample_mask", lambda dist, rng: pattern), mock.patch(
+                "knockout.methods.sample_masks", lambda dist, n, rng: np.tile(pattern, (n, 1))
+            ):
+                training = augment(z, observed, np.random.default_rng(0))
+        np.testing.assert_array_equal(inference, training)
 
 
 def test_pipeline_json_round_trip_preserves_predictions():
@@ -239,8 +246,58 @@ def test_pipeline_json_round_trip_preserves_predictions():
     )
 
 
+def test_model_in_the_earlier_format_loads_and_predicts_identically():
+    """Model files once held null slots for retired normalization modes and
+    the policy's magnitude; they load, predict the same and drop those keys."""
+    cfg = make_cfg("mnar_self_censor")
+    data = build_repetition(cfg, 0)
+    pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
+    current = pipe.to_json_dict()
+    earlier = json.loads(json.dumps(current))
+    nulls = [None] * data.schema.d
+    earlier["stats"].update(lo=nulls, hi=nulls, shift=nulls, upper_sided=[False] * data.schema.d)
+    earlier["policy"]["zscore_magnitude"] = 10.0
+    restored = pipeline_from_json(earlier, _schema_for(cfg))
+    pattern = np.zeros(9, dtype=np.uint8)
+    pattern[1] = 1
+    np.testing.assert_array_equal(
+        pipe.predict_for_pattern(data.x_test, pattern, data.test_observed),
+        restored.predict_for_pattern(data.x_test, pattern, data.test_observed),
+    )
+    assert json.dumps(restored.to_json_dict()) == json.dumps(current)
+
+
+def _set(path, value):
+    def edit(obj):
+        *parents, leaf = path
+        for key in parents:
+            obj = obj[key]
+        obj[leaf] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set(("stats", "modes", 3), "scale01"), r"feature 3: unknown normalization mode 'scale01'"),
+        (_set(("stats", "modes", 3), "log"), r"feature 3: unknown normalization mode 'log'"),
+        (_set(("stats", "std", 1), None), r"feature 1: zscore std must be > 0"),
+        (_set(("policy", "observed_values", 2), 10.0), r"for feature\(s\) \[2\]"),
+        (_set(("policy", "knockout_values", 5), None), r"not finite for feature\(s\) \[5\]"),
+    ],
+    ids=["retired_mode", "unknown_mode", "zero_std", "equal_placeholders", "nan_placeholder"],
+)
+def test_invalid_model_file_fails_at_load_naming_the_feature(edit, message):
+    cfg = make_cfg()
+    data = build_repetition(cfg, 0)
+    obj = train_method(cfg, cfg.methods[0], data, 0)[0].to_json_dict()
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        pipeline_from_json(obj, _schema_for(cfg))
+
+
 def test_training_determinism_across_processes_payload():
-    import json
     import pickle
 
     from knockout.runner import _method_job
