@@ -1,9 +1,12 @@
 """Experiment configuration: a strict INI-style file with nested sections.
 
-Unknown sections or keys are rejected outright so that typos cannot
-silently change an experiment. ``parse -> serialize -> parse`` is a fixed
-point, and the canonical serialization is what gets hashed into the run
-manifest.
+Every key is declared once, in ``_KEYS``, and ``_KIND_KEYS`` says which
+method keys each method kind reads. Parsing, the key checks and the
+canonical text all follow these two tables, so a key a run does not read
+is rejected and every key it reads is hashed. Unknown sections or keys
+are rejected outright so that typos cannot silently change an experiment.
+``parse -> serialize -> parse`` is a fixed point, and the canonical
+serialization is what gets hashed into the run manifest.
 """
 
 from __future__ import annotations
@@ -33,40 +36,82 @@ _WORLD_KINDS = ("gaussian", "continuous2d", "mixed", "csv")
 _CLASSIFICATION_WORLDS = ("continuous2d", "mixed")
 _MECHANISMS = ("none", "mcar", "mnar_self_censor")
 _MASK_GRANULARITIES = ("per_batch", "per_sample")
-_METHOD_KINDS = (
-    "knockout",
-    "common_baseline",
-    "dropout",
-    "zero_indicator",
-    "knn",
-    "lin_reg",
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _text(raw: str) -> str | None:
+    """An optional string; an empty value is the same as no key."""
+    return raw or None
+
+
+def _hidden(raw: str) -> tuple[int, ...]:
+    widths = tuple(int(part) for part in raw.split(",") if part.strip())
+    if not widths or any(w < 1 for w in widths):
+        raise ValueError(f"invalid hidden widths {raw!r}")
+    return widths
+
+
+# One row per key: (section, key, field, parser), in serialized order.
+# Section "method" stands for every [method.NAME] section, whose keys name
+# MethodConfig fields; the other fields are ExperimentConfig's. Defaults
+# are the dataclass defaults, and a None value is left out of the text.
+_KEYS = (
+    ("world", "kind", "world_kind", str),
+    ("world", "dim", "dim", int),
+    ("world", "n_total", "n_total", int),
+    ("world", "train_fraction", "train_fraction", float),
+    ("world", "path", "csv_path", _text),
+    ("world", "target", "csv_target", _text),
+    ("missingness", "mechanism", "mechanism", str),
+    ("missingness", "p", "mcar_p", float),
+    ("missingness", "q", "mnar_q", float),
+    ("train", "steps", "steps", int),
+    ("train", "batch_size", "batch_size", int),
+    ("train", "learning_rate", "learning_rate", float),
+    ("train", "hidden", "hidden", _hidden),
+    ("train", "seed0", "seed0", int),
+    ("train", "loss", "loss", str),
+    ("train", "mask_granularity", "mask_granularity", str),
+    ("sweep", "k_max", "k_max", int),
+    ("sweep", "repetitions", "repetitions", int),
+    ("output", "dir", "out_dir", str),
+    ("output", "dump_test_data", "dump_test_data", _bool),
+    ("method", "kind", "kind", str),
+    ("method", "p_clean", "p_clean", float),
+    ("method", "rate", "rate", float),
+    ("method", "zscore_magnitude", "zscore_magnitude", float),
+    ("method", "placeholder", "placeholder", str),
+    ("method", "dual_placeholder", "dual_placeholder", _bool),
+    ("method", "knockout_value", "knockout_value", float),
+    ("method", "observed_value", "observed_value", float),
+    ("method", "k", "k", int),
+    ("method", "dropout_rate", "dropout_rate", float),
+    ("method", "rescale", "rescale", _bool),
 )
 
-_WORLD_KEYS = {"kind", "dim", "n_total", "train_fraction", "path", "target"}
-_MISSINGNESS_KEYS = {"mechanism", "p", "q"}
-_TRAIN_KEYS = {
-    "steps",
-    "batch_size",
-    "learning_rate",
-    "hidden",
-    "seed0",
-    "loss",
-    "mask_granularity",
-}
-_SWEEP_KEYS = {"k_max", "repetitions"}
-_OUTPUT_KEYS = {"dir", "dump_test_data"}
-_METHOD_KEYS = {
-    "kind",
-    "p_clean",
-    "rate",
-    "zscore_magnitude",
-    "placeholder",
-    "dual_placeholder",
-    "knockout_value",
-    "observed_value",
-    "k",
-    "dropout_rate",
-    "rescale",
+# The method keys each kind reads besides `kind`, in serialized order.
+_KIND_KEYS = {
+    "knockout": (
+        "p_clean",
+        "zscore_magnitude",
+        "placeholder",
+        "dual_placeholder",
+        "rate",
+        "knockout_value",
+        "observed_value",
+    ),
+    "common_baseline": (),
+    "dropout": ("p_clean", "dropout_rate", "rescale"),
+    "zero_indicator": ("p_clean", "rate"),
+    "knn": ("k",),
+    "lin_reg": (),
 }
 
 
@@ -86,7 +131,7 @@ class MethodConfig:
     rescale: bool = False
 
     def __post_init__(self):
-        if self.kind not in _METHOD_KINDS:
+        if self.kind not in _KIND_KEYS:
             self._reject("kind", f"unknown kind {self.kind!r}")
         if self.placeholder not in ("derived", "mean"):
             self._reject("placeholder", "must be 'derived' or 'mean'")
@@ -94,6 +139,14 @@ class MethodConfig:
             self._reject("p_clean", f"must be in (0, 1), got {self.p_clean}")
         if self.rate is not None and not 0.0 <= self.rate <= 1.0:
             self._reject("rate", f"must be in [0, 1], got {self.rate}")
+        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate <= 1.0:
+            self._reject("dropout_rate", f"must be in [0, 1], got {self.dropout_rate}")
+        if not (math.isfinite(self.zscore_magnitude) and self.zscore_magnitude > 0.0):
+            self._reject("zscore_magnitude", f"must be finite and > 0, got {self.zscore_magnitude}")
+        for key in ("knockout_value", "observed_value"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                self._reject(key, f"must be finite, got {value}")
         if self.k < 1:
             self._reject("k", f"must be >= 1, got {self.k}")
         if (self.knockout_value is not None) and (
@@ -131,22 +184,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.world_kind not in _WORLD_KINDS:
-            raise ConfigError(f"unknown world kind {self.world_kind!r}")
+            _reject("world", "kind", f"unknown world kind {self.world_kind!r}")
         if self.world_kind == "csv" and not self.csv_path:
-            raise ConfigError("csv world needs world.path")
+            _reject("world", "path", "a csv world needs the data file's path")
         if self.mechanism not in _MECHANISMS:
-            raise ConfigError(f"unknown missingness mechanism {self.mechanism!r}")
+            _reject("missingness", "mechanism", f"unknown mechanism {self.mechanism!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
         if self.n_total < 10:
-            raise ConfigError("n_total must be at least 10")
+            _reject("world", "n_total", f"must be at least 10, got {self.n_total}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must be in (0, 1)")
+            _reject("world", "train_fraction", f"must be in (0, 1), got {self.train_fraction}")
         if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+            _reject("sweep", "repetitions", f"must be >= 1, got {self.repetitions}")
         if self.k_max < 0:
             _reject("sweep", "k_max", f"must be >= 0, got {self.k_max}")
         if self.dim < 2:
@@ -203,29 +256,36 @@ def _task_loss(world_kind: str) -> str:
     return "cross_entropy" if world_kind in _CLASSIFICATION_WORLDS else "mse"
 
 
-def _check_keys(section: str, present, allowed: set[str]) -> None:
-    unknown = set(present) - allowed
+def _rows(section: str) -> dict:
+    """{key: (field, parser)} of a section's rows, in serialized order."""
+    return {key: (field, parse) for s, key, field, parse in _KEYS if s == section}
+
+
+def _method_rows(kind: str) -> dict:
+    """The rows of a [method.NAME] section: `kind` and the keys the kind reads."""
+    rows = _rows("method")
+    return {key: rows[key] for key in ("kind", *_KIND_KEYS[kind])}
+
+
+# The fixed sections, in serialized order.
+_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _KEYS if section != "method"))
+
+
+def _read_section(parser, section: str, rows: dict, what: str = "") -> dict:
+    """The section's values as {field: value}; a key without a row is rejected."""
+    unknown = set(parser.options(section)) - set(rows)
     if unknown:
         raise ConfigError(
-            f"section [{section}]: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"section [{section}]: unknown key(s) {sorted(unknown)}{what}; allowed: {sorted(rows)}"
         )
-
-
-def _get(parser, section, key, cast, default):
-    # has_option is false for a missing section too: both give the default.
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"section [{section}], key {key!r}: {exc}") from exc
+    values = {}
+    for key in parser.options(section):
+        field, parse = rows[key]
+        try:
+            values[field] = parse(parser.get(section, key))
+        except ValueError as exc:
+            raise ConfigError(f"section [{section}], key {key!r}: {exc}") from exc
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -235,92 +295,41 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
-    known_fixed = {"world", "missingness", "train", "sweep", "output"}
     for section in parser.sections():
-        if section in known_fixed:
-            continue
-        if section.startswith("method."):
-            if len(section) <= len("method."):
-                raise ConfigError("method section needs a name: [method.NAME]")
-            continue
-        raise ConfigError(f"unknown section [{section}]")
+        if section == "method.":
+            raise ConfigError("method section needs a name: [method.NAME]")
+        if section not in _SECTIONS and not section.startswith("method."):
+            raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("world"):
         raise ConfigError("missing required section [world]")
 
-    _check_keys("world", parser.options("world"), _WORLD_KEYS)
-    world_kind = _get(parser, "world", "kind", str, None)
+    values = {}
+    for section in _SECTIONS:
+        if parser.has_section(section):
+            values.update(_read_section(parser, section, _rows(section)))
+    world_kind = values.get("world_kind")
     if world_kind is None:
         raise ConfigError("section [world]: key 'kind' is required")
-
-    if parser.has_section("missingness"):
-        _check_keys("missingness", parser.options("missingness"), _MISSINGNESS_KEYS)
-    if parser.has_section("train"):
-        _check_keys("train", parser.options("train"), _TRAIN_KEYS)
-    if parser.has_section("sweep"):
-        _check_keys("sweep", parser.options("sweep"), _SWEEP_KEYS)
-    if parser.has_section("output"):
-        _check_keys("output", parser.options("output"), _OUTPUT_KEYS)
-
-    def _hidden(raw: str) -> tuple[int, ...]:
-        widths = tuple(int(part) for part in raw.split(",") if part.strip())
-        if not widths or any(w < 1 for w in widths):
-            raise ValueError(f"invalid hidden widths {raw!r}")
-        return widths
 
     methods = []
     for section in parser.sections():
         if not section.startswith("method."):
             continue
-        name = section[len("method.") :]
-        _check_keys(section, parser.options(section), _METHOD_KEYS)
-        kind = _get(parser, section, "kind", str, None)
+        kind = parser.get(section, "kind", fallback=None)
         if kind is None:
             raise ConfigError(f"section [{section}]: key 'kind' is required")
-        methods.append(
-            MethodConfig(
-                name=name,
-                kind=kind,
-                p_clean=_get(parser, section, "p_clean", float, 0.5),
-                rate=_get(parser, section, "rate", float, None),
-                zscore_magnitude=_get(parser, section, "zscore_magnitude", float, 10.0),
-                placeholder=_get(parser, section, "placeholder", str, "derived"),
-                dual_placeholder=_get(parser, section, "dual_placeholder", bool, True),
-                knockout_value=_get(parser, section, "knockout_value", float, None),
-                observed_value=_get(parser, section, "observed_value", float, None),
-                k=_get(parser, section, "k", int, 5),
-                dropout_rate=_get(parser, section, "dropout_rate", float, None),
-                rescale=_get(parser, section, "rescale", bool, False),
-            )
-        )
+        if kind not in _KIND_KEYS:
+            _reject(section, "kind", f"unknown kind {kind!r}")
+        fields = _read_section(parser, section, _method_rows(kind), f" for kind {kind!r}")
+        methods.append(MethodConfig(name=section[len("method.") :], **fields))
     methods.sort(key=lambda m: m.name)
 
-    dim = _get(parser, "world", "dim", int, 10)
-    # Without the key the sweep goes 3 deep, or to every feature if fewer.
-    d = _feature_count(world_kind, dim)
-    default_k_max = 3 if d is None else max(0, min(3, d))
-    return ExperimentConfig(
-        world_kind=world_kind,
-        dim=dim,
-        n_total=_get(parser, "world", "n_total", int, 30000),
-        train_fraction=_get(parser, "world", "train_fraction", float, 0.1),
-        csv_path=_get(parser, "world", "path", str, None),
-        csv_target=_get(parser, "world", "target", str, None),
-        mechanism=_get(parser, "missingness", "mechanism", str, "none"),
-        mcar_p=_get(parser, "missingness", "p", float, 0.1),
-        mnar_q=_get(parser, "missingness", "q", float, 0.9),
-        steps=_get(parser, "train", "steps", int, 5000),
-        batch_size=_get(parser, "train", "batch_size", int, 128),
-        learning_rate=_get(parser, "train", "learning_rate", float, 3e-3),
-        hidden=_get(parser, "train", "hidden", _hidden, (100, 100)),
-        seed0=_get(parser, "train", "seed0", int, 17),
-        loss=_get(parser, "train", "loss", str, _task_loss(world_kind)),
-        mask_granularity=_get(parser, "train", "mask_granularity", str, "per_batch"),
-        k_max=_get(parser, "sweep", "k_max", int, default_k_max),
-        repetitions=_get(parser, "sweep", "repetitions", int, 10),
-        out_dir=_get(parser, "output", "dir", str, "out"),
-        dump_test_data=_get(parser, "output", "dump_test_data", bool, False),
-        methods=tuple(methods),
-    )
+    # The two defaults that depend on the world: the task's loss, and a
+    # sweep 3 deep, or to every feature if fewer.
+    values.setdefault("loss", _task_loss(world_kind))
+    d = _feature_count(world_kind, values.get("dim", ExperimentConfig.dim))
+    values.setdefault("k_max", 3 if d is None else max(0, min(3, d)))
+    return ExperimentConfig(methods=tuple(methods), **values)
 
 
 def _fmt(value) -> str:
@@ -336,59 +345,18 @@ def _fmt(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) is a fixed point."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["world"] = {
-        "kind": cfg.world_kind,
-        "dim": _fmt(cfg.dim),
-        "n_total": _fmt(cfg.n_total),
-        "train_fraction": _fmt(cfg.train_fraction),
-    }
-    if cfg.csv_path:
-        parser["world"]["path"] = cfg.csv_path
-    if cfg.csv_target:
-        parser["world"]["target"] = cfg.csv_target
-    parser["missingness"] = {
-        "mechanism": cfg.mechanism,
-        "p": _fmt(cfg.mcar_p),
-        "q": _fmt(cfg.mnar_q),
-    }
-    parser["train"] = {
-        "steps": _fmt(cfg.steps),
-        "batch_size": _fmt(cfg.batch_size),
-        "learning_rate": _fmt(cfg.learning_rate),
-        "hidden": _fmt(cfg.hidden),
-        "seed0": _fmt(cfg.seed0),
-        "loss": cfg.loss,
-        "mask_granularity": cfg.mask_granularity,
-    }
-    parser["sweep"] = {"k_max": _fmt(cfg.k_max), "repetitions": _fmt(cfg.repetitions)}
-    parser["output"] = {"dir": cfg.out_dir, "dump_test_data": _fmt(cfg.dump_test_data)}
+
+    def write(section: str, obj, rows: dict) -> None:
+        parser[section] = {}
+        for key, (field, _) in rows.items():
+            value = getattr(obj, field)
+            if value is not None:
+                parser[section][key] = _fmt(value)
+
+    for section in _SECTIONS:
+        write(section, cfg, _rows(section))
     for method in cfg.methods:
-        section = f"method.{method.name}"
-        parser[section] = {"kind": method.kind}
-        if method.kind == "knockout":
-            parser[section].update(
-                {
-                    "p_clean": _fmt(method.p_clean),
-                    "zscore_magnitude": _fmt(method.zscore_magnitude),
-                    "placeholder": method.placeholder,
-                    "dual_placeholder": _fmt(method.dual_placeholder),
-                }
-            )
-            if method.rate is not None:
-                parser[section]["rate"] = _fmt(method.rate)
-            if method.knockout_value is not None:
-                parser[section]["knockout_value"] = _fmt(method.knockout_value)
-            if method.observed_value is not None:
-                parser[section]["observed_value"] = _fmt(method.observed_value)
-        elif method.kind == "dropout":
-            parser[section]["p_clean"] = _fmt(method.p_clean)
-            if method.dropout_rate is not None:
-                parser[section]["dropout_rate"] = _fmt(method.dropout_rate)
-            parser[section]["rescale"] = _fmt(method.rescale)
-        elif method.kind == "zero_indicator":
-            parser[section]["p_clean"] = _fmt(method.p_clean)
-        elif method.kind == "knn":
-            parser[section]["k"] = _fmt(method.k)
+        write(f"method.{method.name}", method, _method_rows(method.kind))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -239,7 +239,8 @@ class FittedImputerRule(ImputedRule):
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
-        imputer = fit_imputer(method.kind, z_train, observed, schema=schema, k=method.k)
+        neighbours = {"k": method.k} if method.kind == "knn" else {}  # lin_reg has no k
+        imputer = fit_imputer(method.kind, z_train, observed, schema=schema, **neighbours)
         return cls(schema, imputer), None
 
     def to_json(self) -> dict:

@@ -131,7 +131,6 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     loss: str = "mse"  # "mse" | "cross_entropy"
-    mask_granularity: str = "per_batch"  # consumed by augmentation hooks
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -146,8 +145,6 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.loss not in ("mse", "cross_entropy"):
             raise ValueError(f"unsupported loss {self.loss!r}")
-        if self.mask_granularity not in ("per_batch", "per_sample"):
-            raise ValueError(f"unsupported mask granularity {self.mask_granularity!r}")
 
 
 @dataclass

@@ -343,7 +343,6 @@ def train_method(
         batch_size=cfg.batch_size,
         seed=_train_seed(cfg.seed0, data.rep, method_index),
         loss=cfg.loss,
-        mask_granularity=cfg.mask_granularity,
     )
     net_spec = NetworkSpec(widths=(rule.width(), *cfg.hidden, out_width), head=head)
     try:

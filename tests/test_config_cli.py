@@ -4,8 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from knockout import methods
 from knockout.cli import main
-from knockout.config import ConfigError, config_hash, parse_config, serialize_config
+from knockout.config import _KIND_KEYS, ConfigError, config_hash, parse_config, serialize_config
 
 TINY_CONFIG = """
 [world]
@@ -59,11 +60,67 @@ def test_config_rejects_unknown_section_and_key():
         parse_config(
             "[world]\nkind = gaussian\n[method.m]\nkind = knockout\nbogus = 1\n"
         )
+    # A method key its kind does not read is rejected too, naming both.
+    unread = (
+        ("knn", "p_clean = 0.3"),
+        ("knn", "rescale = true"),
+        ("knn", "zscore_magnitude = 5"),
+        ("zero_indicator", "dropout_rate = 0.2"),
+        ("dropout", "rate = 0.2"),
+        ("common_baseline", "knockout_value = 3"),
+        ("lin_reg", "k = 3"),
+    )
+    for kind, line in unread:
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"section \[method\.m\]: unknown key\(s\) \['{key}'\]"):
+            parse_config(f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n{line}\n")
+
+
+# A valid value other than the default for every method key.
+OTHER_VALUES = {
+    "p_clean": "0.3",
+    "rate": "0.2",
+    "zscore_magnitude": "5.0",
+    "placeholder": "mean",
+    "dual_placeholder": "false",
+    "knockout_value": "7.0",
+    "observed_value": "-7.0",
+    "k": "3",
+    "dropout_rate": "0.2",
+    "rescale": "true",
+}
+
+
+def test_every_key_a_kind_reads_is_hashed():
+    assert set(methods.RULES) == set(_KIND_KEYS)
+    for kind, keys in _KIND_KEYS.items():
+        base = f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n"
+        default = config_hash(parse_config(base))
+        for key in keys:
+            cfg = parse_config(f"{base}{key} = {OTHER_VALUES[key]}\n")
+            assert config_hash(cfg) != default, (kind, key)
+            assert parse_config(serialize_config(cfg)) == cfg, (kind, key)
+
+
+def test_shipped_config_hashes_are_pinned():
+    from pathlib import Path
+
+    configs_dir = Path(__file__).resolve().parent.parent / "configs"
+    hashes = {
+        "classification2d.ini": "04f319d75539e25af09c7d8dbf91123cc64d0a9d342f5afd0cb0d6584ae2f5e7",
+        "fig1_complete.ini": "68ed4e5f5ffa404521c759d83959d7d617a62c1022e490a59b22a0ed68bf5ed2",
+        "fig1_mcar.ini": "6db51eab89cafbf516bed460a1b37c820125a7c47234b29d758a32329155abca",
+        "fig1_mnar.ini": "8c8c88776cdec4f3949187459dbf102a6781ed02fce04168901b91d10c1f1aa4",
+    }
+    for name, digest in hashes.items():
+        assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name
 
 
 def test_config_validates_values():
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ConfigError, match=r"section \[world\], key 'kind'"):
         parse_config("[world]\nkind = marble\n")
+    with pytest.raises(ConfigError, match=r"section \[world\], key 'path'"):
+        parse_config("[world]\nkind = csv\n[method.k]\nkind = knockout\n")
     with pytest.raises(ConfigError, match="at least one method"):
         parse_config("[world]\nkind = gaussian\n")
     with pytest.raises(ConfigError, match="must differ"):
@@ -97,11 +154,33 @@ def test_config_validates_values():
         ("missingness", "q", "0"),
         ("missingness", "q", "1"),
         ("missingness", "q", "nan"),
+        ("missingness", "mechanism", "mar"),
+        ("world", "n_total", "9"),
+        ("world", "train_fraction", "0"),
+        ("world", "train_fraction", "1"),
+        ("sweep", "repetitions", "0"),
     )
     for section, key, value in bad_values:
         extra = "" if section == "world" else f"[{section}]\n"
         text = f"[world]\nkind = gaussian\n{extra}{key} = {value}\n{method}"
         with pytest.raises(ConfigError, match=rf"section \[{section}\], key '{key}'"):
+            parse_config(text)
+    bad_method_values = (
+        ("knockout", "zscore_magnitude", "-1"),
+        ("knockout", "zscore_magnitude", "0"),
+        ("knockout", "zscore_magnitude", "nan"),
+        ("knockout", "zscore_magnitude", "inf"),
+        ("dropout", "dropout_rate", "2"),
+        ("dropout", "dropout_rate", "-0.1"),
+        ("dropout", "dropout_rate", "nan"),
+        ("knockout", "knockout_value", "inf"),
+        ("knockout", "knockout_value", "nan"),
+        ("knockout", "observed_value", "-inf"),
+        ("zero_indicator", "rate", "1.5"),
+    )
+    for kind, key, value in bad_method_values:
+        text = f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"section \[method\.m\], key '{key}'"):
             parse_config(text)
     # The edge values that are allowed.
     ok = parse_config(
@@ -109,6 +188,9 @@ def test_config_validates_values():
         f"[train]\nsteps = 0\nbatch_size = 1\nmask_granularity = per_sample\n{method}"
     )
     assert (ok.dim, ok.mcar_p, ok.steps, ok.batch_size) == (2, 0.0, 0, 1)
+    for rate in ("0", "1"):
+        dropout = parse_config(f"[world]\nkind = gaussian\n[method.d]\nkind = dropout\ndropout_rate = {rate}\n")
+        assert dropout.methods[0].dropout_rate == float(rate)
     assert parse_config(f"[world]\nkind = gaussian\n[missingness]\np = 1\n{method}").mcar_p == 1.0
     # Without the key the loss is the task's, with or without a [train] section.
     assert parse_config(f"[world]\nkind = gaussian\n{method}").loss == "mse"
@@ -186,7 +268,9 @@ def test_cli_run_jobs_parallel_matches_serial(tmp_path):
 
 
 def test_cli_run_invalid_placeholder_exits_nonzero(tmp_path):
-    bad = TINY_CONFIG.format(out=tmp_path / "x") + "knockout_value = 3\nobserved_value = 3\n"
+    bad = TINY_CONFIG.format(out=tmp_path / "x").replace(
+        "kind = knockout\n", "kind = knockout\nknockout_value = 3\nobserved_value = 3\n"
+    )
     cfg_path = write_config(tmp_path, bad)
     result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
     assert result.exit_code != 0

@@ -38,13 +38,15 @@ DELETED = {
 }
 
 # Fields and methods no command reached: the slots of the retired
-# normalization modes, a policy copy nothing read, and unread accessors.
+# normalization modes, a policy copy nothing read, unread accessors, and a
+# training field the augmentation hooks take from the experiment config.
 DELETED_MEMBERS = {
     "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided"),
     "knockout.schema.PlaceholderPolicy": ("zscore_magnitude",),
     "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
     "knockout.missingness.Weighted": ("d",),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
+    "knockout.nn.TrainConfig": ("mask_granularity",),
 }
 
 
