@@ -1,8 +1,9 @@
-"""Imputation baselines and the input-dropout augmentation.
+"""The fitted imputers of the ``knn`` and ``lin_reg`` baselines, and the
+input-dropout augmentation.
 
 Every imputer is fitted on training data (respecting its observed mask)
 and is the identity on complete rows. Values work in the same normalized
-coordinates the models consume.
+coordinates the models consume, continuous features only.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import Categorical, FeatureSchema
-
 __all__ = [
-    "MeanMode",
-    "ZeroIndicator",
     "KNN",
     "LinReg",
     "Imputer",
@@ -24,20 +21,6 @@ __all__ = [
     "impute",
     "dropout_augment",
 ]
-
-
-@dataclass
-class MeanMode:
-    """Per-feature mean (continuous) or mode (categorical) imputation."""
-
-    fill_values: np.ndarray
-
-
-@dataclass
-class ZeroIndicator:
-    """Zero-fill plus the mask appended as indicator features."""
-
-    d: int
 
 
 @dataclass
@@ -97,63 +80,47 @@ class LinReg:
         )
 
 
-Imputer = MeanMode | ZeroIndicator | KNN | LinReg
+Imputer = KNN | LinReg
 
 
-def _column_fill_values(
-    schema: FeatureSchema | None, x: np.ndarray, observed_mask: np.ndarray | None
-) -> np.ndarray:
+def _column_means(x: np.ndarray, observed_mask: np.ndarray) -> np.ndarray:
+    """Each feature's mean over its observed entries."""
     d = x.shape[1]
-    fills = np.empty(d)
+    means = np.empty(d)
     for j in range(d):
-        col = x[:, j]
-        if observed_mask is not None:
-            col = col[observed_mask[:, j] == 0]
+        col = x[observed_mask[:, j] == 0, j]
         if col.size == 0:
             raise ValueError(f"feature {j}: every entry is missing, cannot fit")
-        kind = schema.kinds[j] if schema is not None else None
-        if isinstance(kind, Categorical):
-            values, counts = np.unique(col, return_counts=True)
-            fills[j] = values[np.argmax(counts)]  # ties resolve to the lowest code
-        else:
-            fills[j] = col.mean()
-    return fills
+        means[j] = col.mean()
+    return means
 
 
 def fit_imputer(
     kind: str,
     x: np.ndarray,
     observed_mask: np.ndarray | None = None,
-    schema: FeatureSchema | None = None,
     k: int = 5,
 ) -> Imputer:
-    """Fit an imputer of the given kind ("mean_mode", "zero_indicator", "knn", "lin_reg")."""
+    """Fit an imputer of the given kind ("knn" or "lin_reg")."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training data must be a nonempty matrix")
-    d = x.shape[1]
     if observed_mask is None:
         observed_mask = np.zeros_like(x, dtype=np.uint8)
     observed_mask = np.asarray(observed_mask, dtype=np.uint8)
 
-    if kind == "mean_mode":
-        return MeanMode(_column_fill_values(schema, x, observed_mask))
-    if kind == "zero_indicator":
-        return ZeroIndicator(d)
     if kind == "knn":
-        fallback = _column_fill_values(schema, x, observed_mask)
+        fallback = _column_means(x, observed_mask)
         return KNN(k=k, train_x=x.copy(), train_observed=observed_mask.copy(), fallback=fallback)
     if kind == "lin_reg":
-        return _fit_lin_reg(x, observed_mask, schema)
+        return _fit_lin_reg(x, observed_mask)
     raise ValueError(f"unknown imputer kind {kind!r}")
 
 
-def _fit_lin_reg(
-    x: np.ndarray, observed_mask: np.ndarray, schema: FeatureSchema | None
-) -> LinReg:
+def _fit_lin_reg(x: np.ndarray, observed_mask: np.ndarray) -> LinReg:
     d = x.shape[1]
     complete = x[(observed_mask == 0).all(axis=1)]
-    fallback = _column_fill_values(schema, x, observed_mask)
+    fallback = _column_means(x, observed_mask)
     if complete.shape[0] < d:
         warnings.warn(
             f"only {complete.shape[0]} complete rows for {d} features; "
@@ -181,10 +148,7 @@ def _fit_lin_reg(
 
 
 def impute(imputer: Imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fill the masked entries of a row or batch; observed entries pass through.
-
-    A ZeroIndicator imputer widens the output to 2d by appending the mask.
-    """
+    """Fill the masked entries of a row or batch; observed entries pass through."""
     x = np.asarray(x, dtype=float)
     mask = np.asarray(mask)
     single = x.ndim == 1
@@ -195,12 +159,7 @@ def impute(imputer: Imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if mask.shape != x.shape:
         raise ValueError(f"mask shape {mask.shape} does not match data shape {x.shape}")
 
-    if isinstance(imputer, MeanMode):
-        out = np.where(mask == 1, imputer.fill_values, x)
-    elif isinstance(imputer, ZeroIndicator):
-        filled = np.where(mask == 1, 0.0, x)
-        out = np.hstack([filled, mask.astype(float)])
-    elif isinstance(imputer, KNN):
+    if isinstance(imputer, KNN):
         out = _impute_knn(imputer, x, mask)
     elif isinstance(imputer, LinReg):
         out = _impute_linreg(imputer, x, mask)

@@ -147,6 +147,8 @@ class MethodConfig:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 self._reject(key, f"must be finite, got {value}")
+            if value is not None and self.placeholder == "mean":
+                self._reject(key, "placeholder = mean uses the mean/mode, not this value")
         if self.k < 1:
             self._reject("k", f"must be >= 1, got {self.k}")
         if (self.knockout_value is not None) and (
@@ -185,8 +187,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.world_kind not in _WORLD_KINDS:
             _reject("world", "kind", f"unknown world kind {self.world_kind!r}")
-        if self.world_kind == "csv" and not self.csv_path:
-            _reject("world", "path", "a csv world needs the data file's path")
+        for key, value in (("path", self.csv_path), ("target", self.csv_target)):
+            if self.world_kind == "csv" and not value:
+                _reject("world", key, "a csv world needs the data file's path and target column")
+            if self.world_kind != "csv" and value is not None:
+                _reject("world", key, f"only a csv world reads it, not {self.world_kind!r}")
         if self.mechanism not in _MECHANISMS:
             _reject("missingness", "mechanism", f"unknown mechanism {self.mechanism!r}")
         if not self.methods:

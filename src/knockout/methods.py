@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import merge_observed
-from .baselines import (
-    KNN,
-    Imputer,
-    LinReg,
-    MeanMode,
-    ZeroIndicator,
-    dropout_augment,
-    fit_imputer,
-    impute,
-)
+from .baselines import KNN, Imputer, LinReg, dropout_augment, fit_imputer, impute
 from .missingness import IID, calibrate_rate, sample_mask, sample_masks
 from .schema import (
     Categorical,
@@ -79,13 +70,18 @@ def _fill_values(schema: FeatureSchema, z_train: np.ndarray, observed: np.ndarra
     """Mean/mode imputation values in normalized coordinates.
 
     Z-scored features have observed mean exactly 0 after normalization;
-    categorical codes take the mode of their observed training entries.
+    categorical codes take the mode of their observed training entries,
+    ties going to the lowest code.
     """
-    categorical = [isinstance(kind, Categorical) for kind in schema.kinds]
-    if not any(categorical):
-        return np.zeros(schema.d)
-    fitted = fit_imputer("mean_mode", z_train, observed, schema=schema)
-    return np.where(categorical, fitted.fill_values, 0.0)
+    fills = np.zeros(schema.d)
+    for j, kind in enumerate(schema.kinds):
+        if isinstance(kind, Categorical):
+            codes = z_train[observed[:, j] == 0, j]
+            if codes.size == 0:
+                raise ValueError(f"feature {j}: every entry is missing, cannot fit")
+            values, counts = np.unique(codes, return_counts=True)
+            fills[j] = values[np.argmax(counts)]  # values ascend: ties take the lowest
+    return fills
 
 
 def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> PlaceholderPolicy:
@@ -162,31 +158,29 @@ class KnockoutRule(Rule):
 
 
 @dataclass
-class ImputedRule(Rule):
-    """Fill the union of the induced and observed masks with an imputer."""
+class CommonBaselineRule(Rule):
+    """Mean/mode fill of the union of the induced and observed masks;
+    training fills the data's own missing entries."""
 
-    imputer: Imputer
-
-    def inputs(self, z, induced, observed):
-        return encode_inputs(self.schema, impute(self.imputer, z, _union(z, induced, observed)))
-
-
-class CommonBaselineRule(ImputedRule):
-    """Mean/mode fill; training fills the data's own missing entries."""
+    fill_values: np.ndarray
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
-        return cls(schema, MeanMode(_fill_values(schema, z_train, observed))), None
+        return cls(schema, _fill_values(schema, z_train, observed)), None
+
+    def inputs(self, z, induced, observed):
+        filled = np.where(_union(z, induced, observed) == 1, self.fill_values, z)
+        return encode_inputs(self.schema, filled)
 
     def to_json(self) -> dict:
-        return {"fill_values": self.imputer.fill_values.tolist()}
+        return {"fill_values": self.fill_values.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict, schema: FeatureSchema) -> "CommonBaselineRule":
-        return cls(schema, MeanMode(np.asarray(obj["fill_values"], dtype=float)))
+        return cls(schema, np.asarray(obj["fill_values"], dtype=float))
 
 
-class DropoutRule(ImputedRule):
+class DropoutRule(CommonBaselineRule):
     """Zero fill (the mean of z-scored features); training also zeroes
     entries at random, rescaling survivors with ``rescale``."""
 
@@ -207,14 +201,17 @@ class DropoutRule(ImputedRule):
 
         return rule, augment
 
+    def to_json(self) -> dict:
+        return {}
+
     @classmethod
     def from_json(cls, obj: dict, schema: FeatureSchema) -> "DropoutRule":
-        return cls(schema, MeanMode(np.zeros(schema.d)))
+        return cls(schema, np.zeros(schema.d))
 
 
-class ZeroIndicatorRule(ImputedRule):
-    """Zero fill plus the filled mask as indicator inputs; continuous
-    features only, so the rows need no encoding."""
+class ZeroIndicatorRule(Rule):
+    """Zero fill of the union mask, with that mask appended as indicator
+    inputs; continuous features only, so the rows need no encoding."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
@@ -223,25 +220,33 @@ class ZeroIndicatorRule(ImputedRule):
         return rule, _masked_training(rule, _mask_sampler(method, schema.d, cfg.mask_granularity))
 
     def inputs(self, z, induced, observed):
-        return impute(self.imputer, z, _union(z, induced, observed))
+        union = _union(z, induced, observed)
+        return np.hstack([np.where(union == 1, 0.0, z), union.astype(float)])
 
     def width(self) -> int:
         return 2 * self.schema.d
 
     @classmethod
     def from_json(cls, obj: dict, schema: FeatureSchema) -> "ZeroIndicatorRule":
-        return cls(schema, ZeroIndicator(schema.d))
+        return cls(schema)
 
 
-class FittedImputerRule(ImputedRule):
-    """KNN or per-feature linear-regression fill, fitted on the training split."""
+@dataclass
+class FittedImputerRule(Rule):
+    """KNN or per-feature linear-regression fill of the union mask, fitted
+    on the training split."""
+
+    imputer: Imputer
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
         neighbours = {"k": method.k} if method.kind == "knn" else {}  # lin_reg has no k
-        imputer = fit_imputer(method.kind, z_train, observed, schema=schema, **neighbours)
+        imputer = fit_imputer(method.kind, z_train, observed, **neighbours)
         return cls(schema, imputer), None
+
+    def inputs(self, z, induced, observed):
+        return encode_inputs(self.schema, impute(self.imputer, z, _union(z, induced, observed)))
 
     def to_json(self) -> dict:
         return {"imputer": self.imputer.to_json_dict()}

@@ -94,8 +94,10 @@ def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.nd
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        if cfg.csv_target is None or cfg.csv_target not in header:
-            raise ValueError(f"csv world needs a target column; got {cfg.csv_target!r}")
+        if cfg.csv_target not in header:
+            raise ValueError(
+                f"{path}: no column {cfg.csv_target!r} (section [world], key 'target')"
+            )
         check_k_max(cfg.k_max, len(header) - 1)
         rows = []
         for row in reader:
@@ -173,26 +175,19 @@ def build_repetition(
     x_train, y_train = x_all[:n_train], y_all[:n_train]
     x_test, y_test = x_all[n_train:], y_all[n_train:]
 
+    observed = np.zeros_like(x_train, dtype=np.uint8)
     test_observed = np.zeros_like(x_test, dtype=np.uint8)
     if cfg.mechanism == "mcar":
         _, observed = inject_mcar(x_train, cfg.mcar_p, _rng_for(cfg.seed0, rep, _MISSING_STREAM))
     elif cfg.mechanism == "mnar_self_censor":
-        if cfg.world_kind == "mixed":
-            _, observed_cont = inject_mnar_self_censor(x_train[:, 1:], cfg.mnar_q)
-            observed = np.zeros_like(x_train, dtype=np.uint8)
-            observed[:, 1:] = observed_cont  # categorical features are never censored
-            _, test_cont = inject_mnar_self_censor(x_test[:, 1:], cfg.mnar_q)
-            test_observed[:, 1:] = test_cont
-        else:
-            _, observed = inject_mnar_self_censor(x_train, cfg.mnar_q)
-            # Self-censoring is a property of the world, not the split: the
-            # test data loses its top-quantile values too (quantiles
-            # computed per split), and those entries are MNAR-tagged at
-            # inference. The underlying values stay in x_test for the
-            # Bayes oracle.
-            _, test_observed = inject_mnar_self_censor(x_test, cfg.mnar_q)
-    else:
-        observed = np.zeros_like(x_train, dtype=np.uint8)
+        # Continuous features self-censor; categorical ones never do.
+        # Self-censoring is a property of the world, not the split: the
+        # test data loses its top-quantile values too (quantiles computed
+        # per split), and those entries are MNAR-tagged at inference. The
+        # underlying values stay in x_test for the Bayes oracle.
+        cont = [j for j, kind in enumerate(schema.kinds) if not isinstance(kind, Categorical)]
+        _, observed[:, cont] = inject_mnar_self_censor(x_train[:, cont], cfg.mnar_q)
+        _, test_observed[:, cont] = inject_mnar_self_censor(x_test[:, cont], cfg.mnar_q)
 
     schema = schema.with_stats(fit_normalization(schema, x_train, observed))
 

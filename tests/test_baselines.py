@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from knockout import baselines
-from knockout.baselines import KNN, LinReg, ZeroIndicator, dropout_augment, fit_imputer, impute
-from knockout.schema import Categorical, FeatureSchema
+from knockout.baselines import KNN, LinReg, dropout_augment, fit_imputer, impute
+from knockout.config import parse_config
+from knockout.methods import RULES, ZeroIndicatorRule, _fill_values
+from knockout.schema import Categorical, ContinuousUnbounded, FeatureSchema, encode_inputs
 
 
 # Row-at-a-time reference implementations of the KNN and lin-reg fills:
@@ -161,18 +163,29 @@ def test_linreg_matches_row_loop(x, data):
     )
 
 
+def _continuous(d: int) -> FeatureSchema:
+    return FeatureSchema(tuple((f"x{j}", ContinuousUnbounded()) for j in range(d)))
+
+
+def _fit_rule(kind: str, schema: FeatureSchema, z: np.ndarray, observed: np.ndarray):
+    cfg = parse_config(f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n")
+    rule, _ = RULES[kind].fit(cfg, cfg.methods[0], schema, z, observed)
+    return rule
+
+
 def test_meanmode_fit_examples():
-    imp = fit_imputer("mean_mode", np.array([[1.0], [2.0], [3.0]]))
-    assert imp.fill_values[0] == pytest.approx(2.0)
     schema = FeatureSchema((("c", Categorical(2)),))
-    imp = fit_imputer("mean_mode", np.array([[1.0], [1.0], [2.0]]), schema=schema)
-    assert imp.fill_values[0] == 1.0  # mode
+    z = np.array([[1.0], [1.0], [2.0]])
+    assert _fill_values(schema, z, np.zeros_like(z, dtype=np.uint8))[0] == 1.0  # mode
 
 
 def test_meanmode_mode_tie_breaks_low():
     schema = FeatureSchema((("c", Categorical(3)),))
-    imp = fit_imputer("mean_mode", np.array([[2.0], [1.0], [1.0], [2.0]]), schema=schema)
-    assert imp.fill_values[0] == 1.0
+    z = np.array([[2.0], [1.0], [1.0], [2.0], [0.0]])
+    observed = np.zeros_like(z, dtype=np.uint8)
+    assert _fill_values(schema, z, observed)[0] == 1.0
+    observed[1] = 1  # a missing entry does not count towards the mode
+    assert _fill_values(schema, z, observed)[0] == 2.0
 
 
 def test_imputers_identity_on_complete_rows():
@@ -180,32 +193,46 @@ def test_imputers_identity_on_complete_rows():
     x = rng.normal(size=(40, 4))
     mask = np.zeros(4, dtype=np.uint8)
     row = x[7]
-    for kind in ("mean_mode", "knn", "lin_reg"):
+    for kind in ("knn", "lin_reg"):
         imp = fit_imputer(kind, x)
         np.testing.assert_array_equal(impute(imp, row, mask), row)
-    zi = fit_imputer("zero_indicator", x)
-    out = impute(zi, row, mask)
-    np.testing.assert_array_equal(out[:4], row)
-    np.testing.assert_array_equal(out[4:], np.zeros(4))
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+def test_rule_inputs_on_complete_rows_are_the_encoded_rows(kind):
+    rng = np.random.default_rng(0)
+    schema = _continuous(4)
+    z = rng.normal(size=(40, 4))
+    rule = _fit_rule(kind, schema, z, np.zeros_like(z, dtype=np.uint8))
+    out = rule.inputs(z, np.zeros(4, dtype=np.uint8), None)
+    expected = encode_inputs(schema, z)
+    if kind == "zero_indicator":
+        expected = np.hstack([expected, np.zeros_like(z)])  # no indicator set
+    np.testing.assert_array_equal(out, expected)
+    assert out.shape[1] == rule.width()
 
 
 def test_meanmode_zscored_fill_is_zero():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(200, 3))
-    x = (x - x.mean(axis=0)) / x.std(axis=0)
-    imp = fit_imputer("mean_mode", x)
-    out = impute(imp, x[0], np.array([1, 0, 0], dtype=np.uint8))
-    assert out[0] == pytest.approx(0.0, abs=1e-12)
+    schema = _continuous(3)
+    z = rng.normal(size=(200, 3))
+    z = (z - z.mean(axis=0)) / z.std(axis=0)
+    rule = _fit_rule("common_baseline", schema, z, np.zeros_like(z, dtype=np.uint8))
+    out = rule.inputs(z[:1], np.array([1, 0, 0], dtype=np.uint8), None)
+    assert out[0, 0] == 0.0
+    np.testing.assert_array_equal(out[0, 1:], z[0, 1:])
 
 
 def test_zero_indicator_width_and_indicator():
-    x = np.array([[1.0, 2.0, 3.0]])
-    imp = fit_imputer("zero_indicator", x)
-    assert isinstance(imp, ZeroIndicator)
-    mask = np.array([0, 1, 0], dtype=np.uint8)
-    out = impute(imp, x, mask)
-    assert out.shape == (1, 6)
+    schema = _continuous(3)
+    z = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    rule = ZeroIndicatorRule.from_json({}, schema)
+    assert rule.width() == 6
+    induced = np.array([0, 1, 0], dtype=np.uint8)
+    observed = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)
+    out = rule.inputs(z, induced, observed)
     np.testing.assert_array_equal(out[0], [1.0, 0.0, 3.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(out[1], [4.0, 0.0, 0.0, 0.0, 1.0, 1.0])  # the union
 
 
 def test_knn_identical_row_fills_exactly():
@@ -287,8 +314,12 @@ def test_all_missing_feature_errors():
     train = np.ones((5, 2))
     observed = np.zeros_like(train, dtype=np.uint8)
     observed[:, 1] = 1
+    for kind in ("knn", "lin_reg"):
+        with pytest.raises(ValueError, match="every entry is missing"):
+            fit_imputer(kind, train, observed)
+    schema = FeatureSchema((("x", ContinuousUnbounded()), ("c", Categorical(2))))
     with pytest.raises(ValueError, match="every entry is missing"):
-        fit_imputer("mean_mode", train, observed)
+        _fill_values(schema, train, observed)
 
 
 def test_dropout_extremes_and_rate():
@@ -311,7 +342,6 @@ def test_dropout_does_not_rescale_survivors():
 
 def test_knockout_star_is_policy_substitution():
     """The mean-placeholder variant reuses the knockout trainer wholesale."""
-    from knockout.config import parse_config
     from knockout.runner import build_repetition, train_method
 
     cfg = parse_config(

@@ -76,6 +76,27 @@ def test_config_rejects_unknown_section_and_key():
             parse_config(f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n{line}\n")
 
 
+def test_config_rejects_world_and_placeholder_keys_nothing_reads():
+    method = "[method.k]\nkind = knockout\n"
+    with pytest.raises(ConfigError, match=r"section \[world\], key 'target'"):
+        parse_config(f"[world]\nkind = csv\npath = d.csv\n{method}")
+    for world in ("gaussian", "continuous2d", "mixed"):
+        for key in ("path", "target"):
+            with pytest.raises(ConfigError, match=rf"section \[world\], key '{key}'"):
+                parse_config(f"[world]\nkind = {world}\n{key} = d.csv\n{method}")
+    for key, value in (("knockout_value", "3"), ("observed_value", "-3")):
+        with pytest.raises(ConfigError, match=rf"section \[method\.k\], key '{key}'"):
+            parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\n{key} = {value}\n")
+    # zscore_magnitude has a default that is always written for knockout,
+    # so a mean-placeholder section accepts it.
+    star = parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\nzscore_magnitude = 5\n")
+    assert star.methods[0].zscore_magnitude == 5.0
+    csv = parse_config(f"[world]\nkind = csv\npath = d.csv\ntarget = y\n{method}")
+    assert (csv.csv_path, csv.csv_target) == ("d.csv", "y")
+    text = serialize_config(parse_config(f"[world]\nkind = gaussian\n{method}"))
+    assert "path =" not in text and "target =" not in text
+
+
 # A valid value other than the default for every method key.
 OTHER_VALUES = {
     "p_clean": "0.3",
@@ -135,7 +156,9 @@ def test_config_validates_values():
         with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
             parse_config(f"[world]\nkind = {world}\n[train]\nloss = {loss}\n{method}")
     with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
-        parse_config(f"[world]\nkind = csv\npath = d.csv\n[train]\nloss = cross_entropy\n{method}")
+        parse_config(
+            f"[world]\nkind = csv\npath = d.csv\ntarget = y\n[train]\nloss = cross_entropy\n{method}"
+        )
     with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
         parse_config(f"[world]\nkind = gaussian\n[train]\nloss = hinge\n{method}")
     bad_values = (

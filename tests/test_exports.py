@@ -13,6 +13,9 @@ MODULES = sorted(
 DELETED = {
     # Superseded by the per-kind missing-input rules in knockout.methods.
     "knockout.augment": ("AugmentedRow", "augment_row", "impute_for_inference"),
+    # Each method kind's fill lives in its rule, not in an imputer object.
+    "knockout.baselines": ("MeanMode", "ZeroIndicator"),
+    "knockout.methods": ("ImputedRule",),
     "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics"),
     # The out-of-support check computes every evidence of a pattern at once;
     # nothing read or wrote joint tables as text.
