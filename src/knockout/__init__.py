@@ -18,9 +18,6 @@ from .discrete import (
 )
 from .missingness import (
     IID,
-    MCAR,
-    MNARSelfCensor,
-    Weighted,
     calibrate_rate,
     enumerate_patterns,
     inject_mcar,
@@ -62,9 +59,6 @@ __all__ = [
     "insupport_deviation",
     "marginal_discrete",
     "IID",
-    "MCAR",
-    "MNARSelfCensor",
-    "Weighted",
     "calibrate_rate",
     "enumerate_patterns",
     "inject_mcar",

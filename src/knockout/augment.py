@@ -43,25 +43,22 @@ def merge_observed(
     x: np.ndarray,
     observed_mask: np.ndarray | None,
     induced_mask: np.ndarray,
-    mode: str | None,
+    dual: bool,
     policy: PlaceholderPolicy,
 ) -> np.ndarray:
     """Combine induced knockout with observed data missingness.
 
-    MCAR mode: the union mask N | M gets the knockout placeholders (the
-    union stays independent of the data). MNAR mode: induced entries get
-    the knockout placeholders even when also observed-missing; entries
-    missing only in the data get the observed-missingness placeholders.
+    Without ``dual`` (the MCAR merge), the union mask N | M gets the
+    knockout placeholders, and the union stays independent of the data.
+    With ``dual`` (the MNAR merge), induced entries get the knockout
+    placeholders even when also observed-missing, and entries missing only
+    in the data get the observed-missingness placeholders.
     """
     if observed_mask is None or not np.any(observed_mask):
         return apply_knockout(x, induced_mask, policy)
-    if mode is None:
-        raise ValueError("observed mask is nonzero but no merge mode was given")
     x, induced = _broadcast_pair(x, induced_mask)
     _, observed = _broadcast_pair(x, observed_mask)
-    if mode == "mcar":
+    if not dual:
         return apply_knockout(x, np.maximum(observed, induced), policy)
-    if mode == "mnar":
-        out = np.where(observed == 1, policy.observed_values, x)
-        return np.where(induced == 1, policy.knockout_values, out)
-    raise ValueError(f"unknown merge mode {mode!r} (expected 'mcar' or 'mnar')")
+    out = np.where(observed == 1, policy.observed_values, x)
+    return np.where(induced == 1, policy.knockout_values, out)

@@ -1,9 +1,10 @@
 """Exact discrete-enumeration oracles for the knockout identities.
 
-A :class:`DiscreteJoint` is a finite p(X, Y) table. With rational entries
-every computation here stays in exact arithmetic (integer sums with one
-Fraction at the end), which is what makes the placeholder theorems
-checkable as equalities rather than approximations:
+A :class:`DiscreteJoint` is a finite p(X, Y) table of rational entries
+(ints or Fractions), and the knockout probability q is rational too. Every
+computation here stays in exact arithmetic (integer sums with one Fraction
+at the end), which is what makes the placeholder theorems checkable as
+equalities rather than approximations:
 
 * out-of-support placeholders: conditioning the knockout-augmented input
   on a placeholder pattern yields exactly the marginal p(Y | observed);
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,9 +35,6 @@ __all__ = [
     "random_discrete_joint",
 ]
 
-Prob = Union[Fraction, float]
-
-
 class UnreachableEvidenceError(ValueError):
     """Conditioning event has probability zero."""
 
@@ -45,48 +43,45 @@ class UnreachableEvidenceError(ValueError):
 class DiscreteJoint:
     """Finite joint distribution over feature tuples and labels.
 
-    The table must not change once the joint is used: ``is_exact`` and
-    ``dense_table`` are computed on first access and cached.
+    Probabilities are ints or Fractions. The table must not change once the
+    joint is used: ``dense_table`` is computed on first access and cached.
     """
 
     alphabets: tuple[tuple[int, ...], ...]
     y_values: tuple[int, ...]
-    table: Mapping[tuple[tuple[int, ...], int], Prob]
+    table: Mapping[tuple[tuple[int, ...], int], Fraction]
 
     @property
     def d(self) -> int:
         return len(self.alphabets)
 
     @cached_property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, (Fraction, int)) for p in self.table.values())
-
-    @cached_property
     def dense_table(self) -> tuple[np.ndarray, int]:
         """The table as one array over (x_1, ..., x_d, y), and its denominator.
 
         Axis i runs over ``alphabets[i]`` and the last axis over
-        ``y_values``, in their declared order. An exact table gives
-        Python-int numerators (``dtype=object``) over the common
-        denominator of its probabilities; a float table gives the
-        probabilities themselves and the denominator 1.
+        ``y_values``, in their declared order. The entries are Python-int
+        numerators (``dtype=object``) over the common denominator of the
+        probabilities.
         """
-        exact = self.is_exact
         den = 1
-        if exact:
-            for p in self.table.values():
-                den = math.lcm(den, p.denominator)
+        for (x, y), p in self.table.items():
+            if not isinstance(p, (int, Fraction)):
+                raise ValueError(
+                    f"probability at ({x}, {y}) must be an int or a Fraction, got {p!r}"
+                )
+            den = math.lcm(den, p.denominator)
         shape = [len(alph) for alph in self.alphabets] + [len(self.y_values)]
-        dense = np.zeros(shape, dtype=object if exact else float)
+        dense = np.zeros(shape, dtype=object)
         index = [{v: j for j, v in enumerate(alph)} for alph in self.alphabets]
         y_index = {y: j for j, y in enumerate(self.y_values)}
         for (x, y), p in self.table.items():
             cell = (*(ix[v] for ix, v in zip(index, x)), y_index[y])
-            dense[cell] = p.numerator * (den // p.denominator) if exact else p
+            dense[cell] = p.numerator * (den // p.denominator)
         return dense, den
 
-    def p(self, x: tuple[int, ...], y: int) -> Prob:
-        return self.table.get((x, y), Fraction(0) if self.is_exact else 0.0)
+    def p(self, x: tuple[int, ...], y: int) -> Fraction:
+        return self.table.get((x, y), Fraction(0))
 
     def support_x(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*self.alphabets)
@@ -101,24 +96,15 @@ class DiscreteJoint:
                 raise ValueError(f"label {y} outside the declared label set")
             if p < 0:
                 raise ValueError(f"negative probability at ({x}, {y})")
-        if self.is_exact:
-            dense, den = self.dense_table
-            total = Fraction(dense.sum(), den)
-            if total != 1:
-                raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
-            return
-        total = sum(self.table.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total}")
-
-
-def _zero(exact: bool) -> Prob:
-    return Fraction(0) if exact else 0.0
+        dense, den = self.dense_table
+        total = Fraction(dense.sum(), den)
+        if total != 1:
+            raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
 
 
 def marginal_discrete(
     joint: DiscreteJoint, pattern: np.ndarray | Iterable[int]
-) -> dict[tuple[int, ...], dict[int, Prob]]:
+) -> dict[tuple[int, ...], dict[int, Fraction]]:
     """Exact p(Y | observed coordinates) for one missingness pattern.
 
     ``pattern`` marks missing coordinates with 1. Returns a table keyed by
@@ -131,7 +117,6 @@ def marginal_discrete(
     dense, _ = joint.dense_table
     sums = dense.sum(axis=tuple(i for i, b in enumerate(pattern) if b))
     obs_alphabets = [alph for alph, b in zip(joint.alphabets, pattern) if not b]
-    exact = joint.is_exact
     out = {}
     for cell in np.ndindex(sums.shape[:-1]):
         row = sums[cell]
@@ -139,36 +124,34 @@ def marginal_discrete(
         if total == 0:
             continue
         key = tuple(alph[j] for alph, j in zip(obs_alphabets, cell))
-        out[key] = {
-            y: Fraction(n, total) if exact else float(n / total)
-            for y, n in zip(joint.y_values, row)
-        }
+        out[key] = {y: Fraction(n, total) for y, n in zip(joint.y_values, row)}
     return out
 
 
-def _numeric_table(joint: DiscreteJoint, q: Prob) -> tuple[np.ndarray, Prob, Prob]:
-    """The dense table and q = qn / qd in one number type.
+def _rational_q(q: Fraction) -> Fraction:
+    if not isinstance(q, (int, Fraction)):
+        raise ValueError(f"q must be an int or a Fraction, got {q!r}")
+    q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    return q
 
-    A rational table and a rational q give integers: int64 when a bound
-    proves that no value the oracles form can overflow it, Python ints
-    (``dtype=object``) otherwise. Anything else gives float64 probabilities.
+
+def _numeric_table(joint: DiscreteJoint, q: Fraction) -> tuple[np.ndarray, int, int]:
+    """The dense numerators and q = qn / qd, all integers.
+
+    The numerators are int64 when a bound proves that no value the oracles
+    form can overflow it, Python ints (``dtype=object``) otherwise.
     """
-    dense, den = joint.dense_table
-    if joint.is_exact and isinstance(q, (Fraction, int)):
-        q = Fraction(q)
-        if not 0 <= q <= 1:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        # Every weight is at most qd, so an induced numerator is at most
-        # qd**d times the table's total mass; the equality test multiplies
-        # it by a marginal total, which is at most that mass again.
-        mass = abs(dense).sum()
-        if q.denominator**joint.d * mass * mass < 2**63:
-            dense = dense.astype(np.int64)
-        return dense, q.numerator, q.denominator
-    qf = float(q)
-    if not 0.0 <= qf <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {qf}")
-    return dense.astype(float) / den, qf, 1.0
+    dense, _ = joint.dense_table
+    q = _rational_q(q)
+    # Every weight is at most qd, so an induced numerator is at most
+    # qd**d times the table's total mass; the equality test multiplies
+    # it by a marginal total, which is at most that mass again.
+    mass = abs(dense).sum()
+    if q.denominator**joint.d * mass * mass < 2**63:
+        dense = dense.astype(np.int64)
+    return dense, q.numerator, q.denominator
 
 
 def _induced_numerators(
@@ -176,8 +159,8 @@ def _induced_numerators(
     alphabets: tuple[tuple[int, ...], ...],
     placeholders: tuple[int, ...],
     evidence: Iterable[Iterable[int]],
-    qn: Prob,
-    qd: Prob,
+    qn: int,
+    qd: int,
 ) -> np.ndarray:
     """Unnormalized p(Y | X' = e) for every evidence e in a grid.
 
@@ -205,10 +188,10 @@ def _induced_numerators(
 
 def induced_conditional_discrete(
     joint: DiscreteJoint,
-    q: Prob,
+    q: Fraction,
     placeholders: tuple[int, ...],
     evidence: tuple[int, ...],
-) -> dict[int, Prob]:
+) -> dict[int, Fraction]:
     """Exact p(Y | X' = evidence) under i.i.d. Bernoulli(q) knockout.
 
     For each feature, a mask bit of 1 forces the augmented value to the
@@ -227,17 +210,15 @@ def induced_conditional_discrete(
     total = num.sum()
     if total == 0:
         raise UnreachableEvidenceError(f"unreachable evidence {evidence}")
-    if table.dtype == float:
-        return {y: float(n / total) for y, n in zip(joint.y_values, num)}
     return {y: Fraction(int(n), int(total)) for y, n in zip(joint.y_values, num)}
 
 
 def insupport_deviation(
     joint: DiscreteJoint,
-    q: Prob,
+    q: Fraction,
     feature: int,
     placeholder: int,
-) -> dict[tuple[tuple[int, ...], int], Prob]:
+) -> dict[tuple[tuple[int, ...], int], Fraction]:
     """Deviation ratio of the induced conditional from the true marginal.
 
     For an in-support placeholder on one feature, with r = P(mask bit is
@@ -252,35 +233,24 @@ def insupport_deviation(
     """
     if placeholder not in joint.alphabets[feature]:
         raise ValueError(f"placeholder {placeholder} is not in the support of feature {feature}")
-    exact = joint.is_exact and isinstance(q, (Fraction, int))
-    one = Fraction(1) if exact else 1.0
-    qv = Fraction(q) if exact else float(q)
-    r = one - qv
-
-    rest_idx = [i for i in range(joint.d) if i != feature]
-    ctx_mass: dict[tuple[int, ...], Prob] = {}
-    ctx_ph: dict[tuple[int, ...], Prob] = {}
-    joint_mass: dict[tuple[tuple[int, ...], int], Prob] = {}
-    joint_ph: dict[tuple[tuple[int, ...], int], Prob] = {}
-    zero = _zero(exact)
-    for (x, y), p in joint.table.items():
-        if p == 0:
+    r = 1 - _rational_q(q)
+    dense, _ = joint.dense_table
+    # Numerators over (rest..., y): the whole mass, and the mass at the placeholder.
+    mass = dense.sum(axis=feature)
+    at_ph = np.take(dense, joint.alphabets[feature].index(placeholder), axis=feature)
+    ctx_mass, ctx_ph = mass.sum(axis=-1, keepdims=True), at_ph.sum(axis=-1, keepdims=True)
+    rest = [alph for i, alph in enumerate(joint.alphabets) if i != feature]
+    out = {}
+    for cell in np.ndindex(mass.shape):
+        if mass[cell] == 0:
             continue
-        ctx = tuple(x[i] for i in rest_idx)
-        ctx_mass[ctx] = ctx_mass.get(ctx, zero) + p
-        joint_mass[(ctx, y)] = joint_mass.get((ctx, y), zero) + p
-        if x[feature] == placeholder:
-            ctx_ph[ctx] = ctx_ph.get(ctx, zero) + p
-            joint_ph[(ctx, y)] = joint_ph.get((ctx, y), zero) + p
-
-    out: dict[tuple[tuple[int, ...], int], Prob] = {}
-    for (ctx, y), mass in joint_mass.items():
-        p_ph_given_ctx = ctx_ph.get(ctx, zero) / ctx_mass[ctx]
-        p_ph_given_y_ctx = joint_ph.get((ctx, y), zero) / mass
-        den = one - r + r * p_ph_given_ctx
+        ctx_cell = (*cell[:-1], 0)
+        ctx = tuple(alph[k] for alph, k in zip(rest, cell[:-1]))
+        den = 1 - r + r * Fraction(ctx_ph[ctx_cell], ctx_mass[ctx_cell])
         if den == 0:
             raise UnreachableEvidenceError(f"unreachable evidence at context {ctx}")
-        out[(ctx, y)] = (one - r + r * p_ph_given_y_ctx) / den
+        ratio = (1 - r + r * Fraction(at_ph[cell], mass[cell])) / den
+        out[(ctx, joint.y_values[cell[-1]])] = ratio
     return out
 
 
@@ -289,17 +259,15 @@ def out_of_support_placeholders(joint: DiscreteJoint) -> tuple[int, ...]:
     return tuple(max(alph) + 1 for alph in joint.alphabets)
 
 
-def verify_out_of_support(joint: DiscreteJoint, q: Prob) -> int:
+def verify_out_of_support(joint: DiscreteJoint, q: Fraction) -> int:
     """Check the induced conditional equals the marginal for every pattern.
 
-    Uses out-of-support placeholders; exact equality is required for
-    rational tables and 1e-12 agreement for float tables. Returns the
-    number of (pattern, evidence, label) comparisons made: every label of
-    every observed-value tuple with positive probability.
+    Uses out-of-support placeholders and requires exact equality. Returns
+    the number of (pattern, evidence, label) comparisons made: every label
+    of every observed-value tuple with positive probability.
     """
     placeholders = out_of_support_placeholders(joint)
     table, qn, qd = _numeric_table(joint, q)
-    exact = table.dtype != float
     checks = 0
     for bits in itertools.product((0, 1), repeat=joint.d):
         # A masked feature shows its placeholder, an observed one any value.
@@ -310,11 +278,7 @@ def verify_out_of_support(joint: DiscreteJoint, q: Prob) -> int:
         marg = table.sum(axis=tuple(i for i, b in enumerate(bits) if b), keepdims=True)
         induced_total = induced.sum(axis=-1, keepdims=True)
         marg_total = marg.sum(axis=-1, keepdims=True)
-        if exact:
-            wrong = induced * marg_total != marg * induced_total
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                wrong = np.abs(induced / induced_total - marg / marg_total) > 1e-12
+        wrong = induced * marg_total != marg * induced_total
         reachable = marg_total > 0
         wrong = reachable & (wrong | (induced_total == 0))
         if wrong.any():
@@ -323,11 +287,8 @@ def verify_out_of_support(joint: DiscreteJoint, q: Prob) -> int:
             got, want = induced[tuple(cell)], marg[tuple(cell)]
             if got.sum() == 0:
                 raise UnreachableEvidenceError(f"unreachable evidence {shown} at pattern {bits}")
-            if exact:
-                got = Fraction(int(got[j]), int(got.sum()))
-                want = Fraction(int(want[j]), int(want.sum()))
-            else:
-                got, want = float(got[j] / got.sum()), float(want[j] / want.sum())
+            got = Fraction(int(got[j]), int(got.sum()))
+            want = Fraction(int(want[j]), int(want.sum()))
             raise ValueError(
                 f"induced != marginal at pattern {bits}, evidence {shown}, "
                 f"y={joint.y_values[j]}: {got} vs {want}"
@@ -336,9 +297,10 @@ def verify_out_of_support(joint: DiscreteJoint, q: Prob) -> int:
     return checks
 
 
-def tv_distance(p: Mapping[int, Prob], q: Mapping[int, Prob]) -> float:
+def tv_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> float:
+    """Total-variation distance, summed exactly and returned as a float."""
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys)
+    return float(sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys) / 2)
 
 
 def random_discrete_joint(
@@ -346,7 +308,6 @@ def random_discrete_joint(
     d_max: int = 3,
     alphabet_max: int = 4,
     y_max: int = 3,
-    exact: bool = True,
     zero_fraction: float = 0.2,
 ) -> DiscreteJoint:
     """Random small joint with integer-weight (hence rational) probabilities."""
@@ -361,12 +322,7 @@ def random_discrete_joint(
     if weights.sum() == 0:
         weights[int(rng.integers(len(cells)))] = 1
     total = int(weights.sum())
-    if exact:
-        table = {
-            cell: Fraction(int(w), total) for cell, w in zip(cells, weights) if w
-        }
-    else:
-        table = {cell: int(w) / total for cell, w in zip(cells, weights) if w}
+    table = {cell: Fraction(int(w), total) for cell, w in zip(cells, weights) if w}
     joint = DiscreteJoint(alphabets, y_values, table)
     joint.validate()
     return joint

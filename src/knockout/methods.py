@@ -121,8 +121,8 @@ class Rule:
 @dataclass
 class KnockoutRule(Rule):
     """Knockout placeholders at induced entries. Observed-missing entries get
-    the observed-missingness placeholders with ``dual_placeholder`` ("mnar"
-    merge), else they join the induced mask ("mcar" merge)."""
+    the observed-missingness placeholders with ``dual_placeholder`` (the
+    MNAR merge), else they join the induced mask (the MCAR merge)."""
 
     policy: PlaceholderPolicy
     dual_placeholder: bool
@@ -145,8 +145,8 @@ class KnockoutRule(Rule):
         return rule, _masked_training(train_rule, sample)
 
     def inputs(self, z, induced, observed):
-        mode = "mnar" if self.dual_placeholder else "mcar"
-        return encode_inputs(self.schema, merge_observed(z, observed, induced, mode, self.policy))
+        merged = merge_observed(z, observed, induced, self.dual_placeholder, self.policy)
+        return encode_inputs(self.schema, merged)
 
     def to_json(self) -> dict:
         return {"policy": self.policy.to_json_dict(), "dual_placeholder": self.dual_placeholder}

@@ -1,7 +1,7 @@
-"""Masks, mask distributions, missingness mechanisms, and rate calibration.
+"""Masks, IID mask sampling, missingness mechanisms, and rate calibration.
 
 A mask is a length-d uint8 vector with 1 marking a missing (or knocked
-out) feature. Induced masks are sampled from a :class:`MaskDistribution`
+out) feature. Induced masks are sampled from an :class:`IID` distribution
 that never sees the data, so independence from inputs and targets holds
 by construction. Observed missingness is injected by the mechanisms at
 the bottom of this module.
@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "as_mask",
     "mask_to_bits",
     "IID",
-    "Weighted",
-    "MaskDistribution",
-    "MCAR",
-    "MNARSelfCensor",
     "calibrate_rate",
     "sample_mask",
     "sample_masks",
@@ -30,18 +25,6 @@ __all__ = [
     "inject_mnar_self_censor",
     "enumerate_patterns",
 ]
-
-
-def as_mask(bits, d: int | None = None) -> np.ndarray:
-    """Validate and return a mask as a uint8 vector."""
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError(f"mask must be 1-dimensional, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("mask entries must be 0 or 1")
-    if d is not None and arr.shape[0] != d:
-        raise ValueError(f"mask length {arr.shape[0]} != d {d}")
-    return arr.astype(np.uint8)
 
 
 def mask_to_bits(mask: np.ndarray) -> str:
@@ -63,56 +46,6 @@ class IID:
             raise ValueError("d must be >= 1")
 
 
-@dataclass(frozen=True)
-class Weighted:
-    """Explicit distribution over a finite list of patterns."""
-
-    patterns: tuple[np.ndarray, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.patterns) != len(self.probabilities):
-            raise ValueError("patterns and probabilities must have equal length")
-        if not self.patterns:
-            raise ValueError("Weighted needs at least one pattern")
-        d = len(self.patterns[0])
-        masks = tuple(as_mask(p, d) for p in self.patterns)
-        object.__setattr__(self, "patterns", masks)
-        probs = np.asarray(self.probabilities, dtype=float)
-        if (probs < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probabilities must sum to 1 (got {total})")
-        # Tolerate text-config rounding by renormalizing within tolerance.
-        object.__setattr__(self, "probabilities", tuple(probs / total))
-
-
-MaskDistribution = IID | Weighted
-
-
-@dataclass(frozen=True)
-class MCAR:
-    """Each entry independently missing with probability p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class MNARSelfCensor:
-    """An entry is missing exactly when it exceeds its column's q-quantile."""
-
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
-
-
 def calibrate_rate(d: int, p_clean: float) -> float:
     """Knockout rate r with (1 - r)^d = p_clean.
 
@@ -126,20 +59,14 @@ def calibrate_rate(d: int, p_clean: float) -> float:
     return 1.0 - p_clean ** (1.0 / d)
 
 
-def sample_mask(dist: MaskDistribution, rng: np.random.Generator) -> np.ndarray:
+def sample_mask(dist: IID, rng: np.random.Generator) -> np.ndarray:
     """Draw one mask. Takes no data argument: masks are independent of X, Y."""
     return sample_masks(dist, 1, rng)[0]
 
 
-def sample_masks(dist: MaskDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_masks(dist: IID, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n masks as an (n, d) uint8 matrix."""
-    if isinstance(dist, IID):
-        return (rng.random((n, dist.d)) < dist.rate).astype(np.uint8)
-    if isinstance(dist, Weighted):
-        idx = rng.choice(len(dist.patterns), size=n, p=np.asarray(dist.probabilities))
-        table = np.stack(dist.patterns)
-        return table[idx]
-    raise TypeError(f"unknown mask distribution: {dist!r}")
+    return (rng.random((n, dist.d)) < dist.rate).astype(np.uint8)
 
 
 def inject_mcar(
@@ -151,7 +78,8 @@ def inject_mcar(
     underlying values stay available for oracle checks but trainers must
     treat N == 1 entries as unavailable.
     """
-    MCAR(p)  # validate
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     data = np.asarray(data, dtype=float)
     observed_mask = (rng.random(data.shape) < p).astype(np.uint8)
     return data, observed_mask
@@ -164,7 +92,8 @@ def inject_mnar_self_censor(data: np.ndarray, q: float) -> tuple[np.ndarray, np.
     1-based index ceil(q * n)); entries strictly greater are censored.
     Deterministic given the dataset.
     """
-    MNARSelfCensor(q)  # validate
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must be in (0, 1), got {q}")
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     if n == 0:

@@ -44,10 +44,10 @@ from .schema import (
 )
 from .worlds import (
     GaussianWorld,
+    MixedClassWorld,
     draw_dataset,
     empirical_conditional,
     generate_mixed_classification,
-    make_class_world,
     sample_gaussian_world,
 )
 
@@ -169,7 +169,7 @@ def build_repetition(
         order = rng_data.permutation(x_all.shape[0])  # fresh split per repetition
         x_all, y_all = x_all[order], y_all[order]
     else:
-        class_world = make_class_world(cfg.world_kind)
+        class_world = MixedClassWorld(kind=cfg.world_kind)
         x_all, y_all = generate_mixed_classification(class_world, cfg.n_total, rng_data)
     n_train = int(round(x_all.shape[0] * cfg.train_fraction))
     x_train, y_train = x_all[:n_train], y_all[:n_train]
@@ -487,22 +487,26 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
     return {"marginal_jsd": _jsd_for_pattern}
 
 
-def _write_json_line(path: Path, obj) -> None:
+def _write_json_line(path: Path, obj) -> Path:
     # `json.dumps` without indent runs the C encoder; `json.dump` never does.
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, allow_nan=False))
         fh.write("\n")
+    return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return path
 
 
 def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_reports) -> None:
+    """Write every report, model, trace and data file, then a manifest that
+    hashes exactly those files (not others an earlier run left in ``out``)."""
     (out / "models").mkdir(exist_ok=True)
     (out / "traces").mkdir(exist_ok=True)
     (out / "worlds").mkdir(exist_ok=True)
@@ -511,7 +515,7 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
     sweeps = [r for r in (reports, jsd_reports) if r]
     rows = [row for sweep in sweeps for row in report_rows(sweep)]
     header = ["method", "pattern", "popcount", "metric", "rep", "value"]
-    _write_csv(out / "report_long.csv", header, rows)
+    written = [_write_csv(out / "report_long.csv", header, rows)]
 
     plot_rows = []
     agg = {}
@@ -522,37 +526,42 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         for name, entries in aggregates_dict(sweep).items():
             agg.setdefault(name, {}).update(entries)
     plot_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write_csv(out / "plotdata.csv", ["method", "metric", "popcount", "mean", "std"], plot_rows)
+    plot_header = ["method", "metric", "popcount", "mean", "std"]
+    written.append(_write_csv(out / "plotdata.csv", plot_header, plot_rows))
     with open(out / "aggregates.json", "w") as fh:
         json.dump(agg, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+    written.append(out / "aggregates.json")
 
     for (name, rep), pipe in sorted(pipelines.items()):
-        _write_json_line(out / "models" / f"{name}_rep{rep}.json", pipe.to_json_dict())
+        path = out / "models" / f"{name}_rep{rep}.json"
+        written.append(_write_json_line(path, pipe.to_json_dict()))
     for (name, rep), trace in sorted(traces.items()):
-        _write_csv(out / "traces" / f"{name}_rep{rep}.csv", ["step", "loss"], trace)
+        path = out / "traces" / f"{name}_rep{rep}.csv"
+        written.append(_write_csv(path, ["step", "loss"], trace))
 
     for data in reps:
         if data.world is not None:
-            _write_json_line(out / "worlds" / f"rep{data.rep}.json", data.world.to_json_dict())
+            path = out / "worlds" / f"rep{data.rep}.json"
+            written.append(_write_json_line(path, data.world.to_json_dict()))
         train_rows = [tuple(x) + (y,) for x, y in zip(data.x_train, data.y_train)]
-        _write_csv(
+        written.append(_write_csv(
             out / "data" / f"train_rep{data.rep}.csv",
             [*(f"x{i + 1}" for i in range(data.schema.d)), "y"],
             [tuple(float(v) for v in row) for row in train_rows],
-        )
-        _write_csv(
+        ))
+        written.append(_write_csv(
             out / "data" / f"train_mask_rep{data.rep}.csv",
             [f"x{i + 1}" for i in range(data.schema.d)],
             [tuple(int(v) for v in row) for row in data.train_observed],
-        )
+        ))
         if cfg.dump_test_data:
             test_rows = [tuple(float(v) for v in x) + (float(y),) for x, y in zip(data.x_test, data.y_test)]
-            _write_csv(
+            written.append(_write_csv(
                 out / "data" / f"test_rep{data.rep}.csv",
                 [*(f"x{i + 1}" for i in range(data.schema.d)), "y"],
                 test_rows,
-            )
+            ))
 
     notes = ["training losses are batch means over mini-batches"]
     if cfg.mechanism == "mnar_self_censor":
@@ -566,12 +575,11 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         "repetitions": cfg.repetitions,
         "version": __version__,
         "notes": notes,
-        "files": {},
+        "files": {
+            str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in written
+        },
     }
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            manifest["files"][str(path.relative_to(out))] = digest
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -23,7 +23,7 @@ from .discrete import (
     tv_distance,
     verify_out_of_support,
 )
-from .missingness import Weighted, calibrate_rate, enumerate_patterns, sample_masks
+from .missingness import calibrate_rate, enumerate_patterns
 from .nn import NetworkSpec, forward, init_params
 from .schema import PlaceholderPolicy
 
@@ -97,21 +97,21 @@ def check_out_of_support(n_joints: int = 200, seed: int = 20240) -> CheckResult:
     )
 
 
-def _near_support_joint(eps: float) -> DiscreteJoint:
+def _near_support_joint(eps: Fraction) -> DiscreteJoint:
     # Rare value 3 of feature 0 carries mass eps, concentrated on y=1.
-    base = {
-        ((1, 1), 0): 0.20,
-        ((1, 1), 1): 0.05,
-        ((1, 2), 0): 0.10,
-        ((1, 2), 1): 0.15,
-        ((2, 1), 0): 0.05,
-        ((2, 1), 1): 0.20,
-        ((2, 2), 0): 0.15,
-        ((2, 2), 1): 0.10,
+    percent = {
+        ((1, 1), 0): 20,
+        ((1, 1), 1): 5,
+        ((1, 2), 0): 10,
+        ((1, 2), 1): 15,
+        ((2, 1), 0): 5,
+        ((2, 1), 1): 20,
+        ((2, 2), 0): 15,
+        ((2, 2), 1): 10,
     }
-    table = {k: v * (1.0 - eps) for k, v in base.items()}
-    table[((3, 1), 1)] = 0.7 * eps
-    table[((3, 2), 1)] = 0.3 * eps
+    table = {k: Fraction(v, 100) * (1 - eps) for k, v in percent.items()}
+    table[((3, 1), 1)] = Fraction(7, 10) * eps
+    table[((3, 2), 1)] = Fraction(3, 10) * eps
     joint = DiscreteJoint(alphabets=((1, 2, 3), (1, 2)), y_values=(0, 1), table=table)
     joint.validate()
     return joint
@@ -124,8 +124,8 @@ def check_approximation_bound() -> CheckResult:
     marginal must shrink monotonically as the placeholder mass eps drops,
     staying below C * eps / q for a measured constant C.
     """
-    q = 0.5
-    eps_values = (1e-2, 1e-4, 1e-6)
+    q = Fraction(1, 2)
+    eps_values = tuple(Fraction(1, 10**k) for k in (2, 4, 6))
     tvs = []
     for eps in eps_values:
         joint = _near_support_joint(eps)
@@ -161,9 +161,8 @@ def check_decomposition(seed: int = 11, n_draws: int = 100_000) -> CheckResult:
     w_true = np.array([1.5, -2.0])
     y = x @ w_true + 0.1 * rng.standard_normal(n)
     policy = PlaceholderPolicy(np.array([10.0, 10.0]), np.array([-10.0, -10.0]))
-    patterns = [np.array(bits, dtype=np.uint8) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    patterns = np.array(((0, 0), (0, 1), (1, 0), (1, 1)), dtype=np.uint8)
     probs = (0.4, 0.3, 0.2, 0.1)
-    dist = Weighted(tuple(patterns), probs)
 
     spec = NetworkSpec(widths=(2, 16, 1))
     params = init_params(spec, rng)
@@ -174,7 +173,7 @@ def check_decomposition(seed: int = 11, n_draws: int = 100_000) -> CheckResult:
 
     exact = sum(p * mean_loss(m) for p, m in zip(probs, patterns))
 
-    masks = sample_masks(dist, n_draws, rng)
+    masks = patterns[rng.choice(4, size=n_draws, p=probs)]
     idx = rng.integers(0, n, size=n_draws)
     x_aug = apply_knockout(x[idx], masks, policy)
     residuals = forward(spec, params, x_aug).ravel() - y[idx]

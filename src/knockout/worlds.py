@@ -20,7 +20,6 @@ __all__ = [
     "sample_gaussian_world",
     "draw_dataset",
     "bayes_conditional_mean",
-    "make_class_world",
     "generate_mixed_classification",
     "class_posterior",
     "empirical_conditional",
@@ -148,10 +147,6 @@ class MixedClassWorld:
             raise ValueError("class scales must be positive")
 
 
-def make_class_world(kind: str, **overrides) -> MixedClassWorld:
-    return MixedClassWorld(kind=kind, **overrides)
-
-
 def generate_mixed_classification(
     world: MixedClassWorld, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +223,6 @@ def empirical_conditional(
     y: np.ndarray,
     bins: int = 50,
     discrete: bool = False,
-    smoothing: bool = True,
 ) -> BinnedConditional:
     """Histogram estimate of P(Y=1 | feature).
 
@@ -258,12 +252,7 @@ def empirical_conditional(
     idx = np.clip(np.searchsorted(edges, x_feature, side="right") - 1, 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
     ones = np.bincount(idx, weights=y, minlength=bins)
-    if smoothing:
-        p1 = (ones + 1.0) / (counts + 2.0)
-    else:
-        if (counts == 0).any():
-            raise ValueError("empty bin with smoothing disabled")
-        p1 = ones / counts
+    p1 = (ones + 1.0) / (counts + 2.0)
     centers = (edges[:-1] + edges[1:]) / 2.0
     mass = counts / counts.sum()
     return BinnedConditional(centers, p1, mass, counts, edges)

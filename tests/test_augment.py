@@ -47,26 +47,25 @@ def test_apply_knockout_idempotent(x, bits):
 
 
 def test_merge_mcar_union_rule():
-    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 1]), "mcar", POLICY)
+    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 1]), False, POLICY)
     np.testing.assert_array_equal(out, [10.0, 10.0])
 
 
 def test_merge_mnar_dual_placeholder():
-    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 0]), "mnar", POLICY)
+    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 0]), True, POLICY)
     np.testing.assert_array_equal(out, [-10.0, 0.7])
 
 
 def test_merge_mnar_knockout_overrides():
-    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([1, 0]), "mnar", POLICY)
+    out = merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([1, 0]), True, POLICY)
     np.testing.assert_array_equal(out, [10.0, 0.7])
 
 
-def test_merge_requires_mode_when_observed_nonzero():
-    with pytest.raises(ValueError, match="merge mode"):
-        merge_observed(np.array([0.3, 0.7]), np.array([1, 0]), np.array([0, 0]), None, POLICY)
-    # Zero observed mask never needs a mode.
-    out = merge_observed(np.array([0.3, 0.7]), np.zeros(2, dtype=int), np.array([0, 1]), None, POLICY)
-    np.testing.assert_array_equal(out, [0.3, 10.0])
+def test_merge_without_observed_missingness_is_plain_knockout():
+    for dual in (False, True):
+        for observed in (None, np.zeros(2, dtype=int)):
+            out = merge_observed(np.array([0.3, 0.7]), observed, np.array([0, 1]), dual, POLICY)
+            np.testing.assert_array_equal(out, [0.3, 10.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,7 +79,7 @@ def test_mcar_merge_equals_union_knockout(x, n_bits, m_bits):
     x = np.asarray(x)
     n = np.asarray(n_bits)
     m = np.asarray(m_bits)
-    merged = merge_observed(x, n, m, "mcar", policy)
+    merged = merge_observed(x, n, m, False, policy)
     union = apply_knockout(x, np.maximum(n, m), policy)
     np.testing.assert_array_equal(merged, union)
 

@@ -306,6 +306,10 @@ def test_cli_verify_passes_and_prints_reference_values():
     assert "6/13" in result.output and "0.461538" in result.output
     assert "0.0741" in result.output
     assert "130" in result.output
+    # The approximation bound and the decomposition, from rational joints
+    # and a pattern-indexed mask draw.
+    assert "TV(eps) = 6.780e-03, 6.998e-05, 7.000e-07; C = 0.350" in result.output
+    assert "MC 16.583187 vs exact 16.563735" in result.output
     assert "all 6 checks passed" in result.output
 
 

@@ -1,4 +1,4 @@
-"""Exact-oracle tests: values checked in rational arithmetic where possible."""
+"""Exact-oracle tests: every value is checked in rational arithmetic."""
 
 import itertools
 from fractions import Fraction
@@ -50,22 +50,18 @@ def reference_numerators(joint, q, placeholders, evidence):
     """Per-evidence loop over the table: sum of p * prod_i w_i for each label.
 
     w_i = qn * [e_i = placeholder_i] + (qd - qn) * [x_i = e_i] for q = qn / qd,
-    in Fractions when the table and q are rational and in floats otherwise.
+    in Fractions.
     """
-    exact = joint.is_exact and isinstance(q, (Fraction, int))
-    if exact:
-        q = Fraction(q)
-        qn, qd, zero = q.numerator, q.denominator, Fraction(0)
-    else:
-        qn, qd, zero = float(q), 1.0, 0.0
-    num = {y: zero for y in joint.y_values}
+    q = Fraction(q)
+    qn, qd = q.numerator, q.denominator
+    num = {y: Fraction(0) for y in joint.y_values}
     for (x, y), p in joint.table.items():
         w = 1
         for i in range(joint.d):
             w *= (qn if evidence[i] == placeholders[i] else 0) + (
                 (qd - qn) if x[i] == evidence[i] else 0
             )
-        num[y] += w * (p if exact else float(p))
+        num[y] += w * p
     return num
 
 
@@ -73,7 +69,6 @@ def reference_verify_out_of_support(joint, q):
     """The per-evidence check: normalize the reference numerators of every
     reachable evidence and compare them with the marginal, label by label."""
     placeholders = out_of_support_placeholders(joint)
-    exact = joint.is_exact and isinstance(q, (Fraction, int))
     checks = 0
     for bits in itertools.product((0, 1), repeat=joint.d):
         marg = marginal_discrete(joint, bits)
@@ -83,9 +78,7 @@ def reference_verify_out_of_support(joint, q):
             if total == 0:
                 raise UnreachableEvidenceError(f"unreachable evidence {evidence}")
             for y in joint.y_values:
-                induced, expected = num[y] / total, marg[obs_values][y]
-                wrong = (induced != expected) if exact else (abs(induced - expected) > 1e-12)
-                if wrong:
+                if num[y] / total != marg[obs_values][y]:
                     raise ValueError(f"induced != marginal at pattern {bits}, evidence {evidence}")
                 checks += 1
     return checks
@@ -161,13 +154,6 @@ def test_out_of_support_theorem_small_batch():
         joint = random_discrete_joint(rng)
         q = Fraction(int(rng.integers(1, 10)), 10)
         assert verify_out_of_support(joint, q) > 0
-
-
-def test_out_of_support_theorem_float_tables():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        joint = random_discrete_joint(rng, exact=False)
-        assert verify_out_of_support(joint, 0.37) > 0
 
 
 def test_insupport_deviation_counterexample_ratio():
@@ -256,40 +242,34 @@ def test_make_evidence_and_reachability():
     assert ((1,), (1,)) in pairs and ((2,), (2,)) in pairs
 
 
-def test_float_fallback_matches_rationals():
-    rng = np.random.default_rng(5)
-    joint = random_discrete_joint(rng, d_max=2)
-    float_table = {k: float(v) for k, v in joint.table.items()}
-    joint_f = DiscreteJoint(joint.alphabets, joint.y_values, float_table)
-    q = Fraction(1, 4)
-    placeholders = out_of_support_placeholders(joint)
-    for bits in itertools.product((0, 1), repeat=joint.d):
-        for _, evidence in reachable_evidence(joint, bits, placeholders):
-            exact = induced_conditional_discrete(joint, q, placeholders, evidence)
-            approx = induced_conditional_discrete(joint_f, 0.25, placeholders, evidence)
-            for y in joint.y_values:
-                assert abs(float(exact[y]) - approx[y]) < 1e-12
-
-
 def test_joint_validation_rejects_bad_tables():
     with pytest.raises(ValueError, match="sum to 1"):
         DiscreteJoint(((1, 2),), (0,), {((1,), 0): Fraction(1, 2)}).validate()
     with pytest.raises(ValueError, match="alphabets"):
         DiscreteJoint(((1, 2),), (0,), {((3,), 0): Fraction(1)}).validate()
+    # A float probability is rejected by name, not taken as an approximation.
+    half = {((1,), 0): Fraction(1, 2), ((2,), 0): 0.5}
+    with pytest.raises(ValueError, match=r"probability at \(\(2,\), 0\) .* got 0\.5"):
+        DiscreteJoint(((1, 2),), (0,), half).validate()
+    # A float q is rejected rather than read as its exact binary fraction.
+    joint = counterexample_joint()
+    with pytest.raises(ValueError, match=r"q must be an int or a Fraction, got 0\.37"):
+        verify_out_of_support(joint, 0.37)
+    with pytest.raises(ValueError, match=r"q must be an int or a Fraction, got 0\.5"):
+        induced_conditional_discrete(joint, 0.5, (3,), (3,))
+    with pytest.raises(ValueError, match=r"q must be an int or a Fraction, got 0\.5"):
+        insupport_deviation(joint, 0.5, feature=0, placeholder=1)
+    with pytest.raises(ValueError, match=r"q must be in \[0, 1\], got 3/2"):
+        verify_out_of_support(joint, Fraction(3, 2))
 
 
 @st.composite
 def knockout_cases(draw):
     """A random joint, q, placeholders and an evidence grid for the kernel."""
-    exact = draw(st.booleans())
-    joint = random_discrete_joint(
-        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), exact=exact
-    )
+    joint = random_discrete_joint(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     # 0 and 1 are the edges; the large denominator forces Python ints.
     k = draw(st.integers(1, 19))
     q = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(k, 20), Fraction(k, 2**61 - 1)]))
-    if not exact or draw(st.booleans()):
-        q = float(q)
     placeholders = tuple(
         draw(st.sampled_from([*alph, max(alph) + 1])) for alph in joint.alphabets
     )
@@ -312,11 +292,7 @@ def test_batched_numerators_match_per_evidence_oracle(case):
         shown = tuple(v[k] for v, k in zip(evidence, cell))
         expected = reference_numerators(joint, q, placeholders, shown)
         for j, y in enumerate(joint.y_values):
-            got = batched[(*cell, j)]
-            if table.dtype == float:
-                assert got == pytest.approx(expected[y], rel=1e-12, abs=1e-15)
-            else:
-                assert Fraction(int(got), den) == expected[y]
+            assert Fraction(int(batched[(*cell, j)]), den) == expected[y]
 
 
 def test_verify_count_matches_per_evidence_oracle():
@@ -325,8 +301,6 @@ def test_verify_count_matches_per_evidence_oracle():
         joint = random_discrete_joint(rng)
         q = Fraction(int(rng.integers(1, 20)), 20)
         assert verify_out_of_support(joint, q) == reference_verify_out_of_support(joint, q)
-        joint = random_discrete_joint(rng, exact=False)
-        assert verify_out_of_support(joint, 0.37) == reference_verify_out_of_support(joint, 0.37)
     # qd**d * total**2 passes 2**63 here, so the check runs on Python ints.
     joint = random_discrete_joint(rng)
     while joint.d < 3:

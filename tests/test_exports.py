@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,12 +19,15 @@ DELETED = {
     "knockout.methods": ("ImputedRule",),
     "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics"),
     # The out-of-support check computes every evidence of a pattern at once;
-    # nothing read or wrote joint tables as text.
+    # nothing read or wrote joint tables as text. The oracles are rational
+    # only, so the float-or-Fraction alias and its zero helper went too.
     "knockout.discrete": (
         "make_evidence",
         "reachable_evidence",
         "load_joint_table",
         "dump_joint_table",
+        "Prob",
+        "_zero",
     ),
     # No world or config produced bounded, half-bounded or grouped features.
     "knockout.schema": (
@@ -34,22 +38,40 @@ DELETED = {
         "stats_to_json",
         "stats_from_json",
     ),
-    "knockout.missingness": ("Grouped", "bits_to_mask"),
+    # Training samples IID masks only; the mechanisms check their own ranges.
+    "knockout.missingness": (
+        "Grouped",
+        "bits_to_mask",
+        "Weighted",
+        "MaskDistribution",
+        "as_mask",
+        "MCAR",
+        "MNARSelfCensor",
+    ),
     # World files are written, never read back.
-    "knockout.worlds": ("world_to_json", "world_from_json"),
+    "knockout.worlds": ("world_to_json", "world_from_json", "make_class_world"),
     "knockout.nn": ("grad",),
 }
 
 # Fields and methods no command reached: the slots of the retired
-# normalization modes, a policy copy nothing read, unread accessors, and a
-# training field the augmentation hooks take from the experiment config.
+# normalization modes, a policy copy nothing read, unread accessors, a
+# training field the augmentation hooks take from the experiment config,
+# and the float-table flag of the now rational-only joint.
 DELETED_MEMBERS = {
     "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided"),
     "knockout.schema.PlaceholderPolicy": ("zscore_magnitude",),
     "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
-    "knockout.missingness.Weighted": ("d",),
+    "knockout.discrete.DiscreteJoint": ("is_exact",),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
     "knockout.nn.TrainConfig": ("mask_granularity",),
+}
+
+# Parameters whose other values no caller passed: float joints, unsmoothed
+# bins, and a merge mode string where the rule holds a flag.
+DELETED_PARAMETERS = {
+    "knockout.discrete.random_discrete_joint": ("exact",),
+    "knockout.worlds.empirical_conditional": ("smoothing",),
+    "knockout.augment.merge_observed": ("mode",),
 }
 
 
@@ -81,3 +103,12 @@ def test_deleted_members_are_gone(path):
     fields = {field.name for field in dataclasses.fields(cls)}
     for name in DELETED_MEMBERS[path]:
         assert not hasattr(cls, name) and name not in fields, f"{path}.{name}"
+
+
+@pytest.mark.parametrize("path", sorted(DELETED_PARAMETERS))
+def test_deleted_parameters_are_gone(path):
+    module_name, function_name = path.rsplit(".", 1)
+    function = getattr(importlib.import_module(module_name), function_name)
+    parameters = inspect.signature(function).parameters
+    for name in DELETED_PARAMETERS[path]:
+        assert name not in parameters, f"{path}({name})"

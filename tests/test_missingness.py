@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from knockout.missingness import (
     IID,
-    Weighted,
-    as_mask,
     calibrate_rate,
     enumerate_patterns,
     inject_mcar,
@@ -55,23 +53,6 @@ def test_iid_all_zero_frequency_matches_closed_form():
     assert abs(freq - (1 - r) ** d) < 0.01
 
 
-def test_weighted_distribution():
-    patterns = (np.array([0, 0]), np.array([1, 1]))
-    dist = Weighted(patterns, (0.25, 0.75))
-    rng = np.random.default_rng(5)
-    masks = sample_masks(dist, 100_000, rng)
-    assert abs((masks.sum(axis=1) == 2).mean() - 0.75) < 0.01
-
-
-def test_weighted_validates_probabilities():
-    patterns = (np.array([0]), np.array([1]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        Weighted(patterns, (0.5, 0.4))
-    # Rounding within 1e-6 is renormalized rather than rejected.
-    dist = Weighted(patterns, (0.5000001, 0.5))
-    assert abs(sum(dist.probabilities) - 1.0) < 1e-12
-
-
 def test_inject_mcar_extremes_and_rate():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(3000, 9))
@@ -88,6 +69,17 @@ def test_inject_mcar_keeps_values():
     data = rng.normal(size=(50, 3))
     out, _ = inject_mcar(data, 0.5, rng)
     np.testing.assert_array_equal(out, data)
+
+
+def test_mechanisms_reject_out_of_range_parameters():
+    data = np.zeros((4, 2))
+    rng = np.random.default_rng(0)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            inject_mcar(data, p, rng)
+    for q in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+            inject_mnar_self_censor(data, q)
 
 
 def test_mnar_self_censor_exact_count():
@@ -142,4 +134,4 @@ def test_enumerate_patterns_count_formula(d, data):
 def test_mask_bit_string_round_trip():
     mask = np.array([0, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
     assert mask_to_bits(mask) == "010000000"
-    np.testing.assert_array_equal(as_mask([int(c) for c in "010000000"]), mask)
+    np.testing.assert_array_equal(np.array([int(c) for c in "010000000"], dtype=np.uint8), mask)

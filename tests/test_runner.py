@@ -575,6 +575,21 @@ def test_jobs_and_serial_runs_write_the_same_bytes(kind, tmp_path):
     assert b"report_long.csv" in manifest and b"models/knockout_rep1.json" in manifest
 
 
+def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
+    from knockout.runner import run_experiment
+
+    reused = tmp_path / "reused"
+    run_experiment(_world_config("gaussian", tmp_path, repetitions=2), out_dir=reused)
+    cfg = _world_config("gaussian", tmp_path, repetitions=1)
+    run_experiment(cfg, out_dir=reused)
+    run_experiment(cfg, out_dir=tmp_path / "fresh")
+    # The two-repetition run's rep1 files stay on disk but are not this run's.
+    assert (reused / "models" / "knockout_rep1.json").exists()
+    manifest = (reused / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "fresh" / "manifest.json").read_bytes()
+    assert not [name for name in json.loads(manifest)["files"] if "rep1" in name]
+
+
 def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     import knockout.runner as runner
 

@@ -5,12 +5,12 @@ import pytest
 
 from knockout.worlds import (
     GaussianWorld,
+    MixedClassWorld,
     bayes_conditional_mean,
     class_posterior,
     draw_dataset,
     empirical_conditional,
     generate_mixed_classification,
-    make_class_world,
     sample_gaussian_world,
 )
 
@@ -121,13 +121,13 @@ def test_world_json_round_trip():
 
 
 def test_class_world_label_frequency():
-    world = make_class_world("continuous2d")
+    world = MixedClassWorld(kind="continuous2d")
     _, y = generate_mixed_classification(world, 10_000, np.random.default_rng(13))
     assert abs(y.mean() - 0.5) < 0.01
 
 
 def test_class_world_degenerate_error_half():
-    world = make_class_world("continuous2d", sigma0=1.0, sigma1=1.0)  # identical classes
+    world = MixedClassWorld(kind="continuous2d", sigma0=1.0, sigma1=1.0)  # identical classes
     rng = np.random.default_rng(14)
     x, y = generate_mixed_classification(world, 10_000, rng)
     pred = (class_posterior(world, x) > 0.5).astype(int)
@@ -135,8 +135,8 @@ def test_class_world_degenerate_error_half():
 
 
 def test_class_world_well_separated():
-    world = make_class_world(
-        "continuous2d", mean0=(-5.0, -5.0), mean1=(5.0, 5.0), sigma0=1.0, sigma1=1.0
+    world = MixedClassWorld(
+        kind="continuous2d", mean0=(-5.0, -5.0), mean1=(5.0, 5.0), sigma0=1.0, sigma1=1.0
     )
     rng = np.random.default_rng(15)
     x, y = generate_mixed_classification(world, 10_000, rng)
@@ -145,7 +145,7 @@ def test_class_world_well_separated():
 
 
 def test_mixed_world_feature_types():
-    world = make_class_world("mixed")
+    world = MixedClassWorld(kind="mixed")
     rng = np.random.default_rng(16)
     x, y = generate_mixed_classification(world, 20_000, rng)
     assert set(np.unique(x[:, 0])) == {1.0, 2.0}
@@ -179,10 +179,3 @@ def test_empirical_conditional_discrete_exact_ratios():
     assert est.p1[0] == pytest.approx(2.0 / 3.0)
     assert est.p1[1] == 0.0
     np.testing.assert_array_equal(est.counts, [3, 2])
-
-
-def test_empirical_conditional_unsmoothed_empty_bin_errors():
-    x = np.array([0.0, 0.0, 10.0])
-    y = np.array([0, 1, 1])
-    with pytest.raises(ValueError, match="empty bin"):
-        empirical_conditional(x, y, bins=5, smoothing=False)
