@@ -147,7 +147,11 @@ def _numeric_table(joint: DiscreteJoint, q: Fraction) -> tuple[np.ndarray, int, 
     q = _rational_q(q)
     # Every weight is at most qd, so an induced numerator is at most
     # qd**d times the table's total mass; the equality test multiplies
-    # it by a marginal total, which is at most that mass again.
+    # it by a marginal total, which is at most that mass again. The
+    # extended grid of verify_out_of_support forms nothing larger: each
+    # induced entry is one a single-pattern evidence grid would form, and
+    # each marginal entry is a sum of table entries over some axes, so at
+    # most the mass.
     mass = abs(dense).sum()
     if q.denominator**joint.d * mass * mass < 2**63:
         dense = dense.astype(np.int64)
@@ -265,36 +269,45 @@ def verify_out_of_support(joint: DiscreteJoint, q: Fraction) -> int:
     Uses out-of-support placeholders and requires exact equality. Returns
     the number of (pattern, evidence, label) comparisons made: every label
     of every observed-value tuple with positive probability.
+
+    All 2**d patterns are checked in one contraction over an extended
+    grid: axis i runs over feature i's alphabet and then its placeholder,
+    so a pattern is the block whose masked axes sit at the placeholder
+    index. The marginal table gets one extra index per axis holding that
+    axis's total, which is the marginal with the feature masked.
     """
     placeholders = out_of_support_placeholders(joint)
     table, qn, qd = _numeric_table(joint, q)
-    checks = 0
-    for bits in itertools.product((0, 1), repeat=joint.d):
-        # A masked feature shows its placeholder, an observed one any value.
-        evidence = [
-            (ph,) if b else alph for b, ph, alph in zip(bits, placeholders, joint.alphabets)
-        ]
-        induced = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
-        marg = table.sum(axis=tuple(i for i, b in enumerate(bits) if b), keepdims=True)
-        induced_total = induced.sum(axis=-1, keepdims=True)
-        marg_total = marg.sum(axis=-1, keepdims=True)
-        wrong = induced * marg_total != marg * induced_total
-        reachable = marg_total > 0
-        wrong = reachable & (wrong | (induced_total == 0))
-        if wrong.any():
-            *cell, j = np.argwhere(wrong)[0]
-            shown = tuple(values[k] for values, k in zip(evidence, cell))
-            got, want = induced[tuple(cell)], marg[tuple(cell)]
-            if got.sum() == 0:
-                raise UnreachableEvidenceError(f"unreachable evidence {shown} at pattern {bits}")
-            got = Fraction(int(got[j]), int(got.sum()))
-            want = Fraction(int(want[j]), int(want.sum()))
-            raise ValueError(
-                f"induced != marginal at pattern {bits}, evidence {shown}, "
-                f"y={joint.y_values[j]}: {got} vs {want}"
-            )
-        checks += int(np.count_nonzero(reachable)) * len(joint.y_values)
-    return checks
+    evidence = [(*alph, ph) for alph, ph in zip(joint.alphabets, placeholders)]
+    induced = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
+    marg = table
+    for axis in range(joint.d):
+        marg = np.concatenate([marg, marg.sum(axis=axis, keepdims=True)], axis=axis)
+    induced_total = induced.sum(axis=-1, keepdims=True)
+    marg_total = marg.sum(axis=-1, keepdims=True)
+    wrong = induced * marg_total != marg * induced_total
+    reachable = marg_total > 0
+    wrong = reachable & (wrong | (induced_total == 0))
+    if wrong.any():
+        # Report what a pattern-by-pattern check meets first: the first
+        # failing pattern in itertools.product order (its bits read as a
+        # binary number), then its first failing cell in C order.
+        failing = np.argwhere(wrong)
+        masked = failing[:, :-1] == [len(alph) for alph in joint.alphabets]
+        first = np.argmin(masked @ (1 << np.arange(joint.d)[::-1]))
+        *cell, j = failing[first]
+        bits = tuple(int(b) for b in masked[first])
+        shown = tuple(values[k] for values, k in zip(evidence, cell))
+        got, want = induced[tuple(cell)], marg[tuple(cell)]
+        if got.sum() == 0:
+            raise UnreachableEvidenceError(f"unreachable evidence {shown} at pattern {bits}")
+        got = Fraction(int(got[j]), int(got.sum()))
+        want = Fraction(int(want[j]), int(want.sum()))
+        raise ValueError(
+            f"induced != marginal at pattern {bits}, evidence {shown}, "
+            f"y={joint.y_values[j]}: {got} vs {want}"
+        )
+    return int(np.count_nonzero(reachable)) * len(joint.y_values)
 
 
 def tv_distance(p: Mapping[int, Fraction], q: Mapping[int, Fraction]) -> float:

@@ -69,39 +69,34 @@ def sample_masks(dist: IID, n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random((n, dist.d)) < dist.rate).astype(np.uint8)
 
 
-def inject_mcar(
-    data: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def inject_mcar(data: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     """Mark each entry missing independently with probability p.
 
-    Returns the data untouched together with the observed mask N; the
-    underlying values stay available for oracle checks but trainers must
-    treat N == 1 entries as unavailable.
+    Returns the observed mask N, shaped like ``data``; the data is left
+    untouched, so its values stay available for oracle checks, but
+    trainers must treat N == 1 entries as unavailable.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    data = np.asarray(data, dtype=float)
-    observed_mask = (rng.random(data.shape) < p).astype(np.uint8)
-    return data, observed_mask
+    return (rng.random(np.shape(data)) < p).astype(np.uint8)
 
 
-def inject_mnar_self_censor(data: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+def inject_mnar_self_censor(data: np.ndarray, q: float) -> np.ndarray:
     """Self-censor: entry (i, j) is missing iff it exceeds column j's q-quantile.
 
     The quantile is the nearest-rank empirical quantile (sorted value at
     1-based index ceil(q * n)); entries strictly greater are censored.
-    Deterministic given the dataset.
+    Returns the observed mask. Deterministic given the dataset.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     if n == 0:
-        return data, np.zeros_like(data, dtype=np.uint8)
+        return np.zeros_like(data, dtype=np.uint8)
     rank = max(1, math.ceil(q * n))
     cutoffs = np.sort(data, axis=0)[rank - 1]
-    observed_mask = (data > cutoffs).astype(np.uint8)
-    return data, observed_mask
+    return (data > cutoffs).astype(np.uint8)
 
 
 def enumerate_patterns(d: int, k_max: int) -> list[np.ndarray]:

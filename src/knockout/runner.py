@@ -178,7 +178,7 @@ def build_repetition(
     observed = np.zeros_like(x_train, dtype=np.uint8)
     test_observed = np.zeros_like(x_test, dtype=np.uint8)
     if cfg.mechanism == "mcar":
-        _, observed = inject_mcar(x_train, cfg.mcar_p, _rng_for(cfg.seed0, rep, _MISSING_STREAM))
+        observed = inject_mcar(x_train, cfg.mcar_p, _rng_for(cfg.seed0, rep, _MISSING_STREAM))
     elif cfg.mechanism == "mnar_self_censor":
         # Continuous features self-censor; categorical ones never do.
         # Self-censoring is a property of the world, not the split: the
@@ -186,8 +186,8 @@ def build_repetition(
         # per split), and those entries are MNAR-tagged at inference. The
         # underlying values stay in x_test for the Bayes oracle.
         cont = [j for j, kind in enumerate(schema.kinds) if not isinstance(kind, Categorical)]
-        _, observed[:, cont] = inject_mnar_self_censor(x_train[:, cont], cfg.mnar_q)
-        _, test_observed[:, cont] = inject_mnar_self_censor(x_test[:, cont], cfg.mnar_q)
+        observed[:, cont] = inject_mnar_self_censor(x_train[:, cont], cfg.mnar_q)
+        test_observed[:, cont] = inject_mnar_self_censor(x_test[:, cont], cfg.mnar_q)
 
     schema = schema.with_stats(fit_normalization(schema, x_train, observed))
 

@@ -309,7 +309,7 @@ def test_cli_verify_passes_and_prints_reference_values():
     # The approximation bound and the decomposition, from rational joints
     # and a pattern-indexed mask draw.
     assert "TV(eps) = 6.780e-03, 6.998e-05, 7.000e-07; C = 0.350" in result.output
-    assert "MC 16.583187 vs exact 16.563735" in result.output
+    assert "MC 16.583187 vs exact 16.563735 (3 SE = 0.214850)" in result.output
     assert "all 6 checks passed" in result.output
 
 

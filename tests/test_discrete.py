@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,48 @@ def reference_verify_out_of_support(joint, q):
                     raise ValueError(f"induced != marginal at pattern {bits}, evidence {evidence}")
                 checks += 1
     return checks
+
+
+def per_pattern_verify_out_of_support(joint, q):
+    """The check one pattern at a time: one contraction over the pattern's
+    evidence grid (its placeholder where masked, the alphabet elsewhere),
+    compared with the marginal summed over the masked axes."""
+    placeholders = discrete.out_of_support_placeholders(joint)
+    table, qn, qd = _numeric_table(joint, q)
+    checks = 0
+    for bits in itertools.product((0, 1), repeat=joint.d):
+        evidence = [
+            (ph,) if b else alph for b, ph, alph in zip(bits, placeholders, joint.alphabets)
+        ]
+        induced = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
+        marg = table.sum(axis=tuple(i for i, b in enumerate(bits) if b), keepdims=True)
+        induced_total = induced.sum(axis=-1, keepdims=True)
+        marg_total = marg.sum(axis=-1, keepdims=True)
+        wrong = induced * marg_total != marg * induced_total
+        reachable = marg_total > 0
+        wrong = reachable & (wrong | (induced_total == 0))
+        if wrong.any():
+            *cell, j = np.argwhere(wrong)[0]
+            shown = tuple(values[k] for values, k in zip(evidence, cell))
+            got, want = induced[tuple(cell)], marg[tuple(cell)]
+            if got.sum() == 0:
+                raise UnreachableEvidenceError(f"unreachable evidence {shown} at pattern {bits}")
+            got = Fraction(int(got[j]), int(got.sum()))
+            want = Fraction(int(want[j]), int(want.sum()))
+            raise ValueError(
+                f"induced != marginal at pattern {bits}, evidence {shown}, "
+                f"y={joint.y_values[j]}: {got} vs {want}"
+            )
+        checks += int(np.count_nonzero(reachable)) * len(joint.y_values)
+    return checks
+
+
+def outcome(check, joint, q):
+    """A check's count, or the type and message of what it raised."""
+    try:
+        return check(joint, q)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def test_counterexample_exact_value():
@@ -309,6 +352,37 @@ def test_verify_count_matches_per_evidence_oracle():
     assert _numeric_table(joint, q)[0].dtype == object
     assert _numeric_table(joint, Fraction(5, 20))[0].dtype == np.int64
     assert verify_out_of_support(joint, q) == reference_verify_out_of_support(joint, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 19))
+def test_extended_grid_check_matches_per_pattern_oracle(seed, k):
+    joint = random_discrete_joint(np.random.default_rng(seed))
+    # k/20 keeps int64; a denominator near 2**31 passes the overflow bound
+    # at d >= 2, so the check runs on Python ints.
+    big = Fraction(k, 2**31 - 1)
+    assert _numeric_table(joint, Fraction(k, 20))[0].dtype == np.int64
+    assert _numeric_table(joint, big)[0].dtype == (object if joint.d >= 2 else np.int64)
+    for q in (Fraction(k, 20), big):
+        count = verify_out_of_support(joint, q)
+        assert count == per_pattern_verify_out_of_support(joint, q)
+        assert count == reference_verify_out_of_support(joint, q)
+    # q = 0 and q = 1 leave some evidence unreachable: the same error.
+    for q in (Fraction(0), Fraction(1)):
+        got = outcome(verify_out_of_support, joint, q)
+        assert got[0] is UnreachableEvidenceError
+        assert got == outcome(per_pattern_verify_out_of_support, joint, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 19), data=st.data())
+def test_in_support_placeholders_fail_as_the_per_pattern_oracle(seed, k, data):
+    joint = random_discrete_joint(np.random.default_rng(seed))
+    placeholders = tuple(data.draw(st.sampled_from([*a, max(a) + 1])) for a in joint.alphabets)
+    q = data.draw(st.sampled_from([Fraction(k, 20), Fraction(k, 2**31 - 1)]))
+    with mock.patch.object(discrete, "out_of_support_placeholders", lambda j: placeholders):
+        got = outcome(verify_out_of_support, joint, q)
+        assert got == outcome(per_pattern_verify_out_of_support, joint, q)
 
 
 @pytest.mark.parametrize(

@@ -56,19 +56,21 @@ def test_iid_all_zero_frequency_matches_closed_form():
 def test_inject_mcar_extremes_and_rate():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(3000, 9))
-    _, n0 = inject_mcar(data, 0.0, rng)
+    n0 = inject_mcar(data, 0.0, rng)
     assert n0.sum() == 0
-    _, n1 = inject_mcar(data, 1.0, rng)
+    n1 = inject_mcar(data, 1.0, rng)
     assert n1.all()
-    _, n = inject_mcar(data, 0.1, rng)
+    n = inject_mcar(data, 0.1, rng)
     assert abs(n.mean() - 0.10) < 0.01
 
 
 def test_inject_mcar_keeps_values():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(50, 3))
-    out, _ = inject_mcar(data, 0.5, rng)
-    np.testing.assert_array_equal(out, data)
+    before = data.copy()
+    mask = inject_mcar(data, 0.5, rng)
+    assert mask.shape == data.shape and mask.dtype == np.uint8
+    np.testing.assert_array_equal(data, before)
 
 
 def test_mechanisms_reject_out_of_range_parameters():
@@ -84,7 +86,7 @@ def test_mechanisms_reject_out_of_range_parameters():
 
 def test_mnar_self_censor_exact_count():
     data = np.arange(1, 101, dtype=float)[:, None]
-    _, observed = inject_mnar_self_censor(data, 0.9)
+    observed = inject_mnar_self_censor(data, 0.9)
     # Nearest-rank q90 of 1..100 is 90; entries strictly above are censored.
     assert observed.sum() == 10
     assert set(data[observed[:, 0] == 1, 0]) == set(range(91, 101))
@@ -93,8 +95,8 @@ def test_mnar_self_censor_exact_count():
 def test_mnar_self_censor_fraction_and_determinism():
     rng = np.random.default_rng(2)
     data = rng.normal(size=(2000, 4))
-    _, n_a = inject_mnar_self_censor(data, 0.9)
-    _, n_b = inject_mnar_self_censor(data, 0.9)
+    n_a = inject_mnar_self_censor(data, 0.9)
+    n_b = inject_mnar_self_censor(data, 0.9)
     np.testing.assert_array_equal(n_a, n_b)
     frac = n_a.mean(axis=0)
     assert (np.abs(frac - 0.1) <= 1.0 / 2000 + 1e-12).all()
@@ -103,7 +105,7 @@ def test_mnar_self_censor_fraction_and_determinism():
 def test_mnar_self_censor_near_one_quantile():
     n = 100
     data = np.arange(n, dtype=float)[:, None]
-    _, observed = inject_mnar_self_censor(data, 1.0 - 1.0 / n)
+    observed = inject_mnar_self_censor(data, 1.0 - 1.0 / n)
     assert observed.sum() <= 1
 
 
