@@ -75,7 +75,7 @@ def cmd_run(config_path, out, seeds, jobs, k_max):
 @main.command("verify")
 @click.option("--joints", default=200, type=click.IntRange(min=1), show_default=True,
               help="Random joints for the exact marginalization theorem.")
-@click.option("--seed", default=20240, type=int, show_default=True)
+@click.option("--seed", default=20240, type=click.IntRange(min=0), show_default=True)
 def cmd_verify(joints, seed):
     """Run the exact-oracle identity suite and print one line per check."""
     results = verify_all(n_joints=joints, seed=seed)

@@ -216,6 +216,8 @@ class ExperimentConfig:
             _reject("missingness", "p", f"must be in [0, 1], got {self.mcar_p}")
         if not 0.0 < self.mnar_q < 1.0:
             _reject("missingness", "q", f"must be in (0, 1), got {self.mnar_q}")
+        if self.seed0 < 0:
+            _reject("train", "seed0", f"must be >= 0, got {self.seed0}")
         if self.steps < 0:
             _reject("train", "steps", f"must be >= 0, got {self.steps}")
         if self.batch_size < 1:

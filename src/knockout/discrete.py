@@ -1,10 +1,11 @@
 """Exact discrete-enumeration oracles for the knockout identities.
 
-A :class:`DiscreteJoint` is a finite p(X, Y) table of rational entries
-(ints or Fractions), and the knockout probability q is rational too. Every
-computation here stays in exact arithmetic (integer sums with one Fraction
-at the end), which is what makes the placeholder theorems checkable as
-equalities rather than approximations:
+A :class:`DiscreteJoint` is a finite p(X, Y) table held as one dense
+array of Python-int numerators over a common denominator, checked when
+the joint is built, and the knockout probability q is rational too.
+Every computation here stays in exact arithmetic (integer sums with one
+Fraction at the end), which is what makes the placeholder theorems
+checkable as equalities rather than approximations:
 
 * out-of-support placeholders: conditioning the knockout-augmented input
   on a placeholder pattern yields exactly the marginal p(Y | observed);
@@ -14,11 +15,8 @@ equalities rather than approximations:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -43,63 +41,41 @@ class UnreachableEvidenceError(ValueError):
 class DiscreteJoint:
     """Finite joint distribution over feature tuples and labels.
 
-    Probabilities are ints or Fractions. The table must not change once the
-    joint is used: ``dense_table`` is computed on first access and cached.
+    ``numerators`` is indexed [x_1, ..., x_d, y]: axis i runs over
+    ``alphabets[i]`` and the last axis over ``y_values``, in their declared
+    order. It holds Python ints (``dtype=object``), and p(x, y) is
+    ``numerators[x, y] / denominator``. The table is checked when the joint
+    is built and must not change afterwards.
     """
 
     alphabets: tuple[tuple[int, ...], ...]
     y_values: tuple[int, ...]
-    table: Mapping[tuple[tuple[int, ...], int], Fraction]
+    numerators: np.ndarray
+    denominator: int
+
+    def __post_init__(self):
+        table = self.numerators
+        if not isinstance(table, np.ndarray) or table.dtype != object:
+            kind = getattr(table, "dtype", type(table).__name__)
+            raise ValueError(f"numerators must be Python ints (dtype=object), got {kind}")
+        shape = (*(len(alph) for alph in self.alphabets), len(self.y_values))
+        if table.shape != shape:
+            raise ValueError(f"numerators have shape {table.shape}, the alphabets need {shape}")
+        for cell, n in np.ndenumerate(table):
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(
+                    f"numerator at index {cell} must be a non-negative int, got {n!r}"
+                )
+        if not isinstance(self.denominator, int) or self.denominator < 1:
+            raise ValueError(f"denominator must be a positive int, got {self.denominator!r}")
+        if table.sum() != self.denominator:
+            raise ValueError(
+                f"numerators sum to {table.sum()}, not the denominator {self.denominator}"
+            )
 
     @property
     def d(self) -> int:
         return len(self.alphabets)
-
-    @cached_property
-    def dense_table(self) -> tuple[np.ndarray, int]:
-        """The table as one array over (x_1, ..., x_d, y), and its denominator.
-
-        Axis i runs over ``alphabets[i]`` and the last axis over
-        ``y_values``, in their declared order. The entries are Python-int
-        numerators (``dtype=object``) over the common denominator of the
-        probabilities.
-        """
-        den = 1
-        for (x, y), p in self.table.items():
-            if not isinstance(p, (int, Fraction)):
-                raise ValueError(
-                    f"probability at ({x}, {y}) must be an int or a Fraction, got {p!r}"
-                )
-            den = math.lcm(den, p.denominator)
-        shape = [len(alph) for alph in self.alphabets] + [len(self.y_values)]
-        dense = np.zeros(shape, dtype=object)
-        index = [{v: j for j, v in enumerate(alph)} for alph in self.alphabets]
-        y_index = {y: j for j, y in enumerate(self.y_values)}
-        for (x, y), p in self.table.items():
-            cell = (*(ix[v] for ix, v in zip(index, x)), y_index[y])
-            dense[cell] = p.numerator * (den // p.denominator)
-        return dense, den
-
-    def p(self, x: tuple[int, ...], y: int) -> Fraction:
-        return self.table.get((x, y), Fraction(0))
-
-    def support_x(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(*self.alphabets)
-
-    def validate(self) -> None:
-        for (x, y), p in self.table.items():
-            if len(x) != self.d:
-                raise ValueError(f"point {x} has wrong dimension")
-            if any(v not in alph for v, alph in zip(x, self.alphabets)):
-                raise ValueError(f"point {x} outside the declared alphabets")
-            if y not in self.y_values:
-                raise ValueError(f"label {y} outside the declared label set")
-            if p < 0:
-                raise ValueError(f"negative probability at ({x}, {y})")
-        dense, den = self.dense_table
-        total = Fraction(dense.sum(), den)
-        if total != 1:
-            raise ValueError(f"probabilities must sum to 1 exactly, got {total}")
 
 
 def marginal_discrete(
@@ -114,8 +90,7 @@ def marginal_discrete(
     pattern = tuple(int(b) for b in pattern)
     if len(pattern) != joint.d:
         raise ValueError(f"pattern length {len(pattern)} != d {joint.d}")
-    dense, _ = joint.dense_table
-    sums = dense.sum(axis=tuple(i for i, b in enumerate(pattern) if b))
+    sums = joint.numerators.sum(axis=tuple(i for i, b in enumerate(pattern) if b))
     obs_alphabets = [alph for alph, b in zip(joint.alphabets, pattern) if not b]
     out = {}
     for cell in np.ndindex(sums.shape[:-1]):
@@ -138,24 +113,26 @@ def _rational_q(q: Fraction) -> Fraction:
 
 
 def _numeric_table(joint: DiscreteJoint, q: Fraction) -> tuple[np.ndarray, int, int]:
-    """The dense numerators and q = qn / qd, all integers.
+    """The joint's numerators and q = qn / qd, all integers.
 
     The numerators are int64 when a bound proves that no value the oracles
     form can overflow it, Python ints (``dtype=object``) otherwise.
     """
-    dense, _ = joint.dense_table
     q = _rational_q(q)
     # Every weight is at most qd, so an induced numerator is at most
-    # qd**d times the table's total mass; the equality test multiplies
-    # it by a marginal total, which is at most that mass again. The
-    # extended grid of verify_out_of_support forms nothing larger: each
-    # induced entry is one a single-pattern evidence grid would form, and
-    # each marginal entry is a sum of table entries over some axes, so at
-    # most the mass.
-    mass = abs(dense).sum()
+    # qd**d times the table's total mass, its denominator; the equality
+    # test multiplies it by a marginal total, which is at most that mass
+    # again. The extended grid of verify_out_of_support forms nothing
+    # larger: each induced entry is one a single-pattern evidence grid
+    # would form, and each marginal entry is a sum of table entries over
+    # some axes, so at most the mass. The denominator is the one the joint
+    # was built with, not reduced, so the bound can only pick Python ints
+    # more often than a reduced one would, never int64 wrongly.
+    table = joint.numerators
+    mass = joint.denominator
     if q.denominator**joint.d * mass * mass < 2**63:
-        dense = dense.astype(np.int64)
-    return dense, q.numerator, q.denominator
+        table = table.astype(np.int64)
+    return table, q.numerator, q.denominator
 
 
 def _induced_numerators(
@@ -238,7 +215,7 @@ def insupport_deviation(
     if placeholder not in joint.alphabets[feature]:
         raise ValueError(f"placeholder {placeholder} is not in the support of feature {feature}")
     r = 1 - _rational_q(q)
-    dense, _ = joint.dense_table
+    dense = joint.numerators
     # Numerators over (rest..., y): the whole mass, and the mass at the placeholder.
     mass = dense.sum(axis=feature)
     at_ph = np.take(dense, joint.alphabets[feature].index(placeholder), axis=feature)
@@ -329,13 +306,10 @@ def random_discrete_joint(
         tuple(range(1, int(rng.integers(2, alphabet_max + 1)) + 1)) for _ in range(d)
     )
     y_values = tuple(range(int(rng.integers(2, y_max + 1))))
-    cells = list(itertools.product(itertools.product(*alphabets), y_values))
-    weights = rng.integers(1, 10, size=len(cells))
-    weights[rng.random(len(cells)) < zero_fraction] = 0
+    shape = (*(len(alph) for alph in alphabets), len(y_values))
+    # The draws fill the table in C order: y varies fastest, then x_d, ...
+    weights = rng.integers(1, 10, size=shape)
+    weights[rng.random(shape) < zero_fraction] = 0
     if weights.sum() == 0:
-        weights[int(rng.integers(len(cells)))] = 1
-    total = int(weights.sum())
-    table = {cell: Fraction(int(w), total) for cell, w in zip(cells, weights) if w}
-    joint = DiscreteJoint(alphabets, y_values, table)
-    joint.validate()
-    return joint
+        weights.flat[int(rng.integers(weights.size))] = 1
+    return DiscreteJoint(alphabets, y_values, weights.astype(object), int(weights.sum()))

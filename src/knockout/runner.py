@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -111,12 +112,15 @@ def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.nd
             values = []
             for column, cell in zip(header, row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    problem = "not a number" if value is None else "not finite"
                     raise ValueError(
-                        f"{path}, line {reader.line_num}, column {column!r}: "
-                        f"not a number: {cell!r}"
-                    ) from None
+                        f"{path}, line {reader.line_num}, column {column!r}: {problem}: {cell!r}"
+                    )
+                values.append(value)
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -46,13 +46,8 @@ def counterexample_joint() -> DiscreteJoint:
     P(Y=0) = 6/13, which matches neither the prior 3/10 nor the true
     conditional 1.
     """
-    table = {
-        ((1,), 0): Fraction(3, 10),
-        ((2,), 1): Fraction(7, 10),
-    }
-    joint = DiscreteJoint(alphabets=((1, 2),), y_values=(0, 1), table=table)
-    joint.validate()
-    return joint
+    numerators = np.array([[3, 0], [0, 7]], dtype=object)  # [x, y]
+    return DiscreteJoint(((1, 2),), (0, 1), numerators, 10)
 
 
 def check_counterexample() -> CheckResult:
@@ -98,23 +93,13 @@ def check_out_of_support(n_joints: int = 200, seed: int = 20240) -> CheckResult:
 
 
 def _near_support_joint(eps: Fraction) -> DiscreteJoint:
-    # Rare value 3 of feature 0 carries mass eps, concentrated on y=1.
-    percent = {
-        ((1, 1), 0): 20,
-        ((1, 1), 1): 5,
-        ((1, 2), 0): 10,
-        ((1, 2), 1): 15,
-        ((2, 1), 0): 5,
-        ((2, 1), 1): 20,
-        ((2, 2), 0): 15,
-        ((2, 2), 1): 10,
-    }
-    table = {k: Fraction(v, 100) * (1 - eps) for k, v in percent.items()}
-    table[((3, 1), 1)] = Fraction(7, 10) * eps
-    table[((3, 2), 1)] = Fraction(3, 10) * eps
-    joint = DiscreteJoint(alphabets=((1, 2, 3), (1, 2)), y_values=(0, 1), table=table)
-    joint.validate()
-    return joint
+    # Rare value 3 of feature 0 carries mass eps, concentrated on y=1; the
+    # common values share 1 - eps in percent. Both are indexed [x_1, x_2, y].
+    percent = np.array([[[20, 5], [10, 15]], [[5, 20], [15, 10]], [[0, 0], [0, 0]]], dtype=object)
+    rare = np.zeros_like(percent)
+    rare[2] = [[0, 70], [0, 30]]
+    numerators = percent * (eps.denominator - eps.numerator) + rare * eps.numerator
+    return DiscreteJoint(((1, 2, 3), (1, 2)), (0, 1), numerators, 100 * eps.denominator)
 
 
 def check_approximation_bound() -> CheckResult:

@@ -163,6 +163,7 @@ def test_config_validates_values():
         parse_config(f"[world]\nkind = gaussian\n[train]\nloss = hinge\n{method}")
     bad_values = (
         ("train", "steps", "-1"),
+        ("train", "seed0", "-1"),
         ("train", "batch_size", "0"),
         ("train", "learning_rate", "0"),
         ("train", "learning_rate", "-3e-3"),
@@ -318,6 +319,13 @@ def test_cli_verify_rejects_joints_below_one(joints):
     result = CliRunner().invoke(main, ["verify", "--joints", joints])
     assert result.exit_code == 2
     assert "--joints" in result.output and "x>=1" in result.output
+    assert "exact equalities" not in result.output
+
+
+def test_cli_verify_rejects_a_negative_seed():
+    result = CliRunner().invoke(main, ["verify", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.output and "x>=0" in result.output
     assert "exact equalities" not in result.output
 
 
@@ -574,6 +582,9 @@ kind = knockout
         (["a,b,target"], 1, "data.csv: no data rows"),
         ([], 1, "data.csv: empty file"),
         (["a,b,target", "1,2,3"], 3, "section [sweep], key 'k_max': must be <= 2"),
+        (["a,b,target", "1,2,3", "nan,2,3"], 1, "data.csv, line 3, column 'a': not finite: 'nan'"),
+        (["a,b,target", "1,inf,3"], 1, "data.csv, line 2, column 'b': not finite: 'inf'"),
+        (["a,b,target", "1,2,-inf"], 1, "data.csv, line 2, column 'target': not finite: '-inf'"),
     ],
 )
 def test_cli_run_csv_world_rejects_bad_files(tmp_path, rows, k_max, message):

@@ -25,6 +25,13 @@ from knockout.discrete import (
 from knockout.verify import check_out_of_support, counterexample_joint
 
 
+def cells(joint):
+    """((x, y), p) for every cell of the joint's table, p as a Fraction."""
+    for index, n in np.ndenumerate(joint.numerators):
+        x = tuple(alph[k] for alph, k in zip(joint.alphabets, index[:-1]))
+        yield (x, joint.y_values[index[-1]]), Fraction(n, joint.denominator)
+
+
 def make_evidence(pattern, x, placeholders):
     """Augmented-input evidence: placeholder where masked, x elsewhere."""
     return tuple(placeholders[i] if int(b) else x[i] for i, b in enumerate(pattern))
@@ -35,7 +42,7 @@ def reachable_evidence(joint, pattern, placeholders):
     obs_idx = [i for i, b in enumerate(pattern) if int(b) == 0]
     seen = set()
     out = []
-    for (x, _), p in joint.table.items():
+    for (x, _), p in cells(joint):
         if p == 0:
             continue
         key = tuple(x[i] for i in obs_idx)
@@ -56,7 +63,7 @@ def reference_numerators(joint, q, placeholders, evidence):
     q = Fraction(q)
     qn, qd = q.numerator, q.denominator
     num = {y: Fraction(0) for y in joint.y_values}
-    for (x, y), p in joint.table.items():
+    for (x, y), p in cells(joint):
         w = 1
         for i in range(joint.d):
             w *= (qn if evidence[i] == placeholders[i] else 0) + (
@@ -154,20 +161,21 @@ def test_marginal_extremes():
     d = joint.d
     prior = marginal_discrete(joint, (1,) * d)[()]
     total = {y: Fraction(0) for y in joint.y_values}
-    for (x, y), p in joint.table.items():
+    mass = {}
+    for (x, y), p in cells(joint):
         total[y] += p
+        mass.setdefault(x, {})[y] = p
     for y in joint.y_values:
         assert prior[y] == total[y]
 
     full = marginal_discrete(joint, (0,) * d)
-    for x in joint.support_x():
-        mass = {y: joint.p(x, y) for y in joint.y_values}
-        denom = sum(mass.values())
+    for x, row in mass.items():
+        denom = sum(row.values())
         if denom == 0:
             assert x not in full
             continue
         for y in joint.y_values:
-            assert full[x][y] == mass[y] / denom
+            assert full[x][y] == row[y] / denom
 
 
 def test_marginal_matches_brute_force_two_features():
@@ -177,12 +185,13 @@ def test_marginal_matches_brute_force_two_features():
         if joint.d != 2:
             continue
         marg = marginal_discrete(joint, (1, 0))
+        p = dict(cells(joint))
         # Independent brute force: sum the full table over feature 0.
         for x2 in joint.alphabets[1]:
             num = {y: Fraction(0) for y in joint.y_values}
             for x1 in joint.alphabets[0]:
                 for y in joint.y_values:
-                    num[y] += joint.p((x1, x2), y)
+                    num[y] += p[(x1, x2), y]
             denom = sum(num.values())
             if denom == 0:
                 assert (x2,) not in marg
@@ -208,14 +217,7 @@ def test_insupport_deviation_counterexample_ratio():
 
 def test_insupport_deviation_conditional_independence_gives_one():
     # Y independent of X: every ratio must be exactly 1.
-    table = {
-        ((1,), 0): Fraction(3, 20),
-        ((1,), 1): Fraction(3, 20),
-        ((2,), 0): Fraction(7, 20),
-        ((2,), 1): Fraction(7, 20),
-    }
-    joint = DiscreteJoint(((1, 2),), (0, 1), table)
-    joint.validate()
+    joint = DiscreteJoint(((1, 2),), (0, 1), np.array([[3, 3], [7, 7]], dtype=object), 20)
     ratio = insupport_deviation(joint, Fraction(1, 3), feature=0, placeholder=1)
     assert all(v == 1 for v in ratio.values())
 
@@ -257,7 +259,7 @@ def _contexts(joint, feature):
     rest_idx = [i for i in range(joint.d) if i != feature]
     seen = set()
     out = []
-    for (x, _), p in joint.table.items():
+    for (x, _), p in cells(joint):
         if p == 0:
             continue
         ctx = tuple(x[i] for i in rest_idx)
@@ -286,14 +288,21 @@ def test_make_evidence_and_reachability():
 
 
 def test_joint_validation_rejects_bad_tables():
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiscreteJoint(((1, 2),), (0,), {((1,), 0): Fraction(1, 2)}).validate()
-    with pytest.raises(ValueError, match="alphabets"):
-        DiscreteJoint(((1, 2),), (0,), {((3,), 0): Fraction(1)}).validate()
-    # A float probability is rejected by name, not taken as an approximation.
-    half = {((1,), 0): Fraction(1, 2), ((2,), 0): 0.5}
-    with pytest.raises(ValueError, match=r"probability at \(\(2,\), 0\) .* got 0\.5"):
-        DiscreteJoint(((1, 2),), (0,), half).validate()
+    # Every bad table is rejected when the joint is built.
+    def table(*rows):
+        return np.array(rows, dtype=object)
+
+    with pytest.raises(ValueError, match=r"shape \(3, 1\), the alphabets need \(2, 1\)"):
+        DiscreteJoint(((1, 2),), (0,), table([1], [1], [0]), 2)
+    with pytest.raises(ValueError, match="sum to 1, not the denominator 2"):
+        DiscreteJoint(((1, 2),), (0,), table([1], [0]), 2)
+    with pytest.raises(ValueError, match=r"index \(1, 0\) must be a non-negative int, got -1"):
+        DiscreteJoint(((1, 2),), (0,), table([3], [-1]), 2)
+    # A float is rejected by name, not taken as an approximation.
+    with pytest.raises(ValueError, match=r"index \(1, 0\) must be a non-negative int, got 0\.5"):
+        DiscreteJoint(((1, 2),), (0,), table([1], [0.5]), 2)
+    with pytest.raises(ValueError, match=r"Python ints \(dtype=object\), got float64"):
+        DiscreteJoint(((1, 2),), (0,), np.array([[0.5], [0.5]]), 1)
     # A float q is rejected rather than read as its exact binary fraction.
     joint = counterexample_joint()
     with pytest.raises(ValueError, match=r"q must be an int or a Fraction, got 0\.37"):
@@ -330,7 +339,7 @@ def test_batched_numerators_match_per_evidence_oracle(case):
     table, qn, qd = _numeric_table(joint, q)
     batched = _induced_numerators(table, joint.alphabets, placeholders, evidence, qn, qd)
     assert batched.shape == (*(len(v) for v in evidence), len(joint.y_values))
-    _, den = joint.dense_table
+    den = joint.denominator
     for cell in itertools.product(*(range(len(v)) for v in evidence)):
         shown = tuple(v[k] for v, k in zip(evidence, cell))
         expected = reference_numerators(joint, q, placeholders, shown)

@@ -56,12 +56,21 @@ DELETED = {
 # Fields and methods no command reached: the slots of the retired
 # normalization modes, a policy copy nothing read, unread accessors, a
 # training field the augmentation hooks take from the experiment config,
-# and the float-table flag of the now rational-only joint.
+# the float-table flag of the now rational-only joint, and the joint's
+# sparse Fraction table with its dense cache, accessors and separate
+# check: a joint is built from its integer table and checked then.
 DELETED_MEMBERS = {
     "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided"),
     "knockout.schema.PlaceholderPolicy": ("zscore_magnitude",),
     "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
-    "knockout.discrete.DiscreteJoint": ("is_exact",),
+    "knockout.discrete.DiscreteJoint": (
+        "is_exact",
+        "table",
+        "dense_table",
+        "p",
+        "support_x",
+        "validate",
+    ),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
     "knockout.nn.TrainConfig": ("mask_granularity",),
 }

@@ -34,8 +34,6 @@ UNREACHED = {
     "evaluate.PatternResult.value": "read by the gates in tests/test_acceptance.py",
     "worlds.class_posterior": "oracle of the class-world tests in tests/test_worlds.py",
     "worlds._norm_logpdf": "helper of class_posterior",
-    "discrete.DiscreteJoint.p": "oracle of tests/test_discrete.py",
-    "discrete.DiscreteJoint.support_x": "oracle of tests/test_discrete.py",
 }
 
 # World section and missingness section of each world's config.
