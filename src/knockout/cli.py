@@ -11,9 +11,10 @@ import click
 
 from .config import ConfigError, parse_config
 from .nn import TrainingDivergedError
-from .runner import ablate_placeholder as _ablate
-from .runner import run_experiment, sweep_saved_models
 from .verify import verify_all
+
+# `runner` (training, the sweep, the worker pool) is imported inside the
+# commands that use it, so `verify` never loads it.
 
 _OUT_ROOT_ENV = "KNOCKOUT_OUT_ROOT"
 
@@ -63,6 +64,8 @@ def main():
 @click.option("--k-max", default=None, type=int, help="Largest pattern popcount to sweep.")
 def cmd_run(config_path, out, seeds, jobs, k_max):
     """Train every configured method and write the sweep reports."""
+    from .runner import run_experiment
+
     cfg = _apply_overrides(_load_config(config_path), seeds, k_max)
     out_dir = _resolve_out(cfg.out_dir, out)
     try:
@@ -100,6 +103,8 @@ def cmd_verify(joints, seed):
               help="Worker processes; each trains and sweeps one model.")
 def cmd_ablate(config_path, values, out, seeds, jobs):
     """Train one knockout model per placeholder value and sweep each."""
+    from .runner import ablate_placeholder
+
     cfg = _apply_overrides(_load_config(config_path), seeds, None)
     try:
         parsed_values = [float(v) for v in values.split(",") if v.strip()]
@@ -107,7 +112,7 @@ def cmd_ablate(config_path, values, out, seeds, jobs):
         raise click.ClickException(f"bad --values: {exc}") from exc
     out_dir = _resolve_out(cfg.out_dir, out)
     try:
-        artifacts = _ablate(cfg, parsed_values, out_dir=out_dir, jobs=jobs)
+        artifacts = ablate_placeholder(cfg, parsed_values, out_dir=out_dir, jobs=jobs)
     except (ValueError, KeyError, TrainingDivergedError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote ablation reports to {artifacts.out_dir}")
@@ -120,6 +125,8 @@ def cmd_ablate(config_path, values, out, seeds, jobs):
 @click.option("--k-max", default=None, type=int)
 def cmd_sweep(config_path, models_dir, out, k_max):
     """Evaluation-only sweep over previously saved models."""
+    from .runner import sweep_saved_models
+
     cfg = _load_config(config_path)
     out_dir = _resolve_out(cfg.out_dir + "_sweep", out)
     try:

@@ -37,15 +37,16 @@ class UnreachableEvidenceError(ValueError):
     """Conditioning event has probability zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Finite joint distribution over feature tuples and labels.
 
     ``numerators`` is indexed [x_1, ..., x_d, y]: axis i runs over
     ``alphabets[i]`` and the last axis over ``y_values``, in their declared
     order. It holds Python ints (``dtype=object``), and p(x, y) is
-    ``numerators[x, y] / denominator``. The table is checked when the joint
-    is built and must not change afterwards.
+    ``numerators[x, y] / denominator``. The joint keeps a read-only copy of
+    the table, checked when the joint is built. Two joints are equal when
+    their alphabets, labels, denominator and table are.
     """
 
     alphabets: tuple[tuple[int, ...], ...]
@@ -58,6 +59,9 @@ class DiscreteJoint:
         if not isinstance(table, np.ndarray) or table.dtype != object:
             kind = getattr(table, "dtype", type(table).__name__)
             raise ValueError(f"numerators must be Python ints (dtype=object), got {kind}")
+        table = table.copy()
+        table.flags.writeable = False
+        object.__setattr__(self, "numerators", table)
         shape = (*(len(alph) for alph in self.alphabets), len(self.y_values))
         if table.shape != shape:
             raise ValueError(f"numerators have shape {table.shape}, the alphabets need {shape}")
@@ -72,6 +76,16 @@ class DiscreteJoint:
             raise ValueError(
                 f"numerators sum to {table.sum()}, not the denominator {self.denominator}"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteJoint):
+            return NotImplemented
+        return (
+            self.alphabets == other.alphabets
+            and self.y_values == other.y_values
+            and self.denominator == other.denominator
+            and np.array_equal(self.numerators, other.numerators)
+        )
 
     @property
     def d(self) -> int:

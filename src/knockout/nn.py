@@ -53,6 +53,9 @@ class _Scratch(threading.local):
 
 _scratch = _Scratch()
 
+# Rows per forward-pass block in `forward` (training batches are not split).
+_FORWARD_ROWS = 512
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -199,9 +202,18 @@ def _forward_pass(
 
 
 def forward(spec: NetworkSpec, params: Parameters, batch: np.ndarray) -> np.ndarray:
-    """Raw network outputs (reals for a linear head, logits otherwise)."""
+    """Raw network outputs (reals for a linear head, logits otherwise).
+
+    The rows run through the network ``_FORWARD_ROWS`` at a time, so the
+    activations it holds, and the scratch buffers it leaves, have at most
+    that many rows.
+    """
     batch = _check_batch(spec, batch)
-    return _forward_pass(spec, params, batch)[-1].copy()
+    out = np.empty((batch.shape[0], spec.widths[-1]))
+    for start in range(0, batch.shape[0], _FORWARD_ROWS):
+        block = slice(start, start + _FORWARD_ROWS)
+        out[block] = _forward_pass(spec, params, batch[block])[-1]
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

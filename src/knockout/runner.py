@@ -13,8 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -430,8 +428,13 @@ def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> Ru
         for data in reps
     ]
     workers = min(jobs, len(payloads))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_method_job, *zip(*payloads)))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_method_job, *zip(*payloads)))
+    else:
+        results = list(map(_method_job, *zip(*payloads)))
 
     pipelines, traces, per_rep, per_rep_jsd = {}, {}, {}, {}
     for (_, method, data, _, _), (pipe, trace, report, jsd_report) in zip(payloads, results):

@@ -315,6 +315,30 @@ def test_joint_validation_rejects_bad_tables():
         verify_out_of_support(joint, Fraction(3, 2))
 
 
+def test_joint_table_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        counterexample_joint().numerators[0, 0] = 99
+    # The joint holds its own copy: the caller's array stays writable and
+    # a later edit of it does not reach the checked table.
+    table = np.array([[1], [1]], dtype=object)
+    joint = DiscreteJoint(((1, 2),), (0,), table, 2)
+    table[0, 0] = 99
+    assert joint.numerators[0, 0] == 1
+
+
+def test_joints_compare_by_value():
+    assert counterexample_joint() == counterexample_joint()
+    joint = counterexample_joint()
+    moved = joint.numerators.copy()
+    moved.flat[[0, 1]] = moved.flat[[1, 0]]
+    assert joint != DiscreteJoint(joint.alphabets, joint.y_values, moved, joint.denominator)
+    scaled = DiscreteJoint(
+        joint.alphabets, joint.y_values, joint.numerators * 2, joint.denominator * 2
+    )
+    assert joint != scaled  # the same distribution over another denominator
+    assert joint != "joint"
+
+
 @st.composite
 def knockout_cases(draw):
     """A random joint, q, placeholders and an evidence grid for the kernel."""

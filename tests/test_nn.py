@@ -515,3 +515,27 @@ def test_interleaved_training_and_prediction_match_training_alone():
     assert busy_a.trace == alone_a.trace and busy_b.trace == alone_b.trace
     assert np.array_equal(first, predict(spec, alone_b.params, x))
     assert np.array_equal(middle, predict(spec, alone_a.params, x[:11]))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_forward_runs_in_row_blocks(block, monkeypatch):
+    rng = np.random.default_rng(18)
+    specs = (NetworkSpec((18, 20, 20, 1)), NetworkSpec((9, 20, 3), head="logits"))
+    nn._scratch.arrays.clear()
+    for spec in specs:
+        params = init_params(spec, rng)
+        for n in sorted({1, block - 1, block, block + 1, 3 * block + 2}):
+            x = rng.normal(size=(n, spec.widths[0]))
+            monkeypatch.setattr(nn, "_FORWARD_ROWS", n + 1)  # one block
+            whole = forward(spec, params, x)
+            monkeypatch.setattr(nn, "_FORWARD_ROWS", block)
+            blocked = forward(spec, params, x)
+            assert blocked.shape == (n, spec.widths[-1])
+            if n <= block:
+                assert np.array_equal(blocked, whole)
+            else:  # a product split by rows may round its last bit differently
+                assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+            if spec.head == "logits":
+                np.testing.assert_allclose(predict(spec, params, x).sum(axis=1), 1.0, atol=1e-12)
+        # The last call ran 3 * block + 2 rows; no buffer holds more than a block.
+        assert max(buf.shape[0] for buf in nn._scratch.arrays.values()) <= block

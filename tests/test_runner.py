@@ -591,6 +591,8 @@ def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
 
 
 def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    import concurrent.futures
+
     import knockout.runner as runner
 
     started = []
@@ -608,7 +610,8 @@ def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    # `_run_jobs` looks the pool up in concurrent.futures when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = _world_config("gaussian", tmp_path)  # 2 methods x 2 repetitions
     runner.run_experiment(cfg, out_dir=tmp_path / "many", jobs=64)
     runner.run_experiment(cfg, out_dir=tmp_path / "three", jobs=3)
