@@ -37,11 +37,13 @@ class KNN:
             raise ValueError("k must be >= 1")
 
     def to_json_dict(self) -> dict:
+        # The training rows stay arrays: the model writer encodes them a row
+        # at a time.
         return {
             "kind": "knn",
             "k": self.k,
-            "train_x": self.train_x.tolist(),
-            "train_observed": self.train_observed.tolist(),
+            "train_x": self.train_x,
+            "train_observed": self.train_observed,
             "fallback": self.fallback.tolist(),
         }
 

@@ -121,7 +121,7 @@ class MethodConfig:
     kind: str
     p_clean: float = 0.5
     rate: float | None = None
-    zscore_magnitude: float = 10.0
+    zscore_magnitude: float | None = None  # 10.0 for derived placeholders, unread by mean
     placeholder: str = "derived"  # "derived" | "mean"
     dual_placeholder: bool = True
     knockout_value: float | None = None
@@ -141,14 +141,18 @@ class MethodConfig:
             self._reject("rate", f"must be in [0, 1], got {self.rate}")
         if self.dropout_rate is not None and not 0.0 <= self.dropout_rate <= 1.0:
             self._reject("dropout_rate", f"must be in [0, 1], got {self.dropout_rate}")
-        if not (math.isfinite(self.zscore_magnitude) and self.zscore_magnitude > 0.0):
-            self._reject("zscore_magnitude", f"must be finite and > 0, got {self.zscore_magnitude}")
+        for key in ("zscore_magnitude", "knockout_value", "observed_value"):
+            if getattr(self, key) is not None and self.placeholder == "mean":
+                self._reject(key, "placeholder = mean uses the mean/mode, not this value")
+        if self.zscore_magnitude is None and self.placeholder == "derived":
+            object.__setattr__(self, "zscore_magnitude", 10.0)
+        magnitude = self.zscore_magnitude
+        if magnitude is not None and not (math.isfinite(magnitude) and magnitude > 0.0):
+            self._reject("zscore_magnitude", f"must be finite and > 0, got {magnitude}")
         for key in ("knockout_value", "observed_value"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 self._reject(key, f"must be finite, got {value}")
-            if value is not None and self.placeholder == "mean":
-                self._reject(key, "placeholder = mean uses the mean/mode, not this value")
         if self.k < 1:
             self._reject("k", f"must be >= 1, got {self.k}")
         if (self.knockout_value is not None) and (

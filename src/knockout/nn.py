@@ -277,7 +277,9 @@ def loss_and_grad(
         dz.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             dh = _scratch.get(("dh", layer), hs[layer].shape)
-            np.matmul(dz, params.weights[layer].T, out=dh)
+            # np.dot, not np.matmul: matmul skips BLAS when the inner
+            # dimension is 1, as it is below a one-output head.
+            np.dot(dz, params.weights[layer].T, out=dh)
             active = np.greater(hs[layer], 0.0, out=_scratch.get(("mask", layer), dh.shape, bool))
             dz = np.multiply(dh, active, out=dh)
     return value, flat

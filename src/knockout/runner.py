@@ -267,7 +267,10 @@ class ModelPipeline:
             raise ValueError("proba_for_pattern is for classification pipelines")
         return predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The model file's fields. The weights, biases and a KNN imputer's
+        training rows stay numpy arrays, which `_write_model` encodes a row
+        at a time."""
         return {
             "format_version": 1,
             "name": self.name,
@@ -278,13 +281,25 @@ class ModelPipeline:
                 "activation": self.net_spec.activation,
                 "head": self.net_spec.head,
             },
-            "weights": [w.tolist() for w in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
+            "weights": self.params.weights,
+            "biases": self.params.biases,
             "stats": self.schema.stats.to_json_dict(),
             "y_mean": self.y_mean,
             "y_std": self.y_std,
             **self.rule.to_json(),
         }
+
+    def to_json_dict(self) -> dict:
+        """The model file as plain JSON values, every array as nested lists."""
+        return _plain(self.json_fields())
+
+
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def pipeline_from_json(obj: dict, schema_template: FeatureSchema) -> ModelPipeline:
@@ -376,13 +391,15 @@ def _method_job(
     method: MethodConfig,
     data: RepetitionData,
     method_index: int,
+    out: Path,
     pipeline: ModelPipeline | None = None,
 ):
-    """One (method, repetition), from training to its finished sweep.
+    """One (method, repetition), from training to its written model.
 
-    Trains unless given a loaded ``pipeline``, then sweeps that one model.
-    Returns ``(pipeline, trace, report, jsd_report)``: the trace is None for
-    a loaded pipeline, and the JSD report None for regression.
+    Trains unless given a loaded ``pipeline``, sweeps that one model, then
+    writes its model file, and its trace if it trained, under ``out``.
+    Returns ``(pipeline, report, jsd_report, written)``: the JSD report is
+    None for regression, and ``written`` lists the files the job wrote.
     """
     trace = None
     if pipeline is None:
@@ -397,7 +414,11 @@ def _method_job(
         single_observed = list(1 - np.eye(data.schema.d, dtype=np.uint8))
         jsd_metrics = {method.name: [_jsd_metrics(pipeline, data)]}
         jsd_report = run_pattern_sweep(jsd_metrics, single_observed, n_test)[method.name]
-    return pipeline, trace, report, jsd_report
+    stem = f"{method.name}_rep{data.rep}"
+    written = [_write_model(out / "models" / f"{stem}.json", pipeline)]
+    if trace is not None:
+        written.append(_write_csv(out / "traces" / f"{stem}.csv", ["step", "loss"], trace))
+    return pipeline, report, jsd_report, written
 
 
 def _repetitions(cfg: ExperimentConfig, table: tuple | None) -> list[RepetitionData]:
@@ -415,15 +436,26 @@ def run_experiment(
     return _run_jobs(cfg, out, reps, jobs)
 
 
+def _prepare_out(out: Path) -> None:
+    """Create ``out`` and its subdirectories, and delete an earlier run's
+    manifest, so that a run that fails part-way leaves no manifest naming
+    files it has overwritten."""
+    for sub in ("models", "traces", "worlds", "data"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+
+
 def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> RunArtifacts:
     """Map `_method_job` over every (method, repetition), in a pool of up to
-    ``jobs`` workers, then merge the reports and write all artifacts.
+    ``jobs`` workers, then merge the reports and write the rest of the
+    artifacts. Each job writes its own model and trace.
 
     ``loaded`` maps (method name, rep) to a saved pipeline to sweep instead
     of training one.
     """
+    _prepare_out(out)
     payloads = [
-        (cfg, method, data, mi, None if loaded is None else loaded[(method.name, data.rep)])
+        (cfg, method, data, mi, out, None if loaded is None else loaded[(method.name, data.rep)])
         for mi, method in enumerate(cfg.methods)
         for data in reps
     ]
@@ -436,21 +468,19 @@ def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> Ru
     else:
         results = list(map(_method_job, *zip(*payloads)))
 
-    pipelines, traces, per_rep, per_rep_jsd = {}, {}, {}, {}
-    for (_, method, data, _, _), (pipe, trace, report, jsd_report) in zip(payloads, results):
+    pipelines, per_rep, per_rep_jsd, written = {}, {}, {}, []
+    for (_, method, data, *_), (pipe, report, jsd_report, files) in zip(payloads, results):
         pipelines[(method.name, data.rep)] = pipe
-        if trace is not None:
-            traces[(method.name, data.rep)] = trace
         per_rep.setdefault(method.name, []).append(report)  # in repetition order
         if jsd_report is not None:
             per_rep_jsd.setdefault(method.name, []).append(jsd_report)
+        written += files
     reports = {name: merge_repetitions(per_rep[name]) for name in sorted(per_rep)}
     jsd_reports = None
     if per_rep_jsd:
         jsd_reports = {name: merge_repetitions(per_rep_jsd[name]) for name in sorted(per_rep_jsd)}
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write_artifacts(cfg, out, reps, pipelines, traces, reports, jsd_reports)
+    _write_artifacts(cfg, out, reps, reports, jsd_reports, written)
     return RunArtifacts(out, reports, jsd_reports, pipelines, reps)
 
 
@@ -494,15 +524,53 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
     return {"marginal_jsd": _jsd_for_pattern}
 
 
+# `json.dumps(obj, sort_keys=True, allow_nan=False)`, which runs the C
+# encoder; `json.dump` never does.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def _write_json_line(path: Path, obj) -> Path:
-    # `json.dumps` without indent runs the C encoder; `json.dump` never does.
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, allow_nan=False))
+        fh.write(_encode(obj))
         fh.write("\n")
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
+def _write_model(path: Path, pipe: ModelPipeline) -> Path:
+    """Write the bytes of ``json.dumps(pipe.to_json_dict(), sort_keys=True,
+    allow_nan=False)`` and a newline, encoding every array a row at a time:
+    the model never exists whole as lists or as one string."""
+    with open(path, "w") as fh:
+        _dump(pipe.json_fields(), fh.write)
+        fh.write("\n")
+    return path
+
+
+def _dump(obj, write) -> None:
+    if isinstance(obj, dict):
+        write("{")
+        for i, key in enumerate(sorted(obj)):
+            write(f"{', ' if i else ''}{_encode(key)}: ")
+            _dump(obj[key], write)
+        write("}")
+    elif isinstance(obj, (list, tuple)) or getattr(obj, "ndim", 0) > 1:
+        write("[")
+        for i, item in enumerate(obj):
+            if i:
+                write(", ")
+            _dump(item, write)
+        write("]")
+    else:
+        write(_encode(obj.tolist() if isinstance(obj, np.ndarray) else obj))
+
+
+def _float_rows(x: np.ndarray, y: np.ndarray):
+    """Each row of ``x`` with its ``y`` appended, as Python floats."""
+    for row, target in zip(x, y):
+        yield [*map(float, row), float(target)]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -511,18 +579,14 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
     return path
 
 
-def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_reports) -> None:
-    """Write every report, model, trace and data file, then a manifest that
-    hashes exactly those files (not others an earlier run left in ``out``)."""
-    (out / "models").mkdir(exist_ok=True)
-    (out / "traces").mkdir(exist_ok=True)
-    (out / "worlds").mkdir(exist_ok=True)
-    (out / "data").mkdir(exist_ok=True)
-
+def _write_artifacts(cfg, out: Path, reps, reports, jsd_reports, written: list) -> None:
+    """Write the merged reports and the world and data files, then a
+    manifest that hashes exactly those and the jobs' ``written`` files (not
+    others an earlier run left in ``out``)."""
     sweeps = [r for r in (reports, jsd_reports) if r]
     rows = [row for sweep in sweeps for row in report_rows(sweep)]
     header = ["method", "pattern", "popcount", "metric", "rep", "value"]
-    written = [_write_csv(out / "report_long.csv", header, rows)]
+    written = [*written, _write_csv(out / "report_long.csv", header, rows)]
 
     plot_rows = []
     agg = {}
@@ -540,34 +604,26 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         fh.write("\n")
     written.append(out / "aggregates.json")
 
-    for (name, rep), pipe in sorted(pipelines.items()):
-        path = out / "models" / f"{name}_rep{rep}.json"
-        written.append(_write_json_line(path, pipe.to_json_dict()))
-    for (name, rep), trace in sorted(traces.items()):
-        path = out / "traces" / f"{name}_rep{rep}.csv"
-        written.append(_write_csv(path, ["step", "loss"], trace))
-
     for data in reps:
         if data.world is not None:
             path = out / "worlds" / f"rep{data.rep}.json"
             written.append(_write_json_line(path, data.world.to_json_dict()))
-        train_rows = [tuple(x) + (y,) for x, y in zip(data.x_train, data.y_train)]
+        names = [f"x{i + 1}" for i in range(data.schema.d)]
         written.append(_write_csv(
             out / "data" / f"train_rep{data.rep}.csv",
-            [*(f"x{i + 1}" for i in range(data.schema.d)), "y"],
-            [tuple(float(v) for v in row) for row in train_rows],
+            [*names, "y"],
+            _float_rows(data.x_train, data.y_train),
         ))
         written.append(_write_csv(
             out / "data" / f"train_mask_rep{data.rep}.csv",
-            [f"x{i + 1}" for i in range(data.schema.d)],
-            [tuple(int(v) for v in row) for row in data.train_observed],
+            names,
+            (row.tolist() for row in data.train_observed),
         ))
         if cfg.dump_test_data:
-            test_rows = [tuple(float(v) for v in x) + (float(y),) for x, y in zip(data.x_test, data.y_test)]
             written.append(_write_csv(
                 out / "data" / f"test_rep{data.rep}.csv",
-                [*(f"x{i + 1}" for i in range(data.schema.d)), "y"],
-                test_rows,
+                [*names, "y"],
+                _float_rows(data.x_test, data.y_test),
             ))
 
     notes = ["training losses are batch means over mini-batches"]
@@ -583,13 +639,20 @@ def _write_artifacts(cfg, out: Path, reps, pipelines, traces, reports, jsd_repor
         "version": __version__,
         "notes": notes,
         "files": {
-            str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in written
+            str(path.relative_to(out)): _sha256(path) for path in written
         },
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):  # 64 KiB at a time
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def ablate_placeholder(

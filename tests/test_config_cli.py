@@ -84,13 +84,14 @@ def test_config_rejects_world_and_placeholder_keys_nothing_reads():
         for key in ("path", "target"):
             with pytest.raises(ConfigError, match=rf"section \[world\], key '{key}'"):
                 parse_config(f"[world]\nkind = {world}\n{key} = d.csv\n{method}")
-    for key, value in (("knockout_value", "3"), ("observed_value", "-3")):
+    mean_unread = (("knockout_value", "3"), ("observed_value", "-3"), ("zscore_magnitude", "5"))
+    for key, value in mean_unread:
         with pytest.raises(ConfigError, match=rf"section \[method\.k\], key '{key}'"):
             parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\n{key} = {value}\n")
-    # zscore_magnitude has a default that is always written for knockout,
-    # so a mean-placeholder section accepts it.
-    star = parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\nzscore_magnitude = 5\n")
-    assert star.methods[0].zscore_magnitude == 5.0
+    # A mean placeholder writes no zscore_magnitude, so its text parses back.
+    star = parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\n")
+    assert "zscore_magnitude" not in serialize_config(star)
+    assert parse_config(serialize_config(star)) == star
     csv = parse_config(f"[world]\nkind = csv\npath = d.csv\ntarget = y\n{method}")
     assert (csv.csv_path, csv.csv_target) == ("d.csv", "y")
     text = serialize_config(parse_config(f"[world]\nkind = gaussian\n{method}"))
@@ -128,10 +129,10 @@ def test_shipped_config_hashes_are_pinned():
 
     configs_dir = Path(__file__).resolve().parent.parent / "configs"
     hashes = {
-        "classification2d.ini": "04f319d75539e25af09c7d8dbf91123cc64d0a9d342f5afd0cb0d6584ae2f5e7",
-        "fig1_complete.ini": "68ed4e5f5ffa404521c759d83959d7d617a62c1022e490a59b22a0ed68bf5ed2",
-        "fig1_mcar.ini": "6db51eab89cafbf516bed460a1b37c820125a7c47234b29d758a32329155abca",
-        "fig1_mnar.ini": "8c8c88776cdec4f3949187459dbf102a6781ed02fce04168901b91d10c1f1aa4",
+        "classification2d.ini": "c5f44fdea4f818959f047a125df95d7e2a390f4122a1e4dea7959100198588ef",
+        "fig1_complete.ini": "b6e245589dd1bb528b0cdc0355896a2242625cdade8c8e019a9943f6e3be74a6",
+        "fig1_mcar.ini": "3e907ed8b4a01bdec6ed38438dbd165c3b49c9a91f598e79c3ae3ddec238fed2",
+        "fig1_mnar.ini": "a72b6f4dea9b5f72c8e9ce8c75fbf7bf3a7a95e039d34f19669422c9831fa0fa",
     }
     for name, digest in hashes.items():
         assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name

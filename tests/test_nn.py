@@ -169,6 +169,7 @@ def test_train_bitwise_equal_to_reference_on_100_wide_nets():
         (NetworkSpec((3, 100, 100, 2), head="logits"), "cross_entropy",
          rng.integers(0, 2, size=40), None, 16),
         (NetworkSpec((6, 100, 100, 1)), "mse", rng.normal(size=40), _knock_and_indicate, 32),
+        (NetworkSpec((3, 100, 100, 2)), "mse", rng.normal(size=(40, 2)), None, 128),
     ]
     for spec, loss, y, hook, batch_size in cases:
         cfg = TrainConfig(learning_rate=3e-3, steps=40, batch_size=batch_size, seed=3,
@@ -177,6 +178,21 @@ def test_train_bitwise_equal_to_reference_on_100_wide_nets():
         result = train(spec, cfg, x, y, augment=hook)
         _assert_params_equal(result.params, want_params)
         assert result.trace == want_trace
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_loss_and_grad_bitwise_equal_to_reference_below_a_narrow_head(outputs):
+    # The backward product below the head has inner dimension `outputs`;
+    # at 1, np.matmul skips BLAS where np.dot does not.
+    rng = np.random.default_rng(outputs)
+    spec = NetworkSpec((9, 100, 100, outputs))
+    params = init_params(spec, rng)
+    batch = rng.normal(size=(128, 9))
+    targets = rng.normal(size=(128, outputs))
+    want_value, want_grad = _reference_loss_and_grad(spec, params, batch, targets, "mse")
+    value, grad = loss_and_grad(spec, params, batch, targets, "mse")
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
 
 
 def test_forward_zero_params_gives_zero():

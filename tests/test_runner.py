@@ -342,29 +342,85 @@ def test_invalid_model_file_fails_at_load_naming_the_feature(edit, message):
         pipeline_from_json(obj, _schema_for(cfg))
 
 
-def test_training_determinism_across_processes_payload():
+def _model_text(pipe) -> bytes:
+    """The model file `_write_model` must write: the json.dumps oracle."""
+    return (json.dumps(pipe.to_json_dict(), sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def test_training_determinism_across_processes_payload(tmp_path):
     import pickle
 
-    from knockout.runner import _method_job
+    from knockout.runner import _method_job, _prepare_out
 
     cfg = make_cfg()
     data = build_repetition(cfg, 0)
-    # A worker receives the payload and returns its result pickled.
-    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], data, 0, None)))
-    pipe_a, trace_a, report_a, jsd_a = pickle.loads(pickle.dumps(_method_job(*payload)))
+    worker, local = tmp_path / "worker", tmp_path / "local"
+    _prepare_out(worker)
+    _prepare_out(local)
+    # A worker receives the payload, writes its model and trace, and
+    # returns its result pickled.
+    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], data, 0, worker, None)))
+    pipe_a, report_a, jsd_a, written_a = pickle.loads(pickle.dumps(_method_job(*payload)))
     pipe_b, trace_b = train_method(cfg, cfg.methods[0], data, 0)
-    assert trace_a == trace_b
-    # Serialized comparison: NaN slots in the stats defeat dict equality.
-    assert json.dumps(pipe_a.to_json_dict(), sort_keys=True) == json.dumps(
-        pipe_b.to_json_dict(), sort_keys=True
-    )
+    model, trace = worker / "models" / "knockout_rep0.json", worker / "traces" / "knockout_rep0.csv"
+    assert written_a == [model, trace]
+    assert model.read_bytes() == _model_text(pipe_b) == _model_text(pipe_a)
+    assert trace.read_text().splitlines() == ["step,loss", *(f"{s},{v!r}" for s, v in trace_b)]
     # Sweeping the locally trained model, as `knockout sweep` does, gives
-    # the worker's report.
-    pipe_c, trace_c, report_c, jsd_c = _method_job(cfg, cfg.methods[0], data, 0, pipe_b)
-    assert pipe_c is pipe_b and trace_c is None
+    # the worker's report and model file, and writes no trace.
+    pipe_c, report_c, jsd_c, written_c = _method_job(cfg, cfg.methods[0], data, 0, local, pipe_b)
+    assert pipe_c is pipe_b and written_c == [local / "models" / "knockout_rep0.json"]
+    assert written_c[0].read_bytes() == model.read_bytes()
     assert report_c == report_a
     assert report_a.n_reps == 1 and len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
     assert jsd_a is None and jsd_c is None
+
+
+WRITER_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_METHODS))
+def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
+    from knockout.runner import _write_model
+
+    cfg = parse_config(
+        BASE.format(mechanism="mnar_self_censor").replace(
+            "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{WRITER_METHODS[name]}"
+        )
+    )
+    pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
+    path = tmp_path / "model.json"
+    assert _write_model(path, pipe).read_bytes() == _model_text(pipe)
+    if name == "lin_reg":  # a feature without a fitted model writes null
+        pipe.rule.imputer.coefs[0] = None
+        assert _write_model(path, pipe).read_bytes() == _model_text(pipe)
+        assert json.loads(path.read_text())["imputer"]["coefs"][0] is None
+    pipe.params.weights[-1][0, 0] = np.nan
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _write_model(path, pipe)
+
+
+def test_writing_a_fig1_size_model_allocates_less_than_the_file(tmp_path):
+    import dataclasses
+    import tracemalloc
+
+    from knockout.nn import NetworkSpec, init_params
+    from knockout.runner import _write_model
+
+    cfg = make_cfg()
+    pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
+    spec = NetworkSpec((9, 100, 100, 1))
+    pipe = dataclasses.replace(pipe, net_spec=spec, params=init_params(spec, np.random.default_rng(0)))
+    path = tmp_path / "model.json"
+    _write_model(path, pipe)
+    tracemalloc.start()
+    try:
+        _write_model(path, pipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _model_text(pipe)
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_classification_runner_mixed_world(tmp_path):
@@ -588,6 +644,28 @@ def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
     manifest = (reused / "manifest.json").read_bytes()
     assert manifest == (tmp_path / "fresh" / "manifest.json").read_bytes()
     assert not [name for name in json.loads(manifest)["files"] if "rep1" in name]
+
+
+def test_a_run_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch):
+    import knockout.runner as runner
+
+    cfg = _world_config("gaussian", tmp_path, repetitions=1)  # common_baseline, knockout
+    out = tmp_path / "run"
+    runner.run_experiment(cfg, out_dir=out)
+    assert (out / "manifest.json").exists()
+    train = runner.train_method
+
+    def fail_the_second_method(cfg, method, data, method_index):
+        if method_index == 1:
+            raise RuntimeError(f"{method.name} failed")
+        return train(cfg, method, data, method_index)
+
+    monkeypatch.setattr(runner, "train_method", fail_the_second_method)
+    with pytest.raises(RuntimeError, match="knockout failed"):
+        runner.run_experiment(cfg, out_dir=out)
+    # The first method's model was rewritten; no manifest names it.
+    assert (out / "models" / "common_baseline_rep0.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
