@@ -134,7 +134,8 @@ class KnockoutRule(Rule):
         # under MNAR (MCAR test data has no missing entries to tell apart),
         # and the model keeps the flag it trained with. knockout*
         # (placeholder = mean) under MNAR keeps its configured flag for
-        # inference instead: a known mismatch, see ROADMAP item 3.
+        # inference instead: a known mismatch, pinned by the strict xfail
+        # test_knockout_star_mnar_inference_inputs_equal_training_inputs.
         mnar = cfg.mechanism == "mnar_self_censor"
         dual = method.dual_placeholder and method.placeholder == "derived" and mnar
         train_rule = cls(schema, policy, dual)

@@ -382,28 +382,34 @@ class RunArtifacts:
     out_dir: Path
     reports: dict
     jsd_reports: dict | None
-    pipelines: dict  # (method name, rep) -> ModelPipeline
-    repetitions: list
 
 
 def _method_job(
     cfg: ExperimentConfig,
     method: MethodConfig,
-    data: RepetitionData,
+    rep: int,
     method_index: int,
     out: Path,
-    pipeline: ModelPipeline | None = None,
+    table: tuple | None,
+    models_dir: Path | None,
 ):
-    """One (method, repetition), from training to its written model.
+    """One (method, repetition), from its data to its written files.
 
-    Trains unless given a loaded ``pipeline``, sweeps that one model, then
-    writes its model file, and its trace if it trained, under ``out``.
-    Returns ``(pipeline, report, jsd_report, written)``: the JSD report is
-    None for regression, and ``written`` lists the files the job wrote.
+    Builds repetition ``rep``, then trains the method, or loads its saved
+    model from ``models_dir`` when given; sweeps that one model; and writes
+    its model file, and its trace if it trained, under ``out``. The first
+    method's job also writes the repetition's world and data files.
+    Returns ``(report, jsd_report, written)``: the JSD report is None for
+    regression, and ``written`` lists the files the job wrote.
     """
+    data = build_repetition(cfg, rep, table)
+    stem = f"{method.name}_rep{rep}"
     trace = None
-    if pipeline is None:
+    if models_dir is None:
         pipeline, trace = train_method(cfg, method, data, method_index)
+    else:
+        text = (models_dir / f"{stem}.json").read_text()
+        pipeline = pipeline_from_json(json.loads(text), data.schema)
     task = _task_for(cfg)
     n_test = data.x_test.shape[0]
     patterns = enumerate_patterns(data.schema.d, cfg.k_max)
@@ -414,15 +420,23 @@ def _method_job(
         single_observed = list(1 - np.eye(data.schema.d, dtype=np.uint8))
         jsd_metrics = {method.name: [_jsd_metrics(pipeline, data)]}
         jsd_report = run_pattern_sweep(jsd_metrics, single_observed, n_test)[method.name]
-    stem = f"{method.name}_rep{data.rep}"
     written = [_write_model(out / "models" / f"{stem}.json", pipeline)]
     if trace is not None:
         written.append(_write_csv(out / "traces" / f"{stem}.csv", ["step", "loss"], trace))
-    return pipeline, report, jsd_report, written
-
-
-def _repetitions(cfg: ExperimentConfig, table: tuple | None) -> list[RepetitionData]:
-    return [build_repetition(cfg, rep, table) for rep in range(cfg.repetitions)]
+    if method_index == 0:  # one job per repetition writes its world and data
+        if data.world is not None:
+            path = out / "worlds" / f"rep{rep}.json"
+            written.append(_write_json_line(path, data.world.to_json_dict()))
+        names = [f"x{i + 1}" for i in range(data.schema.d)]
+        train_rows = _float_rows(data.x_train, data.y_train)
+        written.append(_write_csv(out / "data" / f"train_rep{rep}.csv", [*names, "y"], train_rows))
+        mask_rows = (row.tolist() for row in data.train_observed)
+        written.append(_write_csv(out / "data" / f"train_mask_rep{rep}.csv", names, mask_rows))
+        if cfg.dump_test_data:
+            test_rows = _float_rows(data.x_test, data.y_test)
+            path = out / "data" / f"test_rep{rep}.csv"
+            written.append(_write_csv(path, [*names, "y"], test_rows))
+    return report, jsd_report, written
 
 
 def run_experiment(
@@ -431,9 +445,8 @@ def run_experiment(
     jobs: int = 1,
 ) -> RunArtifacts:
     """Execute a full config: train, sweep, and write all artifacts."""
-    reps = _repetitions(cfg, _world_table(cfg))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    return _run_jobs(cfg, out, reps, jobs)
+    return _run_jobs(cfg, out, _world_table(cfg), jobs)
 
 
 def _prepare_out(out: Path) -> None:
@@ -445,19 +458,20 @@ def _prepare_out(out: Path) -> None:
     (out / "manifest.json").unlink(missing_ok=True)
 
 
-def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> RunArtifacts:
+def _run_jobs(cfg, out: Path, table, jobs: int, models_dir: Path | None = None) -> RunArtifacts:
     """Map `_method_job` over every (method, repetition), in a pool of up to
     ``jobs`` workers, then merge the reports and write the rest of the
-    artifacts. Each job writes its own model and trace.
+    artifacts. A job gets indices and the csv world's ``table``, and returns
+    only its reports and the names of the files it wrote.
 
-    ``loaded`` maps (method name, rep) to a saved pipeline to sweep instead
-    of training one.
+    ``models_dir`` holds saved models for the jobs to sweep instead of
+    training.
     """
     _prepare_out(out)
     payloads = [
-        (cfg, method, data, mi, out, None if loaded is None else loaded[(method.name, data.rep)])
+        (cfg, method, rep, mi, out, table, models_dir)
         for mi, method in enumerate(cfg.methods)
-        for data in reps
+        for rep in range(cfg.repetitions)
     ]
     workers = min(jobs, len(payloads))
     if workers > 1:
@@ -468,9 +482,8 @@ def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> Ru
     else:
         results = list(map(_method_job, *zip(*payloads)))
 
-    pipelines, per_rep, per_rep_jsd, written = {}, {}, {}, []
-    for (_, method, data, *_), (pipe, report, jsd_report, files) in zip(payloads, results):
-        pipelines[(method.name, data.rep)] = pipe
+    per_rep, per_rep_jsd, written = {}, {}, []
+    for (_, method, *_), (report, jsd_report, files) in zip(payloads, results):
         per_rep.setdefault(method.name, []).append(report)  # in repetition order
         if jsd_report is not None:
             per_rep_jsd.setdefault(method.name, []).append(jsd_report)
@@ -480,8 +493,8 @@ def _run_jobs(cfg, out: Path, reps, jobs: int, loaded: dict | None = None) -> Ru
     if per_rep_jsd:
         jsd_reports = {name: merge_repetitions(per_rep_jsd[name]) for name in sorted(per_rep_jsd)}
 
-    _write_artifacts(cfg, out, reps, reports, jsd_reports, written)
-    return RunArtifacts(out, reports, jsd_reports, pipelines, reps)
+    _write_artifacts(cfg, out, reports, jsd_reports, written)
+    return RunArtifacts(out, reports, jsd_reports)
 
 
 def _rep_metrics(task: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
@@ -579,10 +592,10 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _write_artifacts(cfg, out: Path, reps, reports, jsd_reports, written: list) -> None:
-    """Write the merged reports and the world and data files, then a
-    manifest that hashes exactly those and the jobs' ``written`` files (not
-    others an earlier run left in ``out``)."""
+def _write_artifacts(cfg, out: Path, reports, jsd_reports, written: list) -> None:
+    """Write the merged reports, then a manifest that hashes exactly those
+    and the jobs' ``written`` files (not others an earlier run left in
+    ``out``)."""
     sweeps = [r for r in (reports, jsd_reports) if r]
     rows = [row for sweep in sweeps for row in report_rows(sweep)]
     header = ["method", "pattern", "popcount", "metric", "rep", "value"]
@@ -603,28 +616,6 @@ def _write_artifacts(cfg, out: Path, reps, reports, jsd_reports, written: list) 
         json.dump(agg, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written.append(out / "aggregates.json")
-
-    for data in reps:
-        if data.world is not None:
-            path = out / "worlds" / f"rep{data.rep}.json"
-            written.append(_write_json_line(path, data.world.to_json_dict()))
-        names = [f"x{i + 1}" for i in range(data.schema.d)]
-        written.append(_write_csv(
-            out / "data" / f"train_rep{data.rep}.csv",
-            [*names, "y"],
-            _float_rows(data.x_train, data.y_train),
-        ))
-        written.append(_write_csv(
-            out / "data" / f"train_mask_rep{data.rep}.csv",
-            names,
-            (row.tolist() for row in data.train_observed),
-        ))
-        if cfg.dump_test_data:
-            written.append(_write_csv(
-                out / "data" / f"test_rep{data.rep}.csv",
-                [*names, "y"],
-                _float_rows(data.x_test, data.y_test),
-            ))
 
     notes = ["training losses are batch means over mini-batches"]
     if cfg.mechanism == "mnar_self_censor":
@@ -686,28 +677,23 @@ def ablate_placeholder(
         )
     ablate_cfg = dataclasses.replace(cfg, methods=tuple(methods))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    return _run_jobs(ablate_cfg, out, _repetitions(ablate_cfg, table), jobs)
+    return _run_jobs(ablate_cfg, out, table, jobs)
 
 
 def sweep_saved_models(
     cfg: ExperimentConfig, models_dir: str | Path, out_dir: str | Path, k_max: int | None = None
 ) -> RunArtifacts:
-    """Evaluation-only run: rebuild the datasets, load the saved models, then
-    sweep and write every artifact as `run_experiment` does."""
+    """Evaluation-only run: each job rebuilds its repetition and loads its
+    saved model, then the run sweeps and writes every artifact as
+    `run_experiment` does."""
     if k_max is not None:
         cfg = dataclasses.replace(cfg, k_max=k_max)
     table = _world_table(cfg)
-    reps = _repetitions(cfg, table)
-    template = _schema_for(cfg, table)
-    pipelines = {}
     for method in cfg.methods:
-        for data in reps:
-            path = Path(models_dir) / f"{method.name}_rep{data.rep}.json"
+        for rep in range(cfg.repetitions):
+            path = Path(models_dir) / f"{method.name}_rep{rep}.json"
             if not path.exists():
                 raise KeyError(
-                    f"missing model for method {method.name!r}, repetition {data.rep}: {path}"
+                    f"missing model for method {method.name!r}, repetition {rep}: {path}"
                 )
-            pipelines[(method.name, data.rep)] = pipeline_from_json(
-                json.loads(path.read_text()), template
-            )
-    return _run_jobs(cfg, Path(out_dir), reps, 1, pipelines)
+    return _run_jobs(cfg, Path(out_dir), table, 1, Path(models_dir))

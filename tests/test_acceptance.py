@@ -18,7 +18,7 @@ from knockout.discrete import induced_conditional_discrete
 from knockout.evaluate import marginal_fidelity_binned
 from knockout.missingness import calibrate_rate, enumerate_patterns
 from knockout.nn import NetworkSpec, Parameters, TrainConfig, init_params, loss_and_grad, predict, train
-from knockout.runner import ablate_placeholder, run_experiment
+from knockout.runner import ablate_placeholder, build_repetition, run_experiment
 from knockout.schema import apply_normalization
 from knockout.verify import (
     check_decomposition,
@@ -443,7 +443,8 @@ def test_classification_fitted_marginal_reference(class_run):
     """A model trained on just one feature is the fidelity floor; the
     knockout model must come close to it."""
     artifacts, _ = class_run
-    reps = artifacts.repetitions
+    run_cfg = parse_config(CLASS_CONFIG.format(out=artifacts.out_dir))
+    reps = [build_repetition(run_cfg, rep) for rep in range(run_cfg.repetitions)]
     for feature, pattern_bits in ((0, "01"), (1, "10")):
         knock_jsd = next(
             r

@@ -289,7 +289,14 @@ def test_cli_run_jobs_parallel_matches_serial(tmp_path):
         ).exit_code
         == 0
     )
-    assert (out_a / "report_long.csv").read_bytes() == (out_b / "report_long.csv").read_bytes()
+    # Workers write the worlds, data, models and traces; the parent writes
+    # the reports and the manifest. Every file matches the serial run's.
+    files = sorted(path.relative_to(out_a) for path in out_a.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(out_b) for path in out_b.rglob("*") if path.is_file())
+    tops = {"worlds", "data", "models", "traces", "manifest.json", "report_long.csv"}
+    assert tops <= {name.parts[0] for name in files}
+    for name in files:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_cli_run_invalid_placeholder_exits_nonzero(tmp_path):
@@ -462,6 +469,9 @@ def test_cli_sweep_missing_model_errors(tmp_path):
     )
     assert result.exit_code != 0
     assert "missing model" in result.output
+    # The check comes before any job: no model is swept, no report written.
+    assert not list((tmp_path / "s").rglob("*.json"))
+    assert not (tmp_path / "s" / "report_long.csv").exists()
 
 
 def test_cli_ablate_single_value(tmp_path):

@@ -353,27 +353,31 @@ def test_training_determinism_across_processes_payload(tmp_path):
     from knockout.runner import _method_job, _prepare_out
 
     cfg = make_cfg()
-    data = build_repetition(cfg, 0)
     worker, local = tmp_path / "worker", tmp_path / "local"
     _prepare_out(worker)
     _prepare_out(local)
-    # A worker receives the payload, writes its model and trace, and
-    # returns its result pickled.
-    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], data, 0, worker, None)))
-    pipe_a, report_a, jsd_a, written_a = pickle.loads(pickle.dumps(_method_job(*payload)))
-    pipe_b, trace_b = train_method(cfg, cfg.methods[0], data, 0)
+    # A worker receives the payload (indices, no data), builds its
+    # repetition, writes its files, and returns its result pickled.
+    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], 0, 0, worker, None, None)))
+    report_a, jsd_a, written_a = pickle.loads(pickle.dumps(_method_job(*payload)))
+    pipe_b, trace_b = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
     model, trace = worker / "models" / "knockout_rep0.json", worker / "traces" / "knockout_rep0.csv"
-    assert written_a == [model, trace]
-    assert model.read_bytes() == _model_text(pipe_b) == _model_text(pipe_a)
+    rep_files = ["worlds/rep0.json", "data/train_rep0.csv", "data/train_mask_rep0.csv"]
+    assert written_a == [model, trace, *(worker / name for name in rep_files)]
+    assert model.read_bytes() == _model_text(pipe_b)
     assert trace.read_text().splitlines() == ["step,loss", *(f"{s},{v!r}" for s, v in trace_b)]
-    # Sweeping the locally trained model, as `knockout sweep` does, gives
-    # the worker's report and model file, and writes no trace.
-    pipe_c, report_c, jsd_c, written_c = _method_job(cfg, cfg.methods[0], data, 0, local, pipe_b)
-    assert pipe_c is pipe_b and written_c == [local / "models" / "knockout_rep0.json"]
-    assert written_c[0].read_bytes() == model.read_bytes()
+    # Sweeping the worker's saved model, as `knockout sweep` does, gives
+    # the worker's report and files, and writes no trace.
+    report_c, jsd_c, written_c = _method_job(cfg, cfg.methods[0], 0, 0, local, None, model.parent)
+    assert written_c == [local / "models" / "knockout_rep0.json", *(local / n for n in rep_files)]
+    for path_a, path_c in zip([model, *written_a[2:]], written_c):
+        assert path_c.read_bytes() == path_a.read_bytes()
     assert report_c == report_a
     assert report_a.n_reps == 1 and len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
     assert jsd_a is None and jsd_c is None
+    # A later method's job writes only its own model and trace.
+    _, _, written_d = _method_job(cfg, cfg.methods[0], 0, 1, local, None, None)
+    assert written_d == [local / "models" / model.name, local / "traces" / trace.name]
 
 
 WRITER_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
@@ -460,7 +464,11 @@ kind = common_baseline
     jsd_vals = [r.value for rep in art.jsd_reports.values() for r in rep.results]
     assert all(np.isfinite(v) and v >= 0 for v in jsd_vals)
     # One-hot width: 2 classes + 2 placeholder slots + 1 continuous feature.
-    assert art.pipelines[("knockout", 0)].net_spec.widths[0] == 5
+    pipe = pipeline_from_json(
+        json.loads((tmp_path / "models" / "knockout_rep0.json").read_text()),
+        build_repetition(cfg, 0).schema,
+    )
+    assert pipe.net_spec.widths[0] == 5
 
 
 def test_ablation_rejects_categorical_worlds(tmp_path):
@@ -518,13 +526,13 @@ placeholder = mean
 """
     )
     art = run_experiment(cfg, out_dir=tmp_path)
-    pipe = art.pipelines[("knockout_star", 0)]
-    data = art.repetitions[0]
+    data = build_repetition(cfg, 0)
+    text = (tmp_path / "models" / "knockout_star_rep0.json").read_text()
+    obj = json.loads(text, parse_constant=lambda name: pytest.fail(f"model JSON holds {name}"))
+    pipe = pipeline_from_json(obj, data.schema)
     codes, counts = np.unique(data.x_train[:, 0], return_counts=True)
     assert pipe.rule.policy.knockout_values[0] == codes[np.argmax(counts)]
     assert np.isfinite(pipe.rule.policy.observed_values).all()
-    text = (tmp_path / "models" / "knockout_star_rep0.json").read_text()
-    json.loads(text, parse_constant=lambda name: pytest.fail(f"model JSON holds {name}"))
     values = [r.value for report in art.reports.values() for r in report.results]
     assert values and np.isfinite(values).all()
 
@@ -668,12 +676,29 @@ def test_a_run_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+def _pickled_types(obj) -> set:
+    """Every type that pickling ``obj`` meets, as a process pool pickles a
+    payload or a result (exact ints, floats, strings and containers aside)."""
+    import io
+    import pickle
+
+    seen = set()
+
+    class TypeRecorder(pickle.Pickler):
+        def reducer_override(self, value):
+            seen.add(type(value))
+            return NotImplemented
+
+    TypeRecorder(io.BytesIO()).dump(obj)
+    return seen
+
+
 def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     import concurrent.futures
 
     import knockout.runner as runner
 
-    started = []
+    started, crossed = [], []
 
     class RecordingPool:  # runs the jobs in this process
         def __init__(self, max_workers):
@@ -686,7 +711,10 @@ def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            for payload in zip(*iterables):  # what would cross to a worker and back
+                crossed.append(payload)
+                crossed.append(fn(*payload))
+                yield crossed[-1]
 
     # `_run_jobs` looks the pool up in concurrent.futures when it starts one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -695,6 +723,14 @@ def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     runner.run_experiment(cfg, out_dir=tmp_path / "three", jobs=3)
     runner.run_experiment(cfg, out_dir=tmp_path / "one", jobs=1)
     assert started == [4, 3]  # one job needs no pool
+    # Jobs take indices and return reports and file names: no payload or
+    # result of a pooled run holds a repetition, a model or an array.
+    assert len(crossed) == 2 * 2 * 4
+    held = set().union(*map(_pickled_types, crossed))
+    forbidden = {runner.RepetitionData, runner.ModelPipeline, np.ndarray}
+    assert not held & forbidden, held & forbidden
+    pipe, _ = runner.train_method(cfg, cfg.methods[0], runner.build_repetition(cfg, 0), 0)
+    assert forbidden <= _pickled_types((runner.build_repetition(cfg, 0), pipe))
 
 
 def test_csv_world_is_read_once_per_command(tmp_path):
