@@ -1,12 +1,12 @@
 """Experiment configuration: a strict INI-style file with nested sections.
 
-Every key is declared once, in ``_KEYS``, and ``_KIND_KEYS`` says which
-method keys each method kind reads. Parsing, the key checks and the
-canonical text all follow these two tables, so a key a run does not read
-is rejected and every key it reads is hashed. Unknown sections or keys
-are rejected outright so that typos cannot silently change an experiment.
-``parse -> serialize -> parse`` is a fixed point, and the canonical
-serialization is what gets hashed into the run manifest.
+Every key is declared once, in ``_KEYS``; ``_WORLD_KEYS``,
+``_MECHANISM_KEYS`` and ``_KIND_KEYS`` say which keys each world kind,
+mechanism and method kind reads. Parsing, the value checks and the
+canonical text all follow these tables, so a key a run does not read (or
+an unknown section) is rejected, naming its section, and every key it
+reads is hashed. ``parse -> serialize -> parse`` is a fixed point, and the
+canonical serialization is what gets hashed into the run manifest.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "serialize_config",
     "config_hash",
     "check_k_max",
+    "train_rows",
 ]
 
 
@@ -32,9 +33,7 @@ class ConfigError(ValueError):
     pass
 
 
-_WORLD_KINDS = ("gaussian", "continuous2d", "mixed", "csv")
 _CLASSIFICATION_WORLDS = ("continuous2d", "mixed")
-_MECHANISMS = ("none", "mcar", "mnar_self_censor")
 _MASK_GRANULARITIES = ("per_batch", "per_sample")
 
 
@@ -46,14 +45,9 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _text(raw: str) -> str | None:
-    """An optional string; an empty value is the same as no key."""
-    return raw or None
-
-
 def _hidden(raw: str) -> tuple[int, ...]:
-    widths = tuple(int(part) for part in raw.split(",") if part.strip())
-    if not widths or any(w < 1 for w in widths):
+    widths = tuple(int(part) for part in raw.split(","))  # an empty width is no int
+    if any(w < 1 for w in widths):
         raise ValueError(f"invalid hidden widths {raw!r}")
     return widths
 
@@ -67,8 +61,8 @@ _KEYS = (
     ("world", "dim", "dim", int),
     ("world", "n_total", "n_total", int),
     ("world", "train_fraction", "train_fraction", float),
-    ("world", "path", "csv_path", _text),
-    ("world", "target", "csv_target", _text),
+    ("world", "path", "csv_path", str),
+    ("world", "target", "csv_target", str),
     ("missingness", "mechanism", "mechanism", str),
     ("missingness", "p", "mcar_p", float),
     ("missingness", "q", "mnar_q", float),
@@ -82,36 +76,42 @@ _KEYS = (
     ("sweep", "k_max", "k_max", int),
     ("sweep", "repetitions", "repetitions", int),
     ("output", "dir", "out_dir", str),
-    ("output", "dump_test_data", "dump_test_data", _bool),
     ("method", "kind", "kind", str),
     ("method", "p_clean", "p_clean", float),
-    ("method", "rate", "rate", float),
     ("method", "zscore_magnitude", "zscore_magnitude", float),
     ("method", "placeholder", "placeholder", str),
     ("method", "dual_placeholder", "dual_placeholder", _bool),
     ("method", "knockout_value", "knockout_value", float),
     ("method", "observed_value", "observed_value", float),
     ("method", "k", "k", int),
-    ("method", "dropout_rate", "dropout_rate", float),
-    ("method", "rescale", "rescale", _bool),
 )
 
-# The method keys each kind reads besides `kind`, in serialized order.
+# The keys that each world kind, mechanism and method kind reads besides
+# the key that picks it, in serialized order. [train], [sweep] and
+# [output] read all their keys.
+_WORLD_KEYS = {
+    "gaussian": ("dim", "n_total", "train_fraction"),
+    "continuous2d": ("n_total", "train_fraction"),
+    "mixed": ("n_total", "train_fraction"),
+    "csv": ("train_fraction", "path", "target"),
+}
+_MECHANISM_KEYS = {"none": (), "mcar": ("p",), "mnar_self_censor": ("q",)}
 _KIND_KEYS = {
-    "knockout": (
-        "p_clean",
-        "zscore_magnitude",
-        "placeholder",
-        "dual_placeholder",
-        "rate",
-        "knockout_value",
-        "observed_value",
-    ),
+    "knockout": ("p_clean", "zscore_magnitude", "placeholder", "dual_placeholder",
+                 "knockout_value", "observed_value"),
     "common_baseline": (),
-    "dropout": ("p_clean", "dropout_rate", "rescale"),
-    "zero_indicator": ("p_clean", "rate"),
+    "dropout": ("p_clean",),
+    "zero_indicator": ("p_clean",),
     "knn": ("k",),
     "lin_reg": (),
+}
+
+# Each section with variants: (the key that picks the variant, its value
+# when the key is absent or None if it is required, the variants' keys).
+_VARIANTS = {
+    "world": ("kind", None, _WORLD_KEYS),
+    "missingness": ("mechanism", "none", _MECHANISM_KEYS),
+    "method": ("kind", None, _KIND_KEYS),
 }
 
 
@@ -120,15 +120,12 @@ class MethodConfig:
     name: str
     kind: str
     p_clean: float = 0.5
-    rate: float | None = None
     zscore_magnitude: float | None = None  # 10.0 for derived placeholders, unread by mean
     placeholder: str = "derived"  # "derived" | "mean"
     dual_placeholder: bool = True
     knockout_value: float | None = None
     observed_value: float | None = None
     k: int = 5
-    dropout_rate: float | None = None
-    rescale: bool = False
 
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
@@ -137,10 +134,6 @@ class MethodConfig:
             self._reject("placeholder", "must be 'derived' or 'mean'")
         if not 0.0 < self.p_clean < 1.0:
             self._reject("p_clean", f"must be in (0, 1), got {self.p_clean}")
-        if self.rate is not None and not 0.0 <= self.rate <= 1.0:
-            self._reject("rate", f"must be in [0, 1], got {self.rate}")
-        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate <= 1.0:
-            self._reject("dropout_rate", f"must be in [0, 1], got {self.dropout_rate}")
         for key in ("zscore_magnitude", "knockout_value", "observed_value"):
             if getattr(self, key) is not None and self.placeholder == "mean":
                 self._reject(key, "placeholder = mean uses the mean/mode, not this value")
@@ -186,39 +179,40 @@ class ExperimentConfig:
     k_max: int = 3
     repetitions: int = 10
     out_dir: str = "out"
-    dump_test_data: bool = False
 
     def __post_init__(self):
-        if self.world_kind not in _WORLD_KINDS:
-            _reject("world", "kind", f"unknown world kind {self.world_kind!r}")
-        for key, value in (("path", self.csv_path), ("target", self.csv_target)):
-            if self.world_kind == "csv" and not value:
-                _reject("world", key, "a csv world needs the data file's path and target column")
-            if self.world_kind != "csv" and value is not None:
-                _reject("world", key, f"only a csv world reads it, not {self.world_kind!r}")
-        if self.mechanism not in _MECHANISMS:
+        # Each value is checked only where its world kind or mechanism reads it.
+        if self.world_kind not in _WORLD_KEYS:
+            _reject("world", "kind", f"unknown kind {self.world_kind!r}")
+        if self.mechanism not in _MECHANISM_KEYS:
             _reject("missingness", "mechanism", f"unknown mechanism {self.mechanism!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
-        if self.n_total < 10:
-            _reject("world", "n_total", f"must be at least 10, got {self.n_total}")
         if not 0.0 < self.train_fraction < 1.0:
             _reject("world", "train_fraction", f"must be in (0, 1), got {self.train_fraction}")
+        if self.world_kind == "csv":
+            if not (self.csv_path and self.csv_target):
+                key = "target" if self.csv_path else "path"
+                _reject("world", key, "a csv world needs the data file's path and target column")
+        elif self.n_total < 10:  # a generated world: its size is n_total
+            _reject("world", "n_total", f"must be at least 10, got {self.n_total}")
+        else:
+            train_rows(self.n_total, self.train_fraction)
         if self.repetitions < 1:
             _reject("sweep", "repetitions", f"must be >= 1, got {self.repetitions}")
         if self.k_max < 0:
             _reject("sweep", "k_max", f"must be >= 0, got {self.k_max}")
-        if self.dim < 2:
+        if self.world_kind == "gaussian" and self.dim < 2:
             _reject("world", "dim", f"must be >= 2 (the target and a feature), got {self.dim}")
         d = _feature_count(self.world_kind, self.dim)
         if d is not None:
             check_k_max(self.k_max, d)
-        if not 0.0 <= self.mcar_p <= 1.0:
+        if self.mechanism == "mcar" and not 0.0 <= self.mcar_p <= 1.0:
             _reject("missingness", "p", f"must be in [0, 1], got {self.mcar_p}")
-        if not 0.0 < self.mnar_q < 1.0:
+        if self.mechanism == "mnar_self_censor" and not 0.0 < self.mnar_q < 1.0:
             _reject("missingness", "q", f"must be in (0, 1), got {self.mnar_q}")
         if self.seed0 < 0:
             _reject("train", "seed0", f"must be >= 0, got {self.seed0}")
@@ -253,6 +247,17 @@ def check_k_max(k_max: int, d: int) -> None:
         _reject("sweep", "k_max", f"must be <= {d}, the world's feature count, got {k_max}")
 
 
+def train_rows(n: int, train_fraction: float, path: str | None = None) -> int:
+    """The training rows of an n-row world; a split that leaves no training
+    or no test rows is rejected, naming a csv world's data file ``path``."""
+    n_train = int(round(n * train_fraction))
+    if not 0 < n_train < n:
+        rows = f"the {n} rows of {path}" if path else f"n_total = {n}"
+        side = "training" if n_train == 0 else "test"
+        _reject("world", "train_fraction", f"{train_fraction} of {rows} leaves no {side} rows")
+    return n_train
+
+
 def _feature_count(world_kind: str, dim: int) -> int | None:
     """Features of the world's inputs; None for a csv world, whose header decides."""
     if world_kind == "gaussian":
@@ -267,23 +272,36 @@ def _task_loss(world_kind: str) -> str:
     return "cross_entropy" if world_kind in _CLASSIFICATION_WORLDS else "mse"
 
 
-def _rows(section: str) -> dict:
-    """{key: (field, parser)} of a section's rows, in serialized order."""
-    return {key: (field, parse) for s, key, field, parse in _KEYS if s == section}
-
-
-def _method_rows(kind: str) -> dict:
-    """The rows of a [method.NAME] section: `kind` and the keys the kind reads."""
-    rows = _rows("method")
-    return {key: rows[key] for key in ("kind", *_KIND_KEYS[kind])}
+def _rows(section: str, variant: str | None = None) -> dict:
+    """{key: (field, parser)} of the keys a section reads, in serialized
+    order. Section "method" stands for every [method.NAME]; a section with
+    variants reads the key that picks ``variant`` and that variant's keys."""
+    rows = {key: (field, parse) for s, key, field, parse in _KEYS if s == section}
+    if section not in _VARIANTS:
+        return rows
+    pick, _, reads = _VARIANTS[section]
+    return {key: rows[key] for key in (pick, *reads[variant])}
 
 
 # The fixed sections, in serialized order.
 _SECTIONS = tuple(dict.fromkeys(section for section, *_ in _KEYS if section != "method"))
 
 
-def _read_section(parser, section: str, rows: dict, what: str = "") -> dict:
-    """The section's values as {field: value}; a key without a row is rejected."""
+def _read_section(parser, section: str, rows_of: str) -> dict:
+    """The values of the keys ``section`` reads, as {field: value}; ``rows_of``
+    names its rows (the section, or "method"). Any other key is rejected."""
+    if not parser.has_section(section):
+        return {}
+    variant, what = None, ""
+    if rows_of in _VARIANTS:
+        pick, default, reads = _VARIANTS[rows_of]
+        variant = parser.get(section, pick, fallback=default)
+        if variant is None:
+            raise ConfigError(f"section [{section}]: key {pick!r} is required")
+        if variant not in reads:
+            _reject(section, pick, f"unknown {pick} {variant!r}")
+        what = f" for {pick} {variant!r}"
+    rows = _rows(rows_of, variant)
     unknown = set(parser.options(section)) - set(rows)
     if unknown:
         raise ConfigError(
@@ -316,27 +334,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
     values = {}
     for section in _SECTIONS:
-        if parser.has_section(section):
-            values.update(_read_section(parser, section, _rows(section)))
-    world_kind = values.get("world_kind")
-    if world_kind is None:
-        raise ConfigError("section [world]: key 'kind' is required")
-
-    methods = []
-    for section in parser.sections():
-        if not section.startswith("method."):
-            continue
-        kind = parser.get(section, "kind", fallback=None)
-        if kind is None:
-            raise ConfigError(f"section [{section}]: key 'kind' is required")
-        if kind not in _KIND_KEYS:
-            _reject(section, "kind", f"unknown kind {kind!r}")
-        fields = _read_section(parser, section, _method_rows(kind), f" for kind {kind!r}")
-        methods.append(MethodConfig(name=section[len("method.") :], **fields))
+        values.update(_read_section(parser, section, section))
+    methods = [
+        MethodConfig(name=section[len("method.") :], **_read_section(parser, section, "method"))
+        for section in parser.sections()
+        if section.startswith("method.")
+    ]
     methods.sort(key=lambda m: m.name)
 
     # The two defaults that depend on the world: the task's loss, and a
     # sweep 3 deep, or to every feature if fewer.
+    world_kind = values["world_kind"]
     values.setdefault("loss", _task_loss(world_kind))
     d = _feature_count(world_kind, values.get("dim", ExperimentConfig.dim))
     values.setdefault("k_max", 3 if d is None else max(0, min(3, d)))
@@ -354,7 +362,8 @@ def _fmt(value) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(parse(text))) is a fixed point."""
+    """Canonical text form, holding exactly the keys the run reads;
+    parse(serialize(parse(text))) is a fixed point."""
     parser = configparser.ConfigParser(interpolation=None)
 
     def write(section: str, obj, rows: dict) -> None:
@@ -364,10 +373,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             if value is not None:
                 parser[section][key] = _fmt(value)
 
+    variants = {"world": cfg.world_kind, "missingness": cfg.mechanism}
     for section in _SECTIONS:
-        write(section, cfg, _rows(section))
+        write(section, cfg, _rows(section, variants.get(section)))
     for method in cfg.methods:
-        write(f"method.{method.name}", method, _method_rows(method.kind))
+        write(f"method.{method.name}", method, _rows("method", method.kind))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -44,7 +44,7 @@ def _union(z: np.ndarray, induced: np.ndarray, observed: np.ndarray | None) -> n
 
 def _mask_sampler(method, d: int, granularity: str):
     """Induced masks for a batch of n rows: one shared mask, or one per row."""
-    dist = IID(d, method.rate if method.rate is not None else calibrate_rate(d, method.p_clean))
+    dist = IID(d, calibrate_rate(d, method.p_clean))
     if granularity == "per_batch":
         return lambda rng, n: sample_mask(dist, rng)
     return lambda rng, n: sample_masks(dist, n, rng)
@@ -183,24 +183,15 @@ class CommonBaselineRule(Rule):
 
 class DropoutRule(CommonBaselineRule):
     """Zero fill (the mean of z-scored features); training also zeroes
-    entries at random, rescaling survivors with ``rescale``."""
+    entries at random."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
         rule = cls.from_json({}, schema)  # nothing to fit
-        rate = method.dropout_rate
-        if rate is None:
-            rate = calibrate_rate(schema.d, method.p_clean)
+        rate = calibrate_rate(schema.d, method.p_clean)
         no_mask = np.zeros(schema.d, dtype=np.uint8)
-
-        def augment(xb, nb, rng):
-            out = dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
-            if method.rescale and rate < 1.0:
-                out = out / (1.0 - rate)
-            return out
-
-        return rule, augment
+        return rule, lambda xb, nb, rng: dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
 
     def to_json(self) -> dict:
         return {}

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, MethodConfig, check_k_max, config_hash, serialize_config
+from .config import train_rows
 from .evaluate import (
     classification_pattern_metrics,
     marginal_fidelity_binned,
@@ -65,39 +68,46 @@ def _train_seed(seed0: int, rep: int, method_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _world_table(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """A csv world's file, read once per command; None for generated worlds."""
-    return _load_csv_world(cfg) if cfg.world_kind == "csv" else None
-
-
-def _schema_for(cfg: ExperimentConfig, table: tuple | None = None) -> FeatureSchema:
+def _schema_for(cfg: ExperimentConfig) -> FeatureSchema:
     if cfg.world_kind == "gaussian":
         features = tuple((f"x{i + 1}", ContinuousUnbounded()) for i in range(cfg.dim - 1))
     elif cfg.world_kind == "continuous2d":
         features = (("x1", ContinuousUnbounded()), ("x2", ContinuousUnbounded()))
     elif cfg.world_kind == "mixed":
         features = (("x1", Categorical(2)), ("x2", ContinuousUnbounded()))
-    elif cfg.world_kind == "csv":
-        names, _, _ = table if table is not None else _load_csv_world(cfg)
+    else:  # csv; the config checks the kind
+        names, _, _ = _load_csv_world(cfg)
         features = tuple((name, ContinuousUnbounded()) for name in names)
-    else:
-        raise ValueError(f"unknown world kind {cfg.world_kind!r}")
     return FeatureSchema(features=features)
 
 
 def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Numeric CSV with a header row; the target column is named by the config."""
+    """A csv world's feature names, features and target column.
+
+    The file is read once per process (`_read_csv`); a pool's workers fork
+    after the parent has read it. The config's checks run on every call.
+    """
     path = cfg.csv_path
+    stat = os.stat(path)
+    header, data = _read_csv(path, stat.st_size, stat.st_mtime_ns)
+    if cfg.csv_target not in header:
+        raise ValueError(f"{path}: no column {cfg.csv_target!r} (section [world], key 'target')")
+    check_k_max(cfg.k_max, len(header) - 1)
+    train_rows(data.shape[0], cfg.train_fraction, path)
+    target_idx = header.index(cfg.csv_target)
+    names = [h for i, h in enumerate(header) if i != target_idx]
+    return names, np.delete(data, target_idx, axis=1), data[:, target_idx]
+
+
+@functools.lru_cache(maxsize=1)
+def _read_csv(path: str, size: int, mtime_ns: int) -> tuple[list[str], np.ndarray]:
+    """A numeric CSV's header and rows. The file's size and mtime are part
+    of the cache key, so a file that changed is read again."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        if cfg.csv_target not in header:
-            raise ValueError(
-                f"{path}: no column {cfg.csv_target!r} (section [world], key 'target')"
-            )
-        check_k_max(cfg.k_max, len(header) - 1)
         rows = []
         for row in reader:
             if not row:
@@ -122,12 +132,9 @@ def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.nd
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    target_idx = header.index(cfg.csv_target)
     data = np.asarray(rows, dtype=float)
-    y = data[:, target_idx]
-    x = np.delete(data, target_idx, axis=1)
-    names = [h for i, h in enumerate(header) if i != target_idx]
-    return names, x, y
+    data.flags.writeable = False  # shared by every call
+    return header, data
 
 
 @dataclass
@@ -150,30 +157,22 @@ def _task_for(cfg: ExperimentConfig) -> str:
     return "classification" if cfg.loss == "cross_entropy" else "regression"
 
 
-def build_repetition(
-    cfg: ExperimentConfig, rep: int, table: tuple | None = None
-) -> RepetitionData:
-    """Deterministically generate one repetition's world, data, and schema.
-
-    ``table`` is the csv world's file as `_world_table` read it; it is read
-    here when not given.
-    """
-    if table is None:
-        table = _world_table(cfg)
-    schema = _schema_for(cfg, table)
+def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
+    """Deterministically generate one repetition's world, data, and schema."""
+    schema = _schema_for(cfg)
     world = None
     rng_data = _rng_for(cfg.seed0, rep, _DATA_STREAM)
     if cfg.world_kind == "gaussian":
         world = sample_gaussian_world(_rng_for(cfg.seed0, rep, _WORLD_STREAM), cfg.dim)
         x_all, y_all = draw_dataset(world, cfg.n_total, rng_data)
     elif cfg.world_kind == "csv":
-        _, x_all, y_all = table
+        _, x_all, y_all = _load_csv_world(cfg)
         order = rng_data.permutation(x_all.shape[0])  # fresh split per repetition
         x_all, y_all = x_all[order], y_all[order]
     else:
         class_world = MixedClassWorld(kind=cfg.world_kind)
         x_all, y_all = generate_mixed_classification(class_world, cfg.n_total, rng_data)
-    n_train = int(round(x_all.shape[0] * cfg.train_fraction))
+    n_train = train_rows(x_all.shape[0], cfg.train_fraction, cfg.csv_path)
     x_train, y_train = x_all[:n_train], y_all[:n_train]
     x_test, y_test = x_all[n_train:], y_all[n_train:]
 
@@ -390,7 +389,6 @@ def _method_job(
     rep: int,
     method_index: int,
     out: Path,
-    table: tuple | None,
     models_dir: Path | None,
 ):
     """One (method, repetition), from its data to its written files.
@@ -402,7 +400,7 @@ def _method_job(
     Returns ``(report, jsd_report, written)``: the JSD report is None for
     regression, and ``written`` lists the files the job wrote.
     """
-    data = build_repetition(cfg, rep, table)
+    data = build_repetition(cfg, rep)
     stem = f"{method.name}_rep{rep}"
     trace = None
     if models_dir is None:
@@ -432,10 +430,6 @@ def _method_job(
         written.append(_write_csv(out / "data" / f"train_rep{rep}.csv", [*names, "y"], train_rows))
         mask_rows = (row.tolist() for row in data.train_observed)
         written.append(_write_csv(out / "data" / f"train_mask_rep{rep}.csv", names, mask_rows))
-        if cfg.dump_test_data:
-            test_rows = _float_rows(data.x_test, data.y_test)
-            path = out / "data" / f"test_rep{rep}.csv"
-            written.append(_write_csv(path, [*names, "y"], test_rows))
     return report, jsd_report, written
 
 
@@ -446,7 +440,7 @@ def run_experiment(
 ) -> RunArtifacts:
     """Execute a full config: train, sweep, and write all artifacts."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    return _run_jobs(cfg, out, _world_table(cfg), jobs)
+    return _run_jobs(cfg, out, jobs)
 
 
 def _prepare_out(out: Path) -> None:
@@ -458,18 +452,20 @@ def _prepare_out(out: Path) -> None:
     (out / "manifest.json").unlink(missing_ok=True)
 
 
-def _run_jobs(cfg, out: Path, table, jobs: int, models_dir: Path | None = None) -> RunArtifacts:
+def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunArtifacts:
     """Map `_method_job` over every (method, repetition), in a pool of up to
     ``jobs`` workers, then merge the reports and write the rest of the
-    artifacts. A job gets indices and the csv world's ``table``, and returns
-    only its reports and the names of the files it wrote.
+    artifacts. A job gets indices and returns only its reports and the
+    names of the files it wrote.
 
     ``models_dir`` holds saved models for the jobs to sweep instead of
     training.
     """
+    if cfg.world_kind == "csv":
+        _load_csv_world(cfg)  # read and check the file before any job, and before a pool forks
     _prepare_out(out)
     payloads = [
-        (cfg, method, rep, mi, out, table, models_dir)
+        (cfg, method, rep, mi, out, models_dir)
         for mi, method in enumerate(cfg.methods)
         for rep in range(cfg.repetitions)
     ]
@@ -660,8 +656,7 @@ def ablate_placeholder(
     """
     if not values:
         raise ValueError("ablation needs at least one placeholder value")
-    table = _world_table(cfg)
-    if any(not isinstance(kind, ContinuousUnbounded) for kind in _schema_for(cfg, table).kinds):
+    if any(not isinstance(kind, ContinuousUnbounded) for kind in _schema_for(cfg).kinds):
         raise ValueError("placeholder ablation needs z-scored continuous features only")
     methods = []
     for v in values:
@@ -677,7 +672,7 @@ def ablate_placeholder(
         )
     ablate_cfg = dataclasses.replace(cfg, methods=tuple(methods))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    return _run_jobs(ablate_cfg, out, table, jobs)
+    return _run_jobs(ablate_cfg, out, jobs)
 
 
 def sweep_saved_models(
@@ -688,7 +683,6 @@ def sweep_saved_models(
     `run_experiment` does."""
     if k_max is not None:
         cfg = dataclasses.replace(cfg, k_max=k_max)
-    table = _world_table(cfg)
     for method in cfg.methods:
         for rep in range(cfg.repetitions):
             path = Path(models_dir) / f"{method.name}_rep{rep}.json"
@@ -696,4 +690,4 @@ def sweep_saved_models(
                 raise KeyError(
                     f"missing model for method {method.name!r}, repetition {rep}: {path}"
                 )
-    return _run_jobs(cfg, Path(out_dir), table, 1, Path(models_dir))
+    return _run_jobs(cfg, Path(out_dir), 1, Path(models_dir))

@@ -1,12 +1,25 @@
+import configparser
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knockout import methods
 from knockout.cli import main
-from knockout.config import _KIND_KEYS, ConfigError, config_hash, parse_config, serialize_config
+from knockout.config import (
+    _KEYS,
+    _KIND_KEYS,
+    _MECHANISM_KEYS,
+    _WORLD_KEYS,
+    ConfigError,
+    config_hash,
+    parse_config,
+    serialize_config,
+)
 
 TINY_CONFIG = """
 [world]
@@ -63,10 +76,9 @@ def test_config_rejects_unknown_section_and_key():
     # A method key its kind does not read is rejected too, naming both.
     unread = (
         ("knn", "p_clean = 0.3"),
-        ("knn", "rescale = true"),
         ("knn", "zscore_magnitude = 5"),
-        ("zero_indicator", "dropout_rate = 0.2"),
-        ("dropout", "rate = 0.2"),
+        ("zero_indicator", "placeholder = mean"),
+        ("dropout", "k = 3"),
         ("common_baseline", "knockout_value = 3"),
         ("lin_reg", "k = 3"),
     )
@@ -76,14 +88,54 @@ def test_config_rejects_unknown_section_and_key():
             parse_config(f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n{line}\n")
 
 
+DELETED_KEYS = (
+    ("output", "dump_test_data = true"),
+    ("method", "rate = 0.2"),
+    ("method", "dropout_rate = 0.2"),
+    ("method", "rescale = true"),
+)
+
+
+@pytest.mark.parametrize("section, line", DELETED_KEYS)
+def test_deleted_keys_are_rejected(section, line):
+    """`rate` and `dropout_rate` were solved from `p_clean` when unset, and
+    nothing set `rescale` or `dump_test_data`; each is now an unknown key."""
+    key = line.split(" ")[0]
+    world = "[world]\nkind = gaussian\n"
+    if section == "output":
+        texts = {"output": f"{world}[output]\n{line}\n[method.k]\nkind = knockout\n"}
+    else:
+        texts = {
+            f"method.{kind}": f"{world}[method.{kind}]\nkind = {kind}\n{line}\n"
+            for kind in _KIND_KEYS
+        }
+    for name, text in texts.items():
+        match = rf"section \[{name}\]: unknown key\(s\) \['{key}'\]"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+
 def test_config_rejects_world_and_placeholder_keys_nothing_reads():
     method = "[method.k]\nkind = knockout\n"
     with pytest.raises(ConfigError, match=r"section \[world\], key 'target'"):
         parse_config(f"[world]\nkind = csv\npath = d.csv\n{method}")
+    # Each world kind and mechanism reads only its own keys.
+    unread = [("continuous2d", "dim"), ("mixed", "dim"), ("csv", "dim"), ("csv", "n_total")]
     for world in ("gaussian", "continuous2d", "mixed"):
-        for key in ("path", "target"):
-            with pytest.raises(ConfigError, match=rf"section \[world\], key '{key}'"):
-                parse_config(f"[world]\nkind = {world}\n{key} = d.csv\n{method}")
+        unread += [(world, "path"), (world, "target")]
+    for world, key in unread:
+        csv = "path = d.csv\ntarget = y\n" if world == "csv" else ""
+        match = rf"section \[world\]: unknown key\(s\) \['{key}'\] for kind '{world}'"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"[world]\nkind = {world}\n{csv}{key} = 3\n{method}")
+    for mechanism, key in (("none", "p"), ("none", "q"), ("mcar", "q"), ("mnar_self_censor", "p")):
+        match = rf"section \[missingness\]: unknown key\(s\) \['{key}'\] for mechanism '{mechanism}'"
+        missingness = f"[missingness]\nmechanism = {mechanism}\n{key} = 0.5\n"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"[world]\nkind = gaussian\n{missingness}{method}")
+    # Without the key the mechanism is none, which reads neither p nor q.
+    with pytest.raises(ConfigError, match=r"\['p', 'q'\] for mechanism 'none'"):
+        parse_config(f"[world]\nkind = gaussian\n[missingness]\np = 0.1\nq = 0.9\n{method}")
     mean_unread = (("knockout_value", "3"), ("observed_value", "-3"), ("zscore_magnitude", "5"))
     for key, value in mean_unread:
         with pytest.raises(ConfigError, match=rf"section \[method\.k\], key '{key}'"):
@@ -98,30 +150,52 @@ def test_config_rejects_world_and_placeholder_keys_nothing_reads():
     assert "path =" not in text and "target =" not in text
 
 
-# A valid value other than the default for every method key.
+# A valid value other than the default for every world, missingness and
+# method key that a variant reads.
 OTHER_VALUES = {
+    "dim": "5",
+    "n_total": "200",
+    "train_fraction": "0.5",
+    "path": "e.csv",
+    "target": "z",
+    "p": "0.2",
+    "q": "0.8",
     "p_clean": "0.3",
-    "rate": "0.2",
     "zscore_magnitude": "5.0",
     "placeholder": "mean",
     "dual_placeholder": "false",
     "knockout_value": "7.0",
     "observed_value": "-7.0",
     "k": "3",
-    "dropout_rate": "0.2",
-    "rescale": "true",
 }
+
+
+def ini(sections: dict) -> str:
+    """Config text of {section: {key: value}}."""
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
 
 
 def test_every_key_a_kind_reads_is_hashed():
     assert set(methods.RULES) == set(_KIND_KEYS)
+    cases = []  # (the config's sections, the section varied, its keys)
+    for world, keys in _WORLD_KEYS.items():
+        csv = {"path": "d.csv", "target": "y"} if world == "csv" else {}
+        cases.append(({"world": {"kind": world, **csv}}, "world", keys))
+    for mechanism, keys in _MECHANISM_KEYS.items():
+        cases.append(({"missingness": {"mechanism": mechanism}}, "missingness", keys))
     for kind, keys in _KIND_KEYS.items():
-        base = f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n"
-        default = config_hash(parse_config(base))
+        cases.append(({"method.m": {"kind": kind}}, "method.m", keys))
+    for sections, varied, keys in cases:
+        sections = {"world": {"kind": "gaussian"}, "method.m": {"kind": "knockout"}, **sections}
+        default = config_hash(parse_config(ini(sections)))
         for key in keys:
-            cfg = parse_config(f"{base}{key} = {OTHER_VALUES[key]}\n")
-            assert config_hash(cfg) != default, (kind, key)
-            assert parse_config(serialize_config(cfg)) == cfg, (kind, key)
+            other = {**sections, varied: {**sections[varied], key: OTHER_VALUES[key]}}
+            cfg = parse_config(ini(other))
+            assert config_hash(cfg) != default, (sections[varied], key)
+            assert parse_config(serialize_config(cfg)) == cfg, (sections[varied], key)
 
 
 def test_shipped_config_hashes_are_pinned():
@@ -129,10 +203,10 @@ def test_shipped_config_hashes_are_pinned():
 
     configs_dir = Path(__file__).resolve().parent.parent / "configs"
     hashes = {
-        "classification2d.ini": "c5f44fdea4f818959f047a125df95d7e2a390f4122a1e4dea7959100198588ef",
-        "fig1_complete.ini": "b6e245589dd1bb528b0cdc0355896a2242625cdade8c8e019a9943f6e3be74a6",
-        "fig1_mcar.ini": "3e907ed8b4a01bdec6ed38438dbd165c3b49c9a91f598e79c3ae3ddec238fed2",
-        "fig1_mnar.ini": "a72b6f4dea9b5f72c8e9ce8c75fbf7bf3a7a95e039d34f19669422c9831fa0fa",
+        "classification2d.ini": "7133cb96ee37dc4976c4a76dc09126de9b19dc2cffba4dd72cf16459b6c4fd64",
+        "fig1_complete.ini": "a6e22ad00d9402eebd43d0a178b31e4f7ae3aafad2f77d82d70756686b634143",
+        "fig1_mcar.ini": "602abba5641748f3d8c498d4aeee178e38733926c51f1d087b3e726af02aa1e3",
+        "fig1_mnar.ini": "0ec3180d1be5123850ab15a52bc6cd2a73620f8f8e1c86c64f7af34166df4663",
     }
     for name, digest in hashes.items():
         assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name
@@ -173,13 +247,18 @@ def test_config_validates_values():
         ("train", "mask_granularity", "per_row"),
         ("world", "dim", "0"),
         ("world", "dim", "1"),
-        ("missingness", "p", "-0.1"),
-        ("missingness", "p", "1.5"),
-        ("missingness", "p", "nan"),
-        ("missingness", "q", "0"),
-        ("missingness", "q", "1"),
-        ("missingness", "q", "nan"),
+        ("missingness", "mechanism = mcar\np", "-0.1"),
+        ("missingness", "mechanism = mcar\np", "1.5"),
+        ("missingness", "mechanism = mcar\np", "nan"),
+        ("missingness", "mechanism = mnar_self_censor\nq", "0"),
+        ("missingness", "mechanism = mnar_self_censor\nq", "1"),
+        ("missingness", "mechanism = mnar_self_censor\nq", "nan"),
         ("missingness", "mechanism", "mar"),
+        ("train", "hidden", "100,,100"),
+        ("train", "hidden", ",100"),
+        ("train", "hidden", "100,"),
+        ("train", "hidden", ""),
+        ("train", "hidden", "0"),
         ("world", "n_total", "9"),
         ("world", "train_fraction", "0"),
         ("world", "train_fraction", "1"),
@@ -188,6 +267,7 @@ def test_config_validates_values():
     for section, key, value in bad_values:
         extra = "" if section == "world" else f"[{section}]\n"
         text = f"[world]\nkind = gaussian\n{extra}{key} = {value}\n{method}"
+        key = key.split("\n")[-1]
         with pytest.raises(ConfigError, match=rf"section \[{section}\], key '{key}'"):
             parse_config(text)
     bad_method_values = (
@@ -195,13 +275,11 @@ def test_config_validates_values():
         ("knockout", "zscore_magnitude", "0"),
         ("knockout", "zscore_magnitude", "nan"),
         ("knockout", "zscore_magnitude", "inf"),
-        ("dropout", "dropout_rate", "2"),
-        ("dropout", "dropout_rate", "-0.1"),
-        ("dropout", "dropout_rate", "nan"),
+        ("dropout", "p_clean", "1"),
+        ("zero_indicator", "p_clean", "0"),
         ("knockout", "knockout_value", "inf"),
         ("knockout", "knockout_value", "nan"),
         ("knockout", "observed_value", "-inf"),
-        ("zero_indicator", "rate", "1.5"),
     )
     for kind, key, value in bad_method_values:
         text = f"[world]\nkind = gaussian\n[method.m]\nkind = {kind}\n{key} = {value}\n"
@@ -209,14 +287,14 @@ def test_config_validates_values():
             parse_config(text)
     # The edge values that are allowed.
     ok = parse_config(
-        "[world]\nkind = gaussian\ndim = 2\n[missingness]\np = 0\nq = 0.5\n"
-        f"[train]\nsteps = 0\nbatch_size = 1\nmask_granularity = per_sample\n{method}"
+        "[world]\nkind = gaussian\ndim = 2\n[missingness]\nmechanism = mcar\np = 0\n"
+        f"[train]\nsteps = 0\nbatch_size = 1\nhidden = 3, 4\nmask_granularity = per_sample\n{method}"
     )
-    assert (ok.dim, ok.mcar_p, ok.steps, ok.batch_size) == (2, 0.0, 0, 1)
-    for rate in ("0", "1"):
-        dropout = parse_config(f"[world]\nkind = gaussian\n[method.d]\nkind = dropout\ndropout_rate = {rate}\n")
-        assert dropout.methods[0].dropout_rate == float(rate)
-    assert parse_config(f"[world]\nkind = gaussian\n[missingness]\np = 1\n{method}").mcar_p == 1.0
+    assert (ok.dim, ok.mcar_p, ok.steps, ok.batch_size, ok.hidden) == (2, 0.0, 0, 1, (3, 4))
+    mcar = "[missingness]\nmechanism = mcar\np = 1\n"
+    assert parse_config(f"[world]\nkind = gaussian\n{mcar}{method}").mcar_p == 1.0
+    mnar = "[missingness]\nmechanism = mnar_self_censor\nq = 0.5\n"
+    assert parse_config(f"[world]\nkind = gaussian\n{mnar}{method}").mnar_q == 0.5
     # Without the key the loss is the task's, with or without a [train] section.
     assert parse_config(f"[world]\nkind = gaussian\n{method}").loss == "mse"
     assert parse_config(f"[world]\nkind = mixed\n{method}").loss == "cross_entropy"
@@ -620,3 +698,124 @@ def test_cli_jobs_below_one_is_rejected(tmp_path, command, jobs):
     assert result.exit_code == 2
     assert "--jobs" in result.output and "x>=1" in result.output
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fraction, side", [("0.97", "test"), ("0.03", "training")])
+def test_a_split_with_an_empty_side_is_rejected(tmp_path, fraction, side):
+    """int(round(10 * 0.97)) = 10 leaves no test rows; int(round(10 * 0.03))
+    = 0 leaves no training rows. Both fail before anything trains."""
+    method = "[method.k]\nkind = knockout\n"
+    match = rf"section \[world\], key 'train_fraction': {fraction} of n_total = 10 leaves no {side} rows"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"[world]\nkind = gaussian\nn_total = 10\ntrain_fraction = {fraction}\n{method}")
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b,target\n" + "".join(f"{i},{2 * i},{i % 3}\n" for i in range(10)))
+    cfg_path = write_config(
+        tmp_path,
+        f"[world]\nkind = csv\npath = {csv_path}\ntarget = target\ntrain_fraction = {fraction}\n"
+        f"[sweep]\nk_max = 1\n[output]\ndir = {tmp_path / 'o'}\n{method}",
+    )
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 1
+    assert f"{fraction} of the 10 rows of {csv_path} leaves no {side} rows" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+# A valid value for every key the property below may set; the method's
+# placeholder stays derived, which reads every other knockout key.
+ANY_VALUES = {
+    **OTHER_VALUES,
+    "placeholder": "derived",
+    "steps": "3",
+    "batch_size": "8",
+    "learning_rate": "0.01",
+    "hidden": "4,4",
+    "seed0": "3",
+    "mask_granularity": "per_sample",
+    "k_max": "1",
+    "repetitions": "2",
+    "dir": "o",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    world=st.sampled_from(sorted(_WORLD_KEYS)),
+    mechanism=st.sampled_from(sorted(_MECHANISM_KEYS)),
+    kind=st.sampled_from(sorted(_KIND_KEYS)),
+    data=st.data(),
+)
+def test_config_accepts_exactly_the_keys_the_tables_list(world, mechanism, kind, data):
+    """Any subset of a section's keys parses exactly when its world kind,
+    mechanism or method kind reads them all; the canonical text of what
+    parses is a fixed point and holds only the keys the run reads. (`loss`
+    is left unset: each world kind accepts its task's loss only.)"""
+    reads = {
+        "world": ("kind", *_WORLD_KEYS[world]),
+        "missingness": ("mechanism", *_MECHANISM_KEYS[mechanism]),
+        "train": ("steps", "batch_size", "learning_rate", "hidden", "seed0", "loss", "mask_granularity"),
+        "sweep": ("k_max", "repetitions"),
+        "output": ("dir",),
+        "method.m": ("kind", *_KIND_KEYS[kind]),
+    }
+    sections = {
+        "world": {"kind": world, **({"path": "d.csv", "target": "y"} if world == "csv" else {})},
+        "missingness": {"mechanism": mechanism},
+        "train": {},
+        "sweep": {},
+        "output": {},
+        "method.m": {"kind": kind},
+    }
+    unread = {}
+    for name, keys in sections.items():
+        candidates = [
+            key
+            for section, key, *_ in _KEYS
+            if section == name.split(".")[0] and key in ANY_VALUES
+        ]
+        chosen = data.draw(st.lists(st.sampled_from(candidates), unique=True), label=name)
+        keys.update({key: ANY_VALUES[key] for key in chosen})
+        unread[name] = sorted(set(keys) - set(reads[name]))
+    text = ini(sections)
+    rejected = [name for name in sections if unread[name]]
+    if rejected:
+        name = rejected[0]  # sections are read in this order
+        message = f"section [{name}]: unknown key(s) {unread[name]}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        return
+    cfg = parse_config(text)
+    canonical = serialize_config(cfg)
+    assert parse_config(canonical) == cfg
+    assert serialize_config(parse_config(canonical)) == canonical
+    written = configparser.ConfigParser(interpolation=None)
+    written.read_string(canonical)
+    for name, keys in sections.items():
+        assert set(keys) <= set(written.options(name)) <= set(reads[name]), name
+
+
+def test_readme_key_reference_names_every_key_and_its_readers():
+    """README's key table lists exactly the keys in `_KEYS`, each with the
+    world kinds, mechanisms or method kinds that read it."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    variants = {"world": _WORLD_KEYS, "missingness": _MECHANISM_KEYS, "method": _KIND_KEYS}
+    listed = {}
+    for line in table.splitlines():
+        if not line.startswith("| `["):
+            continue
+        section, key, read_by, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        section = section.strip("`[]").replace(".NAME", "")
+        readers = set(re.findall(r"`([^`]+)`", read_by))
+        listed[section, key.strip("`")] = readers if read_by != "all" else "all"
+    assert set(listed) == {(section, key) for section, key, *_ in _KEYS}
+    picks = {"world": "kind", "missingness": "mechanism", "method": "kind"}
+    for (section, key), readers in listed.items():
+        expected = "all"
+        if section in variants and key != picks[section]:
+            expected = {variant for variant, keys in variants[section].items() if key in keys}
+            if expected == set(variants[section]):
+                expected = "all"
+        assert readers == expected, (section, key)

@@ -51,6 +51,8 @@ DELETED = {
     # World files are written, never read back.
     "knockout.worlds": ("world_to_json", "world_from_json", "make_class_world"),
     "knockout.nn": ("grad",),
+    # A csv world is read once per process, not passed to each job.
+    "knockout.runner": ("_world_table",),
 }
 
 # Fields and methods no command reached: the slots of the retired
@@ -73,6 +75,9 @@ DELETED_MEMBERS = {
     ),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
     "knockout.nn.TrainConfig": ("mask_granularity",),
+    # Each rate is solved from p_clean; no config set rescale or dumped test data.
+    "knockout.config.MethodConfig": ("rate", "dropout_rate", "rescale"),
+    "knockout.config.ExperimentConfig": ("dump_test_data",),
 }
 
 # Parameters whose other values no caller passed: float joints, unsmoothed
@@ -81,6 +86,10 @@ DELETED_PARAMETERS = {
     "knockout.discrete.random_discrete_joint": ("exact",),
     "knockout.worlds.empirical_conditional": ("smoothing",),
     "knockout.augment.merge_observed": ("mode",),
+    "knockout.runner.build_repetition": ("table",),
+    "knockout.runner._schema_for": ("table",),
+    "knockout.runner._method_job": ("table",),
+    "knockout.runner._run_jobs": ("table",),
 }
 
 

@@ -43,11 +43,14 @@ UNREACHED = {
 
 # World section and missingness section of each world's config.
 WORLDS = {
-    "gaussian_none": ("kind = gaussian\ndim = 4\n", ""),
-    "gaussian_mcar": ("kind = gaussian\ndim = 4\n", "mechanism = mcar\np = 0.2\n"),
-    "gaussian_mnar": ("kind = gaussian\ndim = 4\n", "mechanism = mnar_self_censor\nq = 0.8\n"),
-    "continuous2d": ("kind = continuous2d\n", ""),
-    "mixed": ("kind = mixed\n", "mechanism = mnar_self_censor\nq = 0.8\n"),
+    "gaussian_none": ("kind = gaussian\ndim = 4\nn_total = 120\n", ""),
+    "gaussian_mcar": ("kind = gaussian\ndim = 4\nn_total = 120\n", "mechanism = mcar\np = 0.2\n"),
+    "gaussian_mnar": (
+        "kind = gaussian\ndim = 4\nn_total = 120\n",
+        "mechanism = mnar_self_censor\nq = 0.8\n",
+    ),
+    "continuous2d": ("kind = continuous2d\nn_total = 120\n", ""),
+    "mixed": ("kind = mixed\nn_total = 120\n", "mechanism = mnar_self_censor\nq = 0.8\n"),
     "csv": ("kind = csv\npath = {csv}\ntarget = target\n", ""),
 }
 
@@ -56,7 +59,7 @@ WORLDS = {
 ALL_WORLD_METHODS = """
 [method.knockout]
 kind = knockout
-rate = 0.2
+p_clean = 0.3
 
 [method.knockout_star]
 kind = knockout
@@ -75,7 +78,6 @@ kind = common_baseline
 CONTINUOUS_METHODS = """
 [method.dropout]
 kind = dropout
-rescale = true
 
 [method.zero_indicator]
 kind = zero_indicator
@@ -93,7 +95,7 @@ def _config(world: str, granularity: str, csv_path: Path) -> str:
     world_keys, missingness = WORLDS[world]
     classification = world in ("continuous2d", "mixed")
     return (
-        "[world]\n" + world_keys.format(csv=csv_path) + "n_total = 120\ntrain_fraction = 0.5\n"
+        "[world]\n" + world_keys.format(csv=csv_path) + "train_fraction = 0.5\n"
         + (f"[missingness]\n{missingness}" if missingness else "")
         + "[train]\nsteps = 3\nbatch_size = 16\nhidden = 4\nseed0 = 5\n"
         + f"mask_granularity = {granularity}\n"

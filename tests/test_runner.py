@@ -21,8 +21,6 @@ train_fraction = 0.4
 
 [missingness]
 mechanism = {mechanism}
-p = 0.15
-q = 0.9
 
 [train]
 steps = 40
@@ -39,8 +37,20 @@ kind = knockout
 """
 
 
+# Each mechanism's section reads only its own parameter.
+MECHANISMS = {
+    "none": "none",
+    "mcar": "mcar\np = 0.15",
+    "mnar_self_censor": "mnar_self_censor\nq = 0.9",
+}
+
+
+def base(mechanism="none"):
+    return BASE.format(mechanism=MECHANISMS[mechanism])
+
+
 def make_cfg(mechanism="none", extra=""):
-    return parse_config(BASE.format(mechanism=mechanism) + extra)
+    return parse_config(base(mechanism) + extra)
 
 
 def test_build_repetition_deterministic_and_split():
@@ -59,7 +69,7 @@ def test_build_repetition_deterministic_and_split():
 def test_world_shared_between_train_and_test():
     # One covariance per repetition: train and test rows come from the
     # same factor, so their sample covariances must agree within noise.
-    cfg = parse_config(BASE.format(mechanism="none").replace("n_total = 500", "n_total = 6000"))
+    cfg = parse_config(base("none").replace("n_total = 500", "n_total = 6000"))
     data = build_repetition(cfg, 0)
     cov_train = np.cov(data.x_train.T)
     cov_test = np.cov(data.x_test.T)
@@ -156,8 +166,8 @@ def test_pattern_overrides_observed_missingness():
 
 
 # Every kind whose training inputs are its inference rule with a sampled
-# mask. Dropout is left out: inverted dropout zeroes entries at random and
-# may rescale the survivors in training only, by design.
+# mask. Dropout is left out: it zeroes entries at random in training only,
+# by design.
 PROPERTY_METHODS = {
     "knockout": "kind = knockout\n",
     "knockout_star": "kind = knockout\nplaceholder = mean\n",
@@ -178,7 +188,7 @@ KNOCKOUT_STAR_MISMATCH = pytest.mark.xfail(
 
 @functools.lru_cache(maxsize=None)
 def _saved_and_fitted(name, mechanism):
-    text = BASE.format(mechanism=mechanism).replace(
+    text = base(mechanism).replace(
         "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{PROPERTY_METHODS[name]}"
     )
     cfg = parse_config(text)
@@ -256,7 +266,7 @@ class _ReadRecorder:
         return getattr(self._method, name)
 
 
-READ_METHODS = {**PROPERTY_METHODS, "dropout_rescale": "kind = dropout\nrescale = true\n"}
+READ_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
 
 
 @pytest.mark.parametrize("name", sorted(READ_METHODS))
@@ -264,7 +274,7 @@ def test_rules_read_only_the_method_keys_their_kind_declares(name):
     """What fit and its training hook read of a method is what the config
     accepts and hashes for that kind."""
     cfg = parse_config(
-        BASE.format(mechanism="mnar_self_censor").replace(
+        base("mnar_self_censor").replace(
             "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{READ_METHODS[name]}"
         )
     )
@@ -358,7 +368,7 @@ def test_training_determinism_across_processes_payload(tmp_path):
     _prepare_out(local)
     # A worker receives the payload (indices, no data), builds its
     # repetition, writes its files, and returns its result pickled.
-    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], 0, 0, worker, None, None)))
+    payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], 0, 0, worker, None)))
     report_a, jsd_a, written_a = pickle.loads(pickle.dumps(_method_job(*payload)))
     pipe_b, trace_b = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
     model, trace = worker / "models" / "knockout_rep0.json", worker / "traces" / "knockout_rep0.csv"
@@ -368,7 +378,7 @@ def test_training_determinism_across_processes_payload(tmp_path):
     assert trace.read_text().splitlines() == ["step,loss", *(f"{s},{v!r}" for s, v in trace_b)]
     # Sweeping the worker's saved model, as `knockout sweep` does, gives
     # the worker's report and files, and writes no trace.
-    report_c, jsd_c, written_c = _method_job(cfg, cfg.methods[0], 0, 0, local, None, model.parent)
+    report_c, jsd_c, written_c = _method_job(cfg, cfg.methods[0], 0, 0, local, model.parent)
     assert written_c == [local / "models" / "knockout_rep0.json", *(local / n for n in rep_files)]
     for path_a, path_c in zip([model, *written_a[2:]], written_c):
         assert path_c.read_bytes() == path_a.read_bytes()
@@ -376,7 +386,7 @@ def test_training_determinism_across_processes_payload(tmp_path):
     assert report_a.n_reps == 1 and len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
     assert jsd_a is None and jsd_c is None
     # A later method's job writes only its own model and trace.
-    _, _, written_d = _method_job(cfg, cfg.methods[0], 0, 1, local, None, None)
+    _, _, written_d = _method_job(cfg, cfg.methods[0], 0, 1, local, None)
     assert written_d == [local / "models" / model.name, local / "traces" / trace.name]
 
 
@@ -388,7 +398,7 @@ def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
     from knockout.runner import _write_model
 
     cfg = parse_config(
-        BASE.format(mechanism="mnar_self_censor").replace(
+        base("mnar_self_censor").replace(
             "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{WRITER_METHODS[name]}"
         )
     )
@@ -734,19 +744,48 @@ def test_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
 
 
 def test_csv_world_is_read_once_per_command(tmp_path):
+    import dataclasses
+
     import knockout.runner as runner
+    from knockout.config import ConfigError
 
     cfg = _world_config("csv", tmp_path, repetitions=3)
-    reads = mock.Mock(wraps=runner._load_csv_world)
-    with mock.patch.object(runner, "_load_csv_world", reads):
-        runner.run_experiment(cfg, out_dir=tmp_path / "run")
-        assert reads.call_count == 1
-        runner.sweep_saved_models(cfg, tmp_path / "run" / "models", tmp_path / "sweep")
-        assert reads.call_count == 2
-        runner.ablate_placeholder(cfg, [0.0, 10.0], out_dir=tmp_path / "ablate")
-        assert reads.call_count == 3
+    runner._read_csv.cache_clear()
+    runner.run_experiment(cfg, out_dir=tmp_path / "run")
+    runner.run_experiment(cfg, out_dir=tmp_path / "pool", jobs=2)
+    runner.sweep_saved_models(cfg, tmp_path / "run" / "models", tmp_path / "sweep")
+    runner.ablate_placeholder(cfg, [0.0, 10.0], out_dir=tmp_path / "ablate")
+    # One read in this process; the pool's workers forked after it.
+    assert runner._read_csv.cache_info().misses == 1
     for name in ("report_long.csv", "aggregates.json"):
         assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    # The config's checks are not cached with the file.
+    with pytest.raises(ConfigError, match="section \\[sweep\\], key 'k_max': must be <= 3"):
+        runner.run_experiment(dataclasses.replace(cfg, k_max=4), out_dir=tmp_path / "deep")
+    # A file that changed is read again.
+    path = tmp_path / "data.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    assert runner._load_csv_world(cfg)[1].shape == (199, 3)
+    assert runner._read_csv.cache_info().misses == 2
+
+
+def test_a_csv_world_job_payload_holds_indices_not_the_table(tmp_path, monkeypatch):
+    import pickle
+
+    import knockout.runner as runner
+
+    payloads = []
+    job = runner._method_job
+
+    def recording_job(*payload):
+        payloads.append(payload)
+        return job(*payload)
+
+    monkeypatch.setattr(runner, "_method_job", recording_job)
+    cfg = _world_config("csv", tmp_path)  # a 200 x 4 file: 6,400 bytes of float64
+    runner.run_experiment(cfg, out_dir=tmp_path / "run")
+    assert len(payloads) == 2 * 2
+    assert max(len(pickle.dumps(payload)) for payload in payloads) < 2048
 
 
 def test_sweep_holds_at_most_one_earlier_prediction_per_model(tmp_path, monkeypatch):
