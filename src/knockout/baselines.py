@@ -9,7 +9,7 @@ coordinates the models consume, continuous features only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +61,14 @@ class KNN:
 class LinReg:
     """One least-squares model per feature, fitted on complete rows."""
 
-    coefs: list[np.ndarray | None]  # per feature: (d,) intercept-last layout or None
+    coefs: list[np.ndarray | None]  # per feature: (d,) intercept-last layout, or None to fall back
     fallback: np.ndarray
-    fell_back: list[int] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "lin_reg",
             "coefs": [c.tolist() if c is not None else None for c in self.coefs],
             "fallback": self.fallback.tolist(),
-            "fell_back": self.fell_back,
         }
 
     @classmethod
@@ -78,7 +76,6 @@ class LinReg:
         return cls(
             coefs=[np.asarray(c, dtype=float) if c is not None else None for c in obj["coefs"]],
             fallback=np.asarray(obj["fallback"], dtype=float),
-            fell_back=list(obj["fell_back"]),
         )
 
 
@@ -129,9 +126,8 @@ def _fit_lin_reg(x: np.ndarray, observed_mask: np.ndarray) -> LinReg:
             "falling back to mean imputation for every feature",
             stacklevel=2,
         )
-        return LinReg([None] * d, fallback, fell_back=list(range(d)))
+        return LinReg([None] * d, fallback)
     coefs: list[np.ndarray | None] = []
-    fell_back = []
     for j in range(d):
         others = np.delete(complete, j, axis=1)
         design = np.hstack([others, np.ones((others.shape[0], 1))])
@@ -142,11 +138,10 @@ def _fit_lin_reg(x: np.ndarray, observed_mask: np.ndarray) -> LinReg:
                 stacklevel=2,
             )
             coefs.append(None)
-            fell_back.append(j)
             continue
         beta, *_ = np.linalg.lstsq(design, target, rcond=None)
         coefs.append(beta)
-    return LinReg(coefs, fallback, fell_back=fell_back)
+    return LinReg(coefs, fallback)
 
 
 def impute(imputer: Imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:

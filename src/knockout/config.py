@@ -6,7 +6,9 @@ mechanism and method kind reads. Parsing, the value checks and the
 canonical text all follow these tables, so a key a run does not read (or
 an unknown section) is rejected, naming its section, and every key it
 reads is hashed. ``parse -> serialize -> parse`` is a fixed point, and the
-canonical serialization is what gets hashed into the run manifest.
+canonical serialization is what gets hashed into the run manifest. The
+world kind fixes the training loss; a ``[train] loss`` key is accepted
+only when it names that loss, and is not kept.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ _KEYS = (
     ("train", "learning_rate", "learning_rate", float),
     ("train", "hidden", "hidden", _hidden),
     ("train", "seed0", "seed0", int),
-    ("train", "loss", "loss", str),
     ("train", "mask_granularity", "mask_granularity", str),
     ("sweep", "k_max", "k_max", int),
     ("sweep", "repetitions", "repetitions", int),
@@ -174,7 +175,6 @@ class ExperimentConfig:
     learning_rate: float = 3e-3
     hidden: tuple[int, ...] = (100, 100)
     seed0: int = 17
-    loss: str = "mse"
     mask_granularity: str = "per_batch"
     k_max: int = 3
     repetitions: int = 10
@@ -222,19 +222,17 @@ class ExperimentConfig:
             _reject("train", "batch_size", f"must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             _reject("train", "learning_rate", f"must be finite and > 0, got {self.learning_rate}")
-        if self.loss != _task_loss(self.world_kind):
-            _reject(
-                "train",
-                "loss",
-                f"world kind {self.world_kind!r} trains with "
-                f"{_task_loss(self.world_kind)!r}, got {self.loss!r}",
-            )
         if self.mask_granularity not in _MASK_GRANULARITIES:
             _reject(
                 "train",
                 "mask_granularity",
                 f"must be one of {list(_MASK_GRANULARITIES)}, got {self.mask_granularity!r}",
             )
+
+    @property
+    def loss(self) -> str:
+        """The training loss, which the world kind's task fixes."""
+        return _task_loss(self.world_kind)
 
 
 def _reject(section: str, key: str, problem: str) -> None:
@@ -331,6 +329,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("world"):
         raise ConfigError("missing required section [world]")
+    # Configs once had to name the loss; such a config still parses.
+    named_loss = parser.get("train", "loss", fallback=None)
+    if named_loss is not None:
+        parser.remove_option("train", "loss")
 
     values = {}
     for section in _SECTIONS:
@@ -342,10 +344,14 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     methods.sort(key=lambda m: m.name)
 
-    # The two defaults that depend on the world: the task's loss, and a
-    # sweep 3 deep, or to every feature if fewer.
     world_kind = values["world_kind"]
-    values.setdefault("loss", _task_loss(world_kind))
+    if named_loss not in (None, _task_loss(world_kind)):
+        _reject(
+            "train",
+            "loss",
+            f"world kind {world_kind!r} trains with {_task_loss(world_kind)!r}, got {named_loss!r}",
+        )
+    # A sweep 3 deep, or to every feature if fewer.
     d = _feature_count(world_kind, values.get("dim", ExperimentConfig.dim))
     values.setdefault("k_max", 3 if d is None else max(0, min(3, d)))
     return ExperimentConfig(methods=tuple(methods), **values)

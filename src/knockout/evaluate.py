@@ -29,7 +29,6 @@ __all__ = [
     "run_pattern_sweep",
     "merge_repetitions",
     "report_rows",
-    "aggregates_dict",
 ]
 
 MetricFn = Callable[[np.ndarray], float]
@@ -46,17 +45,17 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def mse_vs_bayes(
-    predict_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    predictions: np.ndarray,
     world: GaussianWorld,
     x_test: np.ndarray,
     pattern: np.ndarray,
 ) -> float:
-    """MSE between a model's prediction under a pattern and the exact oracle.
+    """MSE between a model's predictions on the test rows under a pattern
+    and the exact oracle, which conditions on the unmasked coordinates.
 
-    The model sees the test rows with the pattern applied through its own
-    imputation rule; the oracle conditions on the unmasked coordinates.
+    The model saw the test rows with the pattern applied through its own
+    imputation rule.
     """
-    predictions = predict_fn(x_test, pattern)
     observed_idx = [i for i, b in enumerate(pattern) if b == 0]
     oracle = bayes_conditional_mean(world, observed_idx, x_test[:, observed_idx])
     return mse(predictions, oracle)
@@ -98,7 +97,8 @@ def marginal_fidelity_binned(
     occupied = estimate.occupied
     if not occupied.any():
         raise ValueError("no occupied bins to compare against")
-    weights = estimate.mass[occupied]
+    mass = estimate.counts / estimate.counts.sum()
+    weights = mass[occupied]
     weights = weights / weights.sum()
     divs = [
         jsd(np.array([pm, 1.0 - pm]), np.array([pe, 1.0 - pe]))
@@ -132,7 +132,6 @@ class SweepReport:
     method: str
     metrics: tuple[str, ...]
     results: tuple[PatternResult, ...]
-    n_reps: int
 
     def __post_init__(self):
         seen = set()
@@ -203,7 +202,6 @@ def run_pattern_sweep(
             method=name,
             metrics=tuple(metric_names),
             results=tuple(r for metric in metric_names for r in by_metric[metric]),
-            n_reps=len(reps),
         )
     return reports
 
@@ -222,7 +220,7 @@ def merge_repetitions(reports: Sequence[SweepReport]) -> SweepReport:
     for same in zip(*(report.results for report in reports)):
         per_rep = tuple(v for r in same for v in r.per_rep)
         results.append(PatternResult(same[0].pattern, same[0].metric, per_rep, same[0].n_test))
-    return SweepReport(first.method, first.metrics, tuple(results), sum(r.n_reps for r in reports))
+    return SweepReport(first.method, first.metrics, tuple(results))
 
 
 def regression_pattern_metrics(
@@ -253,7 +251,7 @@ def regression_pattern_metrics(
         return {"mse_obs": _mse_obs}
 
     def _mse_bayes(pattern: np.ndarray) -> float:
-        return mse_vs_bayes(lambda x, p: _predictions(p), world, x_test, pattern)
+        return mse_vs_bayes(_predictions(pattern), world, x_test, pattern)
 
     return {"mse_obs": _mse_obs, "mse_bayes": _mse_bayes}
 
@@ -281,13 +279,3 @@ def report_rows(reports: Mapping[str, SweepReport]) -> list[tuple]:
             for rep, value in enumerate(result.per_rep):
                 rows.append((name, result.pattern, result.popcount, result.metric, rep, value))
     return rows
-
-
-def aggregates_dict(reports: Mapping[str, SweepReport]) -> dict:
-    out = {}
-    for name in sorted(reports):
-        agg = reports[name].by_popcount()
-        out[name] = {
-            f"{metric}/popcount={popcount}": stats for (metric, popcount), stats in agg.items()
-        }
-    return out

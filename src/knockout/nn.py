@@ -56,6 +56,10 @@ _scratch = _Scratch()
 # Rows per forward-pass block in `forward` (training batches are not split).
 _FORWARD_ROWS = 512
 
+# Adam's constants, and the steps between two traced losses.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_TRACE_EVERY = 100
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -66,7 +70,6 @@ class NetworkSpec:
     """
 
     widths: tuple[int, ...]
-    activation: str = "relu"
     head: str = "linear"  # "linear" | "logits"
 
     def __post_init__(self):
@@ -74,8 +77,6 @@ class NetworkSpec:
             raise ValueError("need at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.head not in ("linear", "logits"):
             raise ValueError(f"unsupported head {self.head!r}")
 
@@ -134,10 +135,6 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     loss: str = "mse"  # "mse" | "cross_entropy"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    trace_every: int = 100
 
     def __post_init__(self):
         if self.steps < 0:
@@ -332,7 +329,7 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite loss at step {step}{_last_traced(trace)}"
                 )
-            if step % cfg.trace_every == 0:
+            if step % _TRACE_EVERY == 0:
                 trace.append((step, value))
             # Adam, in place, in the operation order of
             #   m = b1 * m + (1 - b1) * g
@@ -340,16 +337,16 @@ def train(
             #   theta = theta - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
             # so that every entry rounds exactly as those expressions do.
             t = step + 1
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
-            v *= cfg.beta2
-            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            m *= _BETA1
+            m += np.multiply(g, 1.0 - _BETA1, out=tmp)
+            v *= _BETA2
+            np.multiply(g, 1.0 - _BETA2, out=tmp)
             tmp *= g
             v += tmp
-            np.divide(v, 1.0 - cfg.beta2**t, out=tmp)
+            np.divide(v, 1.0 - _BETA2**t, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += cfg.eps
-            step_size = np.divide(m, 1.0 - cfg.beta1**t, out=g)  # g is spent
+            tmp += _EPS
+            step_size = np.divide(m, 1.0 - _BETA1**t, out=g)  # g is spent
             step_size *= cfg.learning_rate
             step_size /= tmp
             theta -= step_size

@@ -29,7 +29,6 @@ from .evaluate import (
     merge_repetitions,
     regression_pattern_metrics,
     report_rows,
-    aggregates_dict,
     run_pattern_sweep,
 )
 from .methods import RULES, Rule
@@ -81,28 +80,29 @@ def _schema_for(cfg: ExperimentConfig) -> FeatureSchema:
     return FeatureSchema(features=features)
 
 
-def _load_csv_world(cfg: ExperimentConfig) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _load_csv_world(cfg: ExperimentConfig) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """A csv world's feature names, features and target column.
 
-    The file is read once per process (`_read_csv`); a pool's workers fork
-    after the parent has read it. The config's checks run on every call.
+    The file is read once per process (`_read_csv`), and the features and
+    the target are views of the table read; a pool's workers fork after
+    the parent has read it. The config's checks run on every call.
     """
     path = cfg.csv_path
     stat = os.stat(path)
-    header, data = _read_csv(path, stat.st_size, stat.st_mtime_ns)
-    if cfg.csv_target not in header:
-        raise ValueError(f"{path}: no column {cfg.csv_target!r} (section [world], key 'target')")
-    check_k_max(cfg.k_max, len(header) - 1)
-    train_rows(data.shape[0], cfg.train_fraction, path)
-    target_idx = header.index(cfg.csv_target)
-    names = [h for i, h in enumerate(header) if i != target_idx]
-    return names, np.delete(data, target_idx, axis=1), data[:, target_idx]
+    names, x, y = _read_csv(path, cfg.csv_target, stat.st_size, stat.st_mtime_ns)
+    check_k_max(cfg.k_max, len(names))
+    train_rows(x.shape[0], cfg.train_fraction, path)
+    return names, x, y
 
 
 @functools.lru_cache(maxsize=1)
-def _read_csv(path: str, size: int, mtime_ns: int) -> tuple[list[str], np.ndarray]:
-    """A numeric CSV's header and rows. The file's size and mtime are part
-    of the cache key, so a file that changed is read again."""
+def _read_csv(
+    path: str, target: str, size: int, mtime_ns: int
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """A numeric CSV's feature names, features and ``target`` column. The
+    last two are read-only views of one table, which holds the target
+    column last. The file's size and mtime are part of the cache key, so a
+    file that changed is read again."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -132,9 +132,13 @@ def _read_csv(path: str, size: int, mtime_ns: int) -> tuple[list[str], np.ndarra
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    data.flags.writeable = False  # shared by every call
-    return header, data
+    if target not in header:
+        raise ValueError(f"{path}: no column {target!r} (section [world], key 'target')")
+    t = header.index(target)
+    columns = [i for i in range(len(header)) if i != t]
+    table = np.asarray(rows, dtype=float).take([*columns, t], axis=1)
+    table.flags.writeable = False  # shared by every call
+    return tuple(header[i] for i in columns), table[:, :-1], table[:, -1]
 
 
 @dataclass
@@ -153,7 +157,6 @@ class RepetitionData:
 
 
 def _task_for(cfg: ExperimentConfig) -> str:
-    # The config checks that the loss is the world's task loss.
     return "classification" if cfg.loss == "cross_entropy" else "regression"
 
 
@@ -220,7 +223,6 @@ class ModelPipeline:
 
     name: str
     kind: str
-    task: str
     schema: FeatureSchema
     net_spec: NetworkSpec
     params: Parameters
@@ -241,8 +243,6 @@ class ModelPipeline:
         test data (per row, MNAR-tagged).
         """
         z = apply_normalization(x_raw, self.schema.stats)
-        if z.ndim == 1:
-            z = z[None, :]
         return self.rule.inputs(z, pattern, observed)
 
     def predict_for_pattern(
@@ -251,7 +251,7 @@ class ModelPipeline:
         pattern: np.ndarray,
         observed: np.ndarray | None = None,
     ) -> np.ndarray:
-        if self.task != "regression":
+        if self.net_spec.head != "linear":
             raise ValueError("predict_for_pattern is for regression pipelines")
         out = predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
         return out.ravel() * self.y_std + self.y_mean
@@ -262,7 +262,7 @@ class ModelPipeline:
         pattern: np.ndarray,
         observed: np.ndarray | None = None,
     ) -> np.ndarray:
-        if self.task != "classification":
+        if self.net_spec.head != "logits":
             raise ValueError("proba_for_pattern is for classification pipelines")
         return predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
 
@@ -274,12 +274,7 @@ class ModelPipeline:
             "format_version": 1,
             "name": self.name,
             "kind": self.kind,
-            "task": self.task,
-            "net": {
-                "widths": list(self.net_spec.widths),
-                "activation": self.net_spec.activation,
-                "head": self.net_spec.head,
-            },
+            "net": {"widths": list(self.net_spec.widths), "head": self.net_spec.head},
             "weights": self.params.weights,
             "biases": self.params.biases,
             "stats": self.schema.stats.to_json_dict(),
@@ -305,11 +300,7 @@ def pipeline_from_json(obj: dict, schema_template: FeatureSchema) -> ModelPipeli
     if obj.get("format_version") != 1:
         raise ValueError(f"unsupported model format version {obj.get('format_version')}")
     schema = schema_template.with_stats(NormalizationStats.from_json_dict(obj["stats"]))
-    spec = NetworkSpec(
-        widths=tuple(obj["net"]["widths"]),
-        activation=obj["net"]["activation"],
-        head=obj["net"]["head"],
-    )
+    spec = NetworkSpec(widths=tuple(obj["net"]["widths"]), head=obj["net"]["head"])
     params = Parameters(
         [np.asarray(w, dtype=float) for w in obj["weights"]],
         [np.asarray(b, dtype=float) for b in obj["biases"]],
@@ -317,7 +308,6 @@ def pipeline_from_json(obj: dict, schema_template: FeatureSchema) -> ModelPipeli
     return ModelPipeline(
         name=obj["name"],
         kind=obj["kind"],
-        task=obj["task"],
         schema=schema,
         net_spec=spec,
         params=params,
@@ -365,7 +355,6 @@ def train_method(
     pipeline = ModelPipeline(
         name=method.name,
         kind=method.kind,
-        task=task,
         schema=schema,
         net_spec=net_spec,
         params=result.params,
@@ -603,8 +592,7 @@ def _write_artifacts(cfg, out: Path, reports, jsd_reports, written: list) -> Non
         for name in sorted(sweep):
             for (metric, popcount), stats in sweep[name].by_popcount().items():
                 plot_rows.append((name, metric, popcount, stats["mean"], stats["std"]))
-        for name, entries in aggregates_dict(sweep).items():
-            agg.setdefault(name, {}).update(entries)
+                agg.setdefault(name, {})[f"{metric}/popcount={popcount}"] = stats
     plot_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     plot_header = ["method", "metric", "popcount", "mean", "std"]
     written.append(_write_csv(out / "plotdata.csv", plot_header, plot_rows))

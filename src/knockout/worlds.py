@@ -209,9 +209,7 @@ class BinnedConditional:
 
     positions: np.ndarray  # bin centers or discrete values
     p1: np.ndarray
-    mass: np.ndarray
     counts: np.ndarray
-    edges: np.ndarray | None = None
 
     @property
     def occupied(self) -> np.ndarray:
@@ -242,8 +240,7 @@ def empirical_conditional(
             sel = x_feature == v
             counts[i] = int(sel.sum())
             p1[i] = y[sel].mean()
-        mass = counts / counts.sum()
-        return BinnedConditional(values, p1, mass, counts)
+        return BinnedConditional(values, p1, counts)
 
     lo, hi = float(x_feature.min()), float(x_feature.max())
     if hi == lo:
@@ -254,5 +251,4 @@ def empirical_conditional(
     ones = np.bincount(idx, weights=y, minlength=bins)
     p1 = (ones + 1.0) / (counts + 2.0)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    mass = counts / counts.sum()
-    return BinnedConditional(centers, p1, mass, counts, edges)
+    return BinnedConditional(centers, p1, counts)

@@ -157,7 +157,7 @@ def test_linreg_matches_row_loop(x, data):
     coef = hnp.arrays(float, d, elements=st.floats(-3.0, 3.0, allow_subnormal=False))
     coefs = [data.draw(st.one_of(st.none(), coef)) for _ in range(d)]
     fallback = data.draw(hnp.arrays(float, d, elements=_VALUES))
-    imp = LinReg(coefs, fallback, fell_back=[j for j, c in enumerate(coefs) if c is None])
+    imp = LinReg(coefs, fallback)
     np.testing.assert_allclose(
         impute(imp, x, mask), _row_loop(_impute_linreg_row, imp, x, mask), rtol=0, atol=1e-12
     )
@@ -296,7 +296,7 @@ def test_linreg_collinear_falls_back_with_warning():
     train = np.column_stack([base, 2 * base, base + 1])  # exactly collinear
     with pytest.warns(UserWarning, match="rank-deficient|falling back"):
         imp = fit_imputer("lin_reg", train)
-    assert imp.fell_back
+    assert any(beta is None for beta in imp.coefs)
     out = impute(imp, np.array([np.nan, 0.0, 0.0]), np.array([1, 0, 0], dtype=np.uint8))
     assert out[0] == pytest.approx(train[:, 0].mean())
 
@@ -307,7 +307,7 @@ def test_linreg_too_few_complete_rows_warns():
     observed[:2, 0] = 1  # only 2 complete rows for 3 features
     with pytest.warns(UserWarning, match="complete rows"):
         imp = fit_imputer("lin_reg", train, observed)
-    assert imp.fell_back == [0, 1, 2]
+    assert imp.coefs == [None, None, None]
 
 
 def test_all_missing_feature_errors():

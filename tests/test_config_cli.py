@@ -203,10 +203,10 @@ def test_shipped_config_hashes_are_pinned():
 
     configs_dir = Path(__file__).resolve().parent.parent / "configs"
     hashes = {
-        "classification2d.ini": "7133cb96ee37dc4976c4a76dc09126de9b19dc2cffba4dd72cf16459b6c4fd64",
-        "fig1_complete.ini": "a6e22ad00d9402eebd43d0a178b31e4f7ae3aafad2f77d82d70756686b634143",
-        "fig1_mcar.ini": "602abba5641748f3d8c498d4aeee178e38733926c51f1d087b3e726af02aa1e3",
-        "fig1_mnar.ini": "0ec3180d1be5123850ab15a52bc6cd2a73620f8f8e1c86c64f7af34166df4663",
+        "classification2d.ini": "be1a870a40e3c8569e0e7553051f7b54392fe557265e0137ceca58a7c8d8838d",
+        "fig1_complete.ini": "96050285166556cbc5b386718d2af4341c519837d141ca3da86816225581b9c4",
+        "fig1_mcar.ini": "7dc276fceb7cb2e371bd1cab913946087db3194d8ef74739bcd254b9bf132617",
+        "fig1_mnar.ini": "d6ab475d8c538e9de35cffcce41c08db2157774e739a24b2e4ec419e1ddfcb72",
     }
     for name, digest in hashes.items():
         assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name
@@ -295,10 +295,24 @@ def test_config_validates_values():
     assert parse_config(f"[world]\nkind = gaussian\n{mcar}{method}").mcar_p == 1.0
     mnar = "[missingness]\nmechanism = mnar_self_censor\nq = 0.5\n"
     assert parse_config(f"[world]\nkind = gaussian\n{mnar}{method}").mnar_q == 0.5
-    # Without the key the loss is the task's, with or without a [train] section.
+    # The loss is the task's, with or without a [train] section.
     assert parse_config(f"[world]\nkind = gaussian\n{method}").loss == "mse"
     assert parse_config(f"[world]\nkind = mixed\n{method}").loss == "cross_entropy"
     assert parse_config(f"[world]\nkind = continuous2d\n[train]\nsteps = 5\n{method}").loss == "cross_entropy"
+
+
+@pytest.mark.parametrize("world", ["gaussian", "continuous2d", "mixed", "csv"])
+def test_a_loss_key_naming_the_task_loss_changes_nothing(world):
+    """The world kind fixes the loss, so `[train] loss` is no setting: a
+    config may still name its task's loss, and parses, hashes and
+    serializes as if it did not."""
+    sections = {"csv": "path = d.csv\ntarget = y\n"}
+    text = f"[world]\nkind = {world}\n{sections.get(world, '')}[train]\nsteps = 5\n"
+    method = "[method.k]\nkind = knockout\n"
+    without = parse_config(text + method)
+    named = parse_config(f"{text}loss = {without.loss}\n{method}")
+    assert named == without and config_hash(named) == config_hash(without)
+    assert "loss" not in serialize_config(named)
 
 
 def test_cli_run_minimal_config(tmp_path):
@@ -748,12 +762,11 @@ ANY_VALUES = {
 def test_config_accepts_exactly_the_keys_the_tables_list(world, mechanism, kind, data):
     """Any subset of a section's keys parses exactly when its world kind,
     mechanism or method kind reads them all; the canonical text of what
-    parses is a fixed point and holds only the keys the run reads. (`loss`
-    is left unset: each world kind accepts its task's loss only.)"""
+    parses is a fixed point and holds only the keys the run reads."""
     reads = {
         "world": ("kind", *_WORLD_KEYS[world]),
         "missingness": ("mechanism", *_MECHANISM_KEYS[mechanism]),
-        "train": ("steps", "batch_size", "learning_rate", "hidden", "seed0", "loss", "mask_granularity"),
+        "train": ("steps", "batch_size", "learning_rate", "hidden", "seed0", "mask_granularity"),
         "sweep": ("k_max", "repetitions"),
         "output": ("dir",),
         "method.m": ("kind", *_KIND_KEYS[kind]),

@@ -51,7 +51,7 @@ def test_mse_vs_bayes_oracle_wrapping_model_scores_zero():
         observed = [i for i, b in enumerate(pat) if b == 0]
         return bayes_conditional_mean(world, observed, x[:, observed])
 
-    assert mse_vs_bayes(oracle_model, world, x_test, pattern) == 0.0
+    assert mse_vs_bayes(oracle_model(x_test, pattern), world, x_test, pattern) == 0.0
 
 
 def test_mse_vs_bayes_constant_predictor_under_full_masking():
@@ -62,7 +62,7 @@ def test_mse_vs_bayes_constant_predictor_under_full_masking():
     def prior_model(x, pat):
         return np.full(x.shape[0], world.mean[-1])
 
-    assert mse_vs_bayes(prior_model, world, x_test, pattern) == 0.0
+    assert mse_vs_bayes(prior_model(x_test, pattern), world, x_test, pattern) == 0.0
 
 
 def test_jsd_reference_values():
@@ -132,7 +132,7 @@ def test_run_pattern_sweep_structure():
     )
     assert set(reports) == {"a", "b"}
     report = reports["a"]
-    assert report.n_reps == 2
+    assert {len(r.per_rep) for r in report.results} == {2}
     assert len(report.results) == len(patterns)
     agg = report.by_popcount()
     assert agg[("score", 0)]["mean"] == pytest.approx(0.5)
@@ -151,9 +151,9 @@ def test_pattern_result_completeness_check():
     r2 = PatternResult("01", "m", (2.0,), 5)
     from knockout.evaluate import SweepReport
 
-    SweepReport("x", ("m",), (r1, r2), 1)  # fine
+    SweepReport("x", ("m",), (r1, r2))  # fine
     with pytest.raises(ValueError, match="duplicate"):
-        SweepReport("x", ("m",), (r1, r1), 1)
+        SweepReport("x", ("m",), (r1, r1))
 
 
 def test_report_rows_canonical_order_is_method_independent():

@@ -17,7 +17,9 @@ DELETED = {
     # Each method kind's fill lives in its rule, not in an imputer object.
     "knockout.baselines": ("MeanMode", "ZeroIndicator"),
     "knockout.methods": ("ImputedRule",),
-    "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics"),
+    # The runner builds the plot rows and the aggregates from one
+    # by_popcount call per report.
+    "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics", "aggregates_dict"),
     # The out-of-support check computes every evidence of a pattern at once;
     # nothing read or wrote joint tables as text. The oracles are rational
     # only, so the float-or-Fraction alias and its zero helper went too.
@@ -74,10 +76,20 @@ DELETED_MEMBERS = {
         "validate",
     ),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
-    "knockout.nn.TrainConfig": ("mask_granularity",),
     # Each rate is solved from p_clean; no config set rescale or dumped test data.
     "knockout.config.MethodConfig": ("rate", "dropout_rate", "rescale"),
     "knockout.config.ExperimentConfig": ("dump_test_data",),
+    # Fields with one value in use, or whose value other state fixes: hidden
+    # layers are ReLU, Adam's constants and the trace interval are nn module
+    # constants, a pipeline's task is its head's, lin-reg fell back where a
+    # coefficient is None, a bin's mass is its count's share, nothing read
+    # the bin edges, and a report's repetitions are its per-repetition values.
+    "knockout.nn.TrainConfig": ("mask_granularity", "beta1", "beta2", "eps", "trace_every"),
+    "knockout.nn.NetworkSpec": ("activation",),
+    "knockout.runner.ModelPipeline": ("task",),
+    "knockout.baselines.LinReg": ("fell_back",),
+    "knockout.worlds.BinnedConditional": ("edges", "mass"),
+    "knockout.evaluate.SweepReport": ("n_reps",),
 }
 
 # Parameters whose other values no caller passed: float joints, unsmoothed
@@ -90,6 +102,8 @@ DELETED_PARAMETERS = {
     "knockout.runner._schema_for": ("table",),
     "knockout.runner._method_job": ("table",),
     "knockout.runner._run_jobs": ("table",),
+    # Its only caller had the predictions already.
+    "knockout.evaluate.mse_vs_bayes": ("predict_fn",),
 }
 
 

@@ -67,9 +67,10 @@ def _reference_loss_and_grad(spec, params, batch, targets, loss):
     return value, np.concatenate(parts)
 
 
-def reference_train(spec, cfg, inputs, targets, observed_mask=None, augment=None):
+def reference_train(spec, cfg, inputs, targets, observed_mask=None, augment=None,
+                    trace_every=100):
     """The allocating training loop, kept as the oracle for `train`: a new
-    parameter set per step and Adam out of place."""
+    parameter set per step and Adam out of place, with its usual constants."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets)
     n = inputs.shape[0]
@@ -87,14 +88,15 @@ def reference_train(spec, cfg, inputs, targets, observed_mask=None, augment=None
         if augment is not None:
             xb = augment(xb, nb, rng)
         value, g = _reference_loss_and_grad(spec, params, xb, yb, cfg.loss)
-        if step % cfg.trace_every == 0:
+        if step % trace_every == 0:
             trace.append((step, value))
         t = step + 1
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        beta1, beta2 = 0.9, 0.999
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         params = Parameters.from_flat(spec, theta)
     return params, trace
 
@@ -143,22 +145,23 @@ def _train_case(draw):
         batch_size=draw(st.integers(1, n + 6)),  # batch_size > n is allowed
         seed=seed,
         loss=loss,
-        trace_every=draw(st.integers(1, 6)),
     )
-    return spec, cfg, x, y, observed, hook
+    return spec, cfg, x, y, observed, hook, draw(st.integers(1, 6))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_train_case())
 def test_train_bitwise_equal_to_allocating_reference(case):
-    spec, cfg, x, y, observed, hook = case
-    want_params, want_trace = reference_train(spec, cfg, x, y, observed, hook)
-    result = train(spec, cfg, x, y, observed, hook)
+    spec, cfg, x, y, observed, hook, trace_every = case
+    want_params, want_trace = reference_train(spec, cfg, x, y, observed, hook, trace_every)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_TRACE_EVERY", trace_every)
+        result = train(spec, cfg, x, y, observed, hook)
     _assert_params_equal(result.params, want_params)
     assert result.trace == want_trace
 
 
-def test_train_bitwise_equal_to_reference_on_100_wide_nets():
+def test_train_bitwise_equal_to_reference_on_100_wide_nets(monkeypatch):
     # The property's nets are tiny; BLAS takes other kernels at the
     # 100-wide layers the runner trains, so the named cases run there too.
     rng = np.random.default_rng(21)
@@ -171,10 +174,10 @@ def test_train_bitwise_equal_to_reference_on_100_wide_nets():
         (NetworkSpec((6, 100, 100, 1)), "mse", rng.normal(size=40), _knock_and_indicate, 32),
         (NetworkSpec((3, 100, 100, 2)), "mse", rng.normal(size=(40, 2)), None, 128),
     ]
+    monkeypatch.setattr(nn, "_TRACE_EVERY", 7)
     for spec, loss, y, hook, batch_size in cases:
-        cfg = TrainConfig(learning_rate=3e-3, steps=40, batch_size=batch_size, seed=3,
-                          loss=loss, trace_every=7)
-        want_params, want_trace = reference_train(spec, cfg, x, y, augment=hook)
+        cfg = TrainConfig(learning_rate=3e-3, steps=40, batch_size=batch_size, seed=3, loss=loss)
+        want_params, want_trace = reference_train(spec, cfg, x, y, augment=hook, trace_every=7)
         result = train(spec, cfg, x, y, augment=hook)
         _assert_params_equal(result.params, want_params)
         assert result.trace == want_trace
@@ -363,12 +366,13 @@ def test_train_divergence_reports_step():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_train_divergence_names_last_traced_loss():
+def test_train_divergence_names_last_traced_loss(monkeypatch):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(64, 2)) * 1e3
     y = rng.normal(size=64) * 1e3
     spec = NetworkSpec((2, 8, 1))
-    cfg = TrainConfig(learning_rate=1e80, steps=200, batch_size=16, seed=0, trace_every=1)
+    monkeypatch.setattr(nn, "_TRACE_EVERY", 1)
+    cfg = TrainConfig(learning_rate=1e80, steps=200, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError) as info:
         train(spec, cfg, x, y)
     message = str(info.value)

@@ -93,13 +93,11 @@ kind = lin_reg
 
 def _config(world: str, granularity: str, csv_path: Path) -> str:
     world_keys, missingness = WORLDS[world]
-    classification = world in ("continuous2d", "mixed")
     return (
         "[world]\n" + world_keys.format(csv=csv_path) + "train_fraction = 0.5\n"
         + (f"[missingness]\n{missingness}" if missingness else "")
         + "[train]\nsteps = 3\nbatch_size = 16\nhidden = 4\nseed0 = 5\n"
         + f"mask_granularity = {granularity}\n"
-        + ("loss = cross_entropy\n" if classification else "")
         + "[sweep]\nk_max = 1\nrepetitions = 1\n"
         + ALL_WORLD_METHODS
         + ("" if world == "mixed" else CONTINUOUS_METHODS)

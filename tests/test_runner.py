@@ -302,24 +302,34 @@ def test_pipeline_json_round_trip_preserves_predictions():
 
 
 def test_model_in_the_earlier_format_loads_and_predicts_identically():
-    """Model files once held null slots for retired normalization modes and
-    the policy's magnitude; they load, predict the same and drop those keys."""
-    cfg = make_cfg("mnar_self_censor")
+    """Model files once held null slots for retired normalization modes, the
+    policy's magnitude, the task, the hidden layers' activation and lin-reg's
+    fell-back features; they load, predict the same and drop those keys."""
+    cfg = make_cfg("mnar_self_censor", "\n[method.lin_reg]\nkind = lin_reg\n")
     data = build_repetition(cfg, 0)
-    pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
-    current = pipe.to_json_dict()
-    earlier = json.loads(json.dumps(current))
-    nulls = [None] * data.schema.d
-    earlier["stats"].update(lo=nulls, hi=nulls, shift=nulls, upper_sided=[False] * data.schema.d)
-    earlier["policy"]["zscore_magnitude"] = 10.0
-    restored = pipeline_from_json(earlier, _schema_for(cfg))
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[1] = 1
-    np.testing.assert_array_equal(
-        pipe.predict_for_pattern(data.x_test, pattern, data.test_observed),
-        restored.predict_for_pattern(data.x_test, pattern, data.test_observed),
-    )
-    assert json.dumps(restored.to_json_dict()) == json.dumps(current)
+    for index, method in enumerate(cfg.methods):
+        pipe, _ = train_method(cfg, method, data, index)
+        current = pipe.to_json_dict()
+        earlier = json.loads(json.dumps(current))
+        nulls = [None] * data.schema.d
+        earlier["stats"].update(lo=nulls, hi=nulls, shift=nulls, upper_sided=[False] * data.schema.d)
+        earlier["task"] = "regression"
+        earlier["net"]["activation"] = "relu"
+        if method.kind == "knockout":
+            earlier["policy"]["zscore_magnitude"] = 10.0
+        else:
+            coefs = earlier["imputer"]["coefs"]
+            earlier["imputer"]["fell_back"] = [j for j, beta in enumerate(coefs) if beta is None]
+        restored = pipeline_from_json(earlier, _schema_for(cfg))
+        np.testing.assert_array_equal(
+            pipe.predict_for_pattern(data.x_test, pattern, data.test_observed),
+            restored.predict_for_pattern(data.x_test, pattern, data.test_observed),
+        )
+        assert json.dumps(restored.to_json_dict()) == json.dumps(current)
+        assert "task" not in current and "activation" not in current["net"]
+        assert "fell_back" not in current.get("imputer", {})
 
 
 def _set(path, value):
@@ -383,7 +393,8 @@ def test_training_determinism_across_processes_payload(tmp_path):
     for path_a, path_c in zip([model, *written_a[2:]], written_c):
         assert path_c.read_bytes() == path_a.read_bytes()
     assert report_c == report_a
-    assert report_a.n_reps == 1 and len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
+    assert len(report_a.results) == 2 * 10  # 2 metrics, 10 patterns
+    assert {len(r.per_rep) for r in report_a.results} == {1}
     assert jsd_a is None and jsd_c is None
     # A later method's job writes only its own model and trace.
     _, _, written_d = _method_job(cfg, cfg.methods[0], 0, 1, local, None)
@@ -450,7 +461,6 @@ steps = 150
 batch_size = 64
 hidden = 16
 seed0 = 7
-loss = cross_entropy
 
 [sweep]
 k_max = 2
@@ -495,7 +505,6 @@ train_fraction = 0.5
 
 [train]
 steps = 10
-loss = cross_entropy
 
 [sweep]
 repetitions = 1
@@ -524,7 +533,6 @@ train_fraction = 0.5
 steps = 30
 batch_size = 32
 hidden = 8
-loss = cross_entropy
 
 [sweep]
 k_max = 1
@@ -767,6 +775,30 @@ def test_csv_world_is_read_once_per_command(tmp_path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     assert runner._load_csv_world(cfg)[1].shape == (199, 3)
     assert runner._read_csv.cache_info().misses == 2
+
+
+def test_a_csv_world_is_split_once_into_views_of_the_cached_table(tmp_path):
+    import dataclasses
+    import os
+
+    import knockout.runner as runner
+
+    cfg = dataclasses.replace(_world_config("csv", tmp_path), csv_target="b")
+    runner._read_csv.cache_clear()
+    first, second = runner._load_csv_world(cfg), runner._load_csv_world(cfg)
+    stat = os.stat(cfg.csv_path)
+    cached = runner._read_csv(cfg.csv_path, "b", stat.st_size, stat.st_mtime_ns)
+    assert runner._read_csv.cache_info().misses == 1
+    table = cached[1].base
+    assert table is cached[2].base and table.flags.c_contiguous and not table.flags.writeable
+    for names, x, y in (first, second):
+        assert names == ("a", "c", "target")
+        assert x.base is table and y.base is table
+        assert np.shares_memory(x, table) and np.shares_memory(y, table)
+        assert not x.flags.writeable and not y.flags.writeable
+    data = np.loadtxt(cfg.csv_path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(first[1], np.delete(data, 1, axis=1))
+    np.testing.assert_array_equal(first[2], data[:, 1])
 
 
 def test_a_csv_world_job_payload_holds_indices_not_the_table(tmp_path, monkeypatch):
