@@ -39,15 +39,13 @@ def _resolve_out(cfg_dir: str, out: str | None) -> Path:
     return Path(cfg_dir)
 
 
-def _apply_overrides(cfg, seeds: int | None, k_max: int | None):
+def _apply_overrides(cfg, **overrides):
+    """The config with each override that is not None, checked as the
+    config's own values are."""
     try:
-        if seeds is not None:
-            cfg = dataclasses.replace(cfg, repetitions=seeds)
-        if k_max is not None:
-            cfg = dataclasses.replace(cfg, k_max=k_max)
+        return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         raise click.ClickException(f"invalid override: {exc}") from exc
-    return cfg
 
 
 @click.group()
@@ -66,7 +64,7 @@ def cmd_run(config_path, out, seeds, jobs, k_max):
     """Train every configured method and write the sweep reports."""
     from .runner import run_experiment
 
-    cfg = _apply_overrides(_load_config(config_path), seeds, k_max)
+    cfg = _apply_overrides(_load_config(config_path), repetitions=seeds, k_max=k_max)
     out_dir = _resolve_out(cfg.out_dir, out)
     try:
         artifacts = run_experiment(cfg, out_dir=out_dir, jobs=jobs)
@@ -105,7 +103,7 @@ def cmd_ablate(config_path, values, out, seeds, jobs):
     """Train one knockout model per placeholder value and sweep each."""
     from .runner import ablate_placeholder
 
-    cfg = _apply_overrides(_load_config(config_path), seeds, None)
+    cfg = _apply_overrides(_load_config(config_path), repetitions=seeds)
     try:
         parsed_values = [float(v) for v in values.split(",") if v.strip()]
     except ValueError as exc:
@@ -124,13 +122,16 @@ def cmd_ablate(config_path, values, out, seeds, jobs):
 @click.option("--out", default=None)
 @click.option("--k-max", default=None, type=int)
 def cmd_sweep(config_path, models_dir, out, k_max):
-    """Evaluation-only sweep over previously saved models."""
+    """Evaluation-only sweep over previously saved models.
+
+    Sweeps repetitions 0, 1, ... up to the first that has no saved model.
+    """
     from .runner import sweep_saved_models
 
-    cfg = _load_config(config_path)
+    cfg = _apply_overrides(_load_config(config_path), k_max=k_max)
     out_dir = _resolve_out(cfg.out_dir + "_sweep", out)
     try:
-        artifacts = sweep_saved_models(cfg, models_dir, out_dir, k_max=k_max)
+        artifacts = sweep_saved_models(cfg, models_dir, out_dir)
     except (ValueError, KeyError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote sweep report to {artifacts.out_dir}")

@@ -7,8 +7,7 @@ canonical text all follow these tables, so a key a run does not read (or
 an unknown section) is rejected, naming its section, and every key it
 reads is hashed. ``parse -> serialize -> parse`` is a fixed point, and the
 canonical serialization is what gets hashed into the run manifest. The
-world kind fixes the training loss; a ``[train] loss`` key is accepted
-only when it names that loss, and is not kept.
+world kind fixes the training loss, so no key sets it.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ _KEYS = (
     ("output", "dir", "out_dir", str),
     ("method", "kind", "kind", str),
     ("method", "p_clean", "p_clean", float),
-    ("method", "zscore_magnitude", "zscore_magnitude", float),
     ("method", "placeholder", "placeholder", str),
     ("method", "dual_placeholder", "dual_placeholder", _bool),
     ("method", "knockout_value", "knockout_value", float),
@@ -98,8 +96,7 @@ _WORLD_KEYS = {
 }
 _MECHANISM_KEYS = {"none": (), "mcar": ("p",), "mnar_self_censor": ("q",)}
 _KIND_KEYS = {
-    "knockout": ("p_clean", "zscore_magnitude", "placeholder", "dual_placeholder",
-                 "knockout_value", "observed_value"),
+    "knockout": ("p_clean", "placeholder", "dual_placeholder", "knockout_value", "observed_value"),
     "common_baseline": (),
     "dropout": ("p_clean",),
     "zero_indicator": ("p_clean",),
@@ -121,7 +118,6 @@ class MethodConfig:
     name: str
     kind: str
     p_clean: float = 0.5
-    zscore_magnitude: float | None = None  # 10.0 for derived placeholders, unread by mean
     placeholder: str = "derived"  # "derived" | "mean"
     dual_placeholder: bool = True
     knockout_value: float | None = None
@@ -135,16 +131,10 @@ class MethodConfig:
             self._reject("placeholder", "must be 'derived' or 'mean'")
         if not 0.0 < self.p_clean < 1.0:
             self._reject("p_clean", f"must be in (0, 1), got {self.p_clean}")
-        for key in ("zscore_magnitude", "knockout_value", "observed_value"):
-            if getattr(self, key) is not None and self.placeholder == "mean":
-                self._reject(key, "placeholder = mean uses the mean/mode, not this value")
-        if self.zscore_magnitude is None and self.placeholder == "derived":
-            object.__setattr__(self, "zscore_magnitude", 10.0)
-        magnitude = self.zscore_magnitude
-        if magnitude is not None and not (math.isfinite(magnitude) and magnitude > 0.0):
-            self._reject("zscore_magnitude", f"must be finite and > 0, got {magnitude}")
         for key in ("knockout_value", "observed_value"):
             value = getattr(self, key)
+            if value is not None and self.placeholder == "mean":
+                self._reject(key, "placeholder = mean uses the mean/mode, not this value")
             if value is not None and not math.isfinite(value):
                 self._reject(key, f"must be finite, got {value}")
         if self.k < 1:
@@ -329,10 +319,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("world"):
         raise ConfigError("missing required section [world]")
-    # Configs once had to name the loss; such a config still parses.
-    named_loss = parser.get("train", "loss", fallback=None)
-    if named_loss is not None:
-        parser.remove_option("train", "loss")
 
     values = {}
     for section in _SECTIONS:
@@ -344,15 +330,8 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     methods.sort(key=lambda m: m.name)
 
-    world_kind = values["world_kind"]
-    if named_loss not in (None, _task_loss(world_kind)):
-        _reject(
-            "train",
-            "loss",
-            f"world kind {world_kind!r} trains with {_task_loss(world_kind)!r}, got {named_loss!r}",
-        )
     # A sweep 3 deep, or to every feature if fewer.
-    d = _feature_count(world_kind, values.get("dim", ExperimentConfig.dim))
+    d = _feature_count(values["world_kind"], values.get("dim", ExperimentConfig.dim))
     values.setdefault("k_max", 3 if d is None else max(0, min(3, d)))
     return ExperimentConfig(methods=tuple(methods), **values)
 

@@ -92,7 +92,7 @@ def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> Placeh
         policy = PlaceholderPolicy(fills, fills - 1.0)
         policy.validate()
         return policy
-    policy = derive_placeholders(schema, method.zscore_magnitude)
+    policy = derive_placeholders(schema)
     if method.knockout_value is not None or method.observed_value is not None:
         knock = policy.knockout_values.copy()
         obs = policy.observed_values.copy()

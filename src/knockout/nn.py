@@ -7,7 +7,7 @@ central finite differences.
 
 The training step and the forward pass allocate nothing per call: the
 activations live in per-thread scratch buffers that are reused while
-their shape stays the same, the gradient is written into views of one
+they have enough rows, the gradient is written into views of one
 flat vector, and Adam updates its moments and the parameters in place.
 """
 
@@ -38,17 +38,18 @@ class TrainingDivergedError(RuntimeError):
 
 
 class _Scratch(threading.local):
-    """Arrays reused across calls, one set per thread; an array is
-    reallocated only when the shape asked for changes."""
+    """Arrays reused across calls, one set per thread. A request for fewer
+    rows than an array holds gets a view of its leading rows; an array is
+    reallocated only when it has too few rows or other trailing dimensions."""
 
     def __init__(self):
         self.arrays: dict = {}
 
     def get(self, key, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         buf = self.arrays.get(key)
-        if buf is None or buf.shape != shape:
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
             buf = self.arrays[key] = np.empty(shape, dtype=dtype)
-        return buf
+        return buf[: shape[0]]
 
 
 _scratch = _Scratch()

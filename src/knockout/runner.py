@@ -372,6 +372,12 @@ class RunArtifacts:
     jsd_reports: dict | None
 
 
+def _model_stem(method: MethodConfig, rep: int) -> str:
+    """The name, without suffix, of a method's model and trace files for
+    repetition ``rep``."""
+    return f"{method.name}_rep{rep}"
+
+
 def _method_job(
     cfg: ExperimentConfig,
     method: MethodConfig,
@@ -390,7 +396,7 @@ def _method_job(
     regression, and ``written`` lists the files the job wrote.
     """
     data = build_repetition(cfg, rep)
-    stem = f"{method.name}_rep{rep}"
+    stem = _model_stem(method, rep)
     trace = None
     if models_dir is None:
         pipeline, trace = train_method(cfg, method, data, method_index)
@@ -664,18 +670,20 @@ def ablate_placeholder(
 
 
 def sweep_saved_models(
-    cfg: ExperimentConfig, models_dir: str | Path, out_dir: str | Path, k_max: int | None = None
+    cfg: ExperimentConfig, models_dir: str | Path, out_dir: str | Path
 ) -> RunArtifacts:
-    """Evaluation-only run: each job rebuilds its repetition and loads its
-    saved model, then the run sweeps and writes every artifact as
+    """Evaluation-only run over the saved models of repetitions 0, 1, ...
+    up to the first that no method has: each job rebuilds its repetition
+    and loads its model, then the run sweeps and writes every artifact as
     `run_experiment` does."""
-    if k_max is not None:
-        cfg = dataclasses.replace(cfg, k_max=k_max)
-    for method in cfg.methods:
-        for rep in range(cfg.repetitions):
-            path = Path(models_dir) / f"{method.name}_rep{rep}.json"
-            if not path.exists():
-                raise KeyError(
-                    f"missing model for method {method.name!r}, repetition {rep}: {path}"
-                )
-    return _run_jobs(cfg, Path(out_dir), 1, Path(models_dir))
+    models_dir = Path(models_dir)
+    reps = 0
+    while True:
+        paths = [models_dir / f"{_model_stem(method, reps)}.json" for method in cfg.methods]
+        missing = [path for path in paths if not path.exists()]
+        if reps and len(missing) == len(paths):
+            break
+        if missing:
+            raise ValueError(f"missing model file {missing[0]}")
+        reps += 1
+    return _run_jobs(dataclasses.replace(cfg, repetitions=reps), Path(out_dir), 1, models_dir)

@@ -222,38 +222,42 @@ def fit_normalization(
     return stats
 
 
-def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map raw rows into normalized coordinates (invertible per feature)."""
+def _zscored(rows: np.ndarray, stats: NormalizationStats):
+    """``rows`` as a float matrix, whether it was one row, and the mask of
+    the z-scored columns."""
     mat, single = _as_matrix(rows)
     if mat.shape[1] != stats.d:
         raise ValueError(f"row length {mat.shape[1]} != schema d {stats.d}")
+    return mat, single, np.array([mode == "zscore" for mode in stats.modes])
+
+
+def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """Map raw rows into normalized coordinates (invertible per feature)."""
+    mat, single, z = _zscored(rows, stats)
     out = mat.copy()
-    for i, mode in enumerate(stats.modes):
-        if mode == "zscore":
-            out[:, i] = (mat[:, i] - stats.mean[i]) / stats.std[i]
+    out[:, z] = (mat[:, z] - stats.mean[z]) / stats.std[z]
     return out[0] if single else out
 
 
 def invert_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """Inverse of :func:`apply_normalization` on each feature."""
-    mat, single = _as_matrix(rows)
-    if mat.shape[1] != stats.d:
-        raise ValueError(f"row length {mat.shape[1]} != schema d {stats.d}")
+    mat, single, z = _zscored(rows, stats)
     out = mat.copy()
-    for i, mode in enumerate(stats.modes):
-        if mode == "zscore":
-            out[:, i] = mat[:, i] * stats.std[i] + stats.mean[i]
+    out[:, z] = mat[:, z] * stats.std[z] + stats.mean[z]
     return out[0] if single else out
 
 
-def derive_placeholders(schema: FeatureSchema, zscore_magnitude: float = 10.0) -> PlaceholderPolicy:
+# Derived placeholders of a z-scored feature sit this many standard
+# deviations from its mean: far outside the data's support.
+_ZSCORE_PLACEHOLDER = 10.0
+
+
+def derive_placeholders(schema: FeatureSchema) -> PlaceholderPolicy:
     """Derive both placeholder vectors in normalized coordinates.
 
     Categorical features get the two extra codes n+1 (knockout) and n+2
-    (observed missing); z-scored features get +/- ``zscore_magnitude``.
+    (observed missing); z-scored features get +/- ``_ZSCORE_PLACEHOLDER``.
     """
-    if zscore_magnitude <= 0:
-        raise ValueError("zscore_magnitude must be positive")
     knock = np.empty(schema.d)
     observed = np.empty(schema.d)
     for i, kind in enumerate(schema.kinds):
@@ -261,8 +265,8 @@ def derive_placeholders(schema: FeatureSchema, zscore_magnitude: float = 10.0) -
             knock[i] = kind.n_classes + 1
             observed[i] = kind.n_classes + 2
         elif isinstance(kind, ContinuousUnbounded):
-            knock[i] = zscore_magnitude
-            observed[i] = -zscore_magnitude
+            knock[i] = _ZSCORE_PLACEHOLDER
+            observed[i] = -_ZSCORE_PLACEHOLDER
         else:
             raise ValueError(f"unknown feature kind: {kind!r}")
     policy = PlaceholderPolicy(knock, observed)

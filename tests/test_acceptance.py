@@ -119,7 +119,6 @@ batch_size = 128
 learning_rate = 3e-3
 hidden = 100,100
 seed0 = 17
-loss = cross_entropy
 mask_granularity = per_sample
 
 [sweep]

@@ -2,6 +2,7 @@ import configparser
 import hashlib
 import json
 import re
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -76,7 +77,7 @@ def test_config_rejects_unknown_section_and_key():
     # A method key its kind does not read is rejected too, naming both.
     unread = (
         ("knn", "p_clean = 0.3"),
-        ("knn", "zscore_magnitude = 5"),
+        ("knn", "dual_placeholder = false"),
         ("zero_indicator", "placeholder = mean"),
         ("dropout", "k = 3"),
         ("common_baseline", "knockout_value = 3"),
@@ -90,20 +91,24 @@ def test_config_rejects_unknown_section_and_key():
 
 DELETED_KEYS = (
     ("output", "dump_test_data = true"),
+    ("train", "loss = mse"),
     ("method", "rate = 0.2"),
     ("method", "dropout_rate = 0.2"),
     ("method", "rescale = true"),
+    ("method", "zscore_magnitude = 10.0"),
 )
 
 
 @pytest.mark.parametrize("section, line", DELETED_KEYS)
 def test_deleted_keys_are_rejected(section, line):
-    """`rate` and `dropout_rate` were solved from `p_clean` when unset, and
-    nothing set `rescale` or `dump_test_data`; each is now an unknown key."""
+    """`rate` and `dropout_rate` were solved from `p_clean` when unset; the
+    world kind fixes the loss; the derived placeholders are +/-10 in z units,
+    moved only by `knockout_value` and `observed_value`; and nothing set
+    `rescale` or `dump_test_data`. Each is now an unknown key."""
     key = line.split(" ")[0]
     world = "[world]\nkind = gaussian\n"
-    if section == "output":
-        texts = {"output": f"{world}[output]\n{line}\n[method.k]\nkind = knockout\n"}
+    if section != "method":
+        texts = {section: f"{world}[{section}]\n{line}\n[method.k]\nkind = knockout\n"}
     else:
         texts = {
             f"method.{kind}": f"{world}[method.{kind}]\nkind = {kind}\n{line}\n"
@@ -136,13 +141,10 @@ def test_config_rejects_world_and_placeholder_keys_nothing_reads():
     # Without the key the mechanism is none, which reads neither p nor q.
     with pytest.raises(ConfigError, match=r"\['p', 'q'\] for mechanism 'none'"):
         parse_config(f"[world]\nkind = gaussian\n[missingness]\np = 0.1\nq = 0.9\n{method}")
-    mean_unread = (("knockout_value", "3"), ("observed_value", "-3"), ("zscore_magnitude", "5"))
-    for key, value in mean_unread:
+    for key, value in (("knockout_value", "3"), ("observed_value", "-3")):
         with pytest.raises(ConfigError, match=rf"section \[method\.k\], key '{key}'"):
             parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\n{key} = {value}\n")
-    # A mean placeholder writes no zscore_magnitude, so its text parses back.
     star = parse_config(f"[world]\nkind = gaussian\n{method}placeholder = mean\n")
-    assert "zscore_magnitude" not in serialize_config(star)
     assert parse_config(serialize_config(star)) == star
     csv = parse_config(f"[world]\nkind = csv\npath = d.csv\ntarget = y\n{method}")
     assert (csv.csv_path, csv.csv_target) == ("d.csv", "y")
@@ -161,7 +163,6 @@ OTHER_VALUES = {
     "p": "0.2",
     "q": "0.8",
     "p_clean": "0.3",
-    "zscore_magnitude": "5.0",
     "placeholder": "mean",
     "dual_placeholder": "false",
     "knockout_value": "7.0",
@@ -203,10 +204,10 @@ def test_shipped_config_hashes_are_pinned():
 
     configs_dir = Path(__file__).resolve().parent.parent / "configs"
     hashes = {
-        "classification2d.ini": "be1a870a40e3c8569e0e7553051f7b54392fe557265e0137ceca58a7c8d8838d",
-        "fig1_complete.ini": "96050285166556cbc5b386718d2af4341c519837d141ca3da86816225581b9c4",
-        "fig1_mcar.ini": "7dc276fceb7cb2e371bd1cab913946087db3194d8ef74739bcd254b9bf132617",
-        "fig1_mnar.ini": "d6ab475d8c538e9de35cffcce41c08db2157774e739a24b2e4ec419e1ddfcb72",
+        "classification2d.ini": "e8ea809a3a8e3d79c2e4290da31718df3b63e57a6b0885060843202b00bcfd6e",
+        "fig1_complete.ini": "56ee64517b82448b64297a8bb3a4bb85ef95276f11dd97ddc79e975617328a15",
+        "fig1_mcar.ini": "f71c7d831f354ac9ab8ad48b225f5a28bdd304e235089ac8dadee1e1435357f3",
+        "fig1_mnar.ini": "ac77099efa3f4ea6a0ab278cbbf18e21dcf9041631ce89840a46cc28d19a32d5",
     }
     for name, digest in hashes.items():
         assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name
@@ -227,14 +228,15 @@ def test_config_validates_values():
     with pytest.raises(ConfigError, match=r"section \[method\.nn\], key 'k': must be >= 1"):
         parse_config("[world]\nkind = gaussian\n[method.nn]\nkind = knn\nk = 0\n")
     method = "[method.k]\nkind = knockout\n"
+    unknown_loss = r"section \[train\]: unknown key\(s\) \['loss'\]"
     for world, loss in (("gaussian", "cross_entropy"), ("continuous2d", "mse"), ("mixed", "mse")):
-        with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+        with pytest.raises(ConfigError, match=unknown_loss):
             parse_config(f"[world]\nkind = {world}\n[train]\nloss = {loss}\n{method}")
-    with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+    with pytest.raises(ConfigError, match=unknown_loss):
         parse_config(
             f"[world]\nkind = csv\npath = d.csv\ntarget = y\n[train]\nloss = cross_entropy\n{method}"
         )
-    with pytest.raises(ConfigError, match=r"section \[train\], key 'loss'"):
+    with pytest.raises(ConfigError, match=unknown_loss):
         parse_config(f"[world]\nkind = gaussian\n[train]\nloss = hinge\n{method}")
     bad_values = (
         ("train", "steps", "-1"),
@@ -271,10 +273,6 @@ def test_config_validates_values():
         with pytest.raises(ConfigError, match=rf"section \[{section}\], key '{key}'"):
             parse_config(text)
     bad_method_values = (
-        ("knockout", "zscore_magnitude", "-1"),
-        ("knockout", "zscore_magnitude", "0"),
-        ("knockout", "zscore_magnitude", "nan"),
-        ("knockout", "zscore_magnitude", "inf"),
         ("dropout", "p_clean", "1"),
         ("zero_indicator", "p_clean", "0"),
         ("knockout", "knockout_value", "inf"),
@@ -303,16 +301,16 @@ def test_config_validates_values():
 
 @pytest.mark.parametrize("world", ["gaussian", "continuous2d", "mixed", "csv"])
 def test_a_loss_key_naming_the_task_loss_changes_nothing(world):
-    """The world kind fixes the loss, so `[train] loss` is no setting: a
-    config may still name its task's loss, and parses, hashes and
-    serializes as if it did not."""
+    """The world kind fixes the loss, so `[train] loss` sets nothing: even a
+    key naming the task's own loss is an unknown key, and the config parses
+    only without it."""
     sections = {"csv": "path = d.csv\ntarget = y\n"}
     text = f"[world]\nkind = {world}\n{sections.get(world, '')}[train]\nsteps = 5\n"
     method = "[method.k]\nkind = knockout\n"
     without = parse_config(text + method)
-    named = parse_config(f"{text}loss = {without.loss}\n{method}")
-    assert named == without and config_hash(named) == config_hash(without)
-    assert "loss" not in serialize_config(named)
+    with pytest.raises(ConfigError, match=r"section \[train\]: unknown key\(s\) \['loss'\]"):
+        parse_config(f"{text}loss = {without.loss}\n{method}")
+    assert "loss" not in serialize_config(without)
 
 
 def test_cli_run_minimal_config(tmp_path):
@@ -559,11 +557,38 @@ def test_cli_sweep_missing_model_errors(tmp_path):
         main,
         ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(tmp_path / "s")],
     )
-    assert result.exit_code != 0
-    assert "missing model" in result.output
+    assert result.exit_code == 1
+    assert f"Error: missing model file {out / 'models' / 'knockout_rep0.json'}\n" in result.output
+    assert "'" not in result.output and '"' not in result.output
     # The check comes before any job: no model is swept, no report written.
     assert not list((tmp_path / "s").rglob("*.json"))
     assert not (tmp_path / "s" / "report_long.csv").exists()
+
+
+def test_cli_sweep_takes_its_repetitions_from_the_models(tmp_path):
+    """`run --seeds 1` of a three-repetition config saves one repetition's
+    models; `sweep` sweeps exactly the repetitions that every method saved."""
+    out = tmp_path / "run"
+    cfg_path = write_config(
+        tmp_path, TINY_CONFIG.format(out=out).replace("repetitions = 1", "repetitions = 3")
+    )
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(cfg_path), "--seeds", "1"])
+    assert result.exit_code == 0, result.output
+    models = out / "models"
+    sweep = ["sweep", "--config", str(cfg_path), "--models", str(models), "--out"]
+    result = runner.invoke(main, [*sweep, str(tmp_path / "s")])
+    assert result.exit_code == 0, result.output
+    for name in ("report_long.csv", "plotdata.csv", "aggregates.json"):
+        assert (tmp_path / "s" / name).read_bytes() == (out / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    run_manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["repetitions"] == 1 and manifest["config"] == run_manifest["config"]
+    # A repetition that one method saved and another did not is an error.
+    shutil.copy(models / "common_baseline_rep0.json", models / "common_baseline_rep1.json")
+    result = runner.invoke(main, [*sweep, str(tmp_path / "s2")])
+    assert result.exit_code == 1
+    assert f"missing model file {models / 'knockout_rep1.json'}" in result.output
 
 
 def test_cli_ablate_single_value(tmp_path):

@@ -76,8 +76,10 @@ DELETED_MEMBERS = {
         "validate",
     ),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
-    # Each rate is solved from p_clean; no config set rescale or dumped test data.
-    "knockout.config.MethodConfig": ("rate", "dropout_rate", "rescale"),
+    # Each rate is solved from p_clean; no config set rescale or dumped test
+    # data; the derived placeholders sit at +/-10 in z units, and only
+    # knockout_value and observed_value move them.
+    "knockout.config.MethodConfig": ("rate", "dropout_rate", "rescale", "zscore_magnitude"),
     "knockout.config.ExperimentConfig": ("dump_test_data",),
     # Fields with one value in use, or whose value other state fixes: hidden
     # layers are ReLU, Adam's constants and the trace interval are nn module
@@ -104,6 +106,10 @@ DELETED_PARAMETERS = {
     "knockout.runner._run_jobs": ("table",),
     # Its only caller had the predictions already.
     "knockout.evaluate.mse_vs_bayes": ("predict_fn",),
+    # The +/-10 in z units is a module constant.
+    "knockout.schema.derive_placeholders": ("zscore_magnitude",),
+    # `knockout sweep --k-max` is applied to the config as `run --k-max` is.
+    "knockout.runner.sweep_saved_models": ("k_max",),
 }
 
 

@@ -548,6 +548,7 @@ def test_forward_runs_in_row_blocks(block, monkeypatch):
             x = rng.normal(size=(n, spec.widths[0]))
             monkeypatch.setattr(nn, "_FORWARD_ROWS", n + 1)  # one block
             whole = forward(spec, params, x)
+            nn._scratch.arrays.clear()  # drop the one-block buffers, which hold all n rows
             monkeypatch.setattr(nn, "_FORWARD_ROWS", block)
             blocked = forward(spec, params, x)
             assert blocked.shape == (n, spec.widths[-1])
@@ -559,3 +560,21 @@ def test_forward_runs_in_row_blocks(block, monkeypatch):
                 np.testing.assert_allclose(predict(spec, params, x).sum(axis=1), 1.0, atol=1e-12)
         # The last call ran 3 * block + 2 rows; no buffer holds more than a block.
         assert max(buf.shape[0] for buf in nn._scratch.arrays.values()) <= block
+
+
+def test_forward_reuses_its_buffers_for_a_short_last_block(monkeypatch):
+    """Rows that are no multiple of the block end in a short block, which runs
+    in the leading rows of the full block's buffers: a later call over the
+    same rows allocates no buffer."""
+    rng = np.random.default_rng(19)
+    spec = NetworkSpec((4, 6, 6, 1))
+    params = init_params(spec, rng)
+    x = rng.normal(size=(17, 4))
+    monkeypatch.setattr(nn, "_FORWARD_ROWS", 5)
+    nn._scratch.arrays.clear()
+    first = forward(spec, params, x)
+    buffers = dict(nn._scratch.arrays)
+    assert {buf.shape[0] for buf in buffers.values()} == {5}
+    assert np.array_equal(forward(spec, params, x), first)
+    assert nn._scratch.arrays.keys() == buffers.keys()
+    assert all(nn._scratch.arrays[key] is buf for key, buf in buffers.items())

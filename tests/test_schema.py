@@ -111,6 +111,25 @@ def test_round_trip_random_stats(mean, std, value):
     assert back[0] == pytest.approx(value, rel=1e-12, abs=1e-9)
 
 
+def test_normalization_matches_a_per_column_reference_on_the_mixed_schema():
+    """Both maps treat all z-scored columns at once; each entry gets the same
+    arithmetic as a per-column loop, and categorical codes pass through."""
+    schema = FeatureSchema((("x1", Categorical(2)), ("x2", ContinuousUnbounded())))  # `mixed`
+    rng = np.random.default_rng(21)
+    rows = np.column_stack([rng.integers(1, 3, size=50), rng.normal(1.5, 3.0, size=50)])
+    stats = fit_normalization(schema, rows)
+    forward = rows.copy()
+    forward[:, 1] = (rows[:, 1] - stats.mean[1]) / stats.std[1]
+    back = rows.copy()
+    back[:, 1] = rows[:, 1] * stats.std[1] + stats.mean[1]
+    assert np.array_equal(apply_normalization(rows, stats), forward)
+    assert np.array_equal(invert_normalization(rows, stats), back)
+    assert np.array_equal(apply_normalization(rows[3], stats), forward[3])  # one row
+    assert np.array_equal(invert_normalization(rows[3], stats), back[3])
+    with pytest.raises(ValueError, match="row length 1 != schema d 2"):
+        apply_normalization(rows[:, :1], stats)
+
+
 def test_derive_placeholders_table():
     schema = FeatureSchema(
         (
@@ -136,18 +155,9 @@ def test_policy_rejects_non_finite_placeholders():
         policy.validate()
 
 
-def test_zscore_magnitude_configurable():
-    schema = unbounded_schema(2)
-    policy = derive_placeholders(schema, zscore_magnitude=4.0)
-    np.testing.assert_array_equal(policy.knockout_values, [4.0, 4.0])
-    np.testing.assert_array_equal(policy.observed_values, [-4.0, -4.0])
-
-
 def test_kind_invariants():
     with pytest.raises(ValueError):
         Categorical(1)
-    with pytest.raises(ValueError, match="zscore_magnitude must be positive"):
-        derive_placeholders(unbounded_schema(1), zscore_magnitude=0.0)
 
 
 def test_one_hot_extra_class_encoding():
