@@ -1,8 +1,9 @@
 """The knockout augmentation operator and observed-missingness merge rules.
 
-All functions accept a single row or an (n, d) batch and are pure; the
-induced mask always wins over observed missingness so that its
-independence from the data is preserved.
+All functions take an (n, d) batch with an (n, d) mask, or with one 1-d
+pattern shared by every row, and are pure; the induced mask always wins
+over observed missingness so that its independence from the data is
+preserved.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def apply_knockout(x: np.ndarray, mask: np.ndarray, policy: PlaceholderPolicy) -
 
 def merge_observed(
     x: np.ndarray,
-    observed_mask: np.ndarray | None,
+    observed_mask: np.ndarray,
     induced_mask: np.ndarray,
     dual: bool,
     policy: PlaceholderPolicy,
@@ -54,7 +55,7 @@ def merge_observed(
     placeholders even when also observed-missing, and entries missing only
     in the data get the observed-missingness placeholders.
     """
-    if observed_mask is None or not np.any(observed_mask):
+    if not np.any(observed_mask):
         return apply_knockout(x, induced_mask, policy)
     x, induced = _broadcast_pair(x, induced_mask)
     _, observed = _broadcast_pair(x, observed_mask)

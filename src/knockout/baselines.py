@@ -94,18 +94,11 @@ def _column_means(x: np.ndarray, observed_mask: np.ndarray) -> np.ndarray:
     return means
 
 
-def fit_imputer(
-    kind: str,
-    x: np.ndarray,
-    observed_mask: np.ndarray | None = None,
-    k: int = 5,
-) -> Imputer:
+def fit_imputer(kind: str, x: np.ndarray, observed_mask: np.ndarray, k: int = 5) -> Imputer:
     """Fit an imputer of the given kind ("knn" or "lin_reg")."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training data must be a nonempty matrix")
-    if observed_mask is None:
-        observed_mask = np.zeros_like(x, dtype=np.uint8)
     observed_mask = np.asarray(observed_mask, dtype=np.uint8)
 
     if kind == "knn":
@@ -145,24 +138,17 @@ def _fit_lin_reg(x: np.ndarray, observed_mask: np.ndarray) -> LinReg:
 
 
 def impute(imputer: Imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fill the masked entries of a row or batch; observed entries pass through."""
+    """Fill the masked entries of an (n, d) batch, given its (n, d) mask;
+    observed entries pass through."""
     x = np.asarray(x, dtype=float)
     mask = np.asarray(mask)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if mask.ndim == 1:
-        mask = np.broadcast_to(mask, x.shape)
-    if mask.shape != x.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match data shape {x.shape}")
-
+    if x.ndim != 2 or mask.shape != x.shape:
+        raise ValueError(f"expected an (n, d) batch and mask, got {x.shape} and {mask.shape}")
     if isinstance(imputer, KNN):
-        out = _impute_knn(imputer, x, mask)
-    elif isinstance(imputer, LinReg):
-        out = _impute_linreg(imputer, x, mask)
-    else:
-        raise TypeError(f"unknown imputer: {imputer!r}")
-    return out[0] if single else out
+        return _impute_knn(imputer, x, mask)
+    if isinstance(imputer, LinReg):
+        return _impute_linreg(imputer, x, mask)
+    raise TypeError(f"unknown imputer: {imputer!r}")
 
 
 # Cap on the (query rows x training rows) pairs screened at once, which

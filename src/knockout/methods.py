@@ -2,8 +2,8 @@
 
 Each kind has one rule: ``rule.inputs(z, induced, observed)`` maps
 normalized rows ``z``, an induced mask (one pattern for every row, or one
-mask per row) and the data's own missingness ``observed`` (1 = missing,
-or None) to model inputs. Training calls it with the masks it samples,
+mask per row) and the data's own missingness ``observed`` (1 = missing)
+to model inputs. Training calls it with the masks it samples,
 inference with the swept pattern, and a saved model stores the rule's
 fitted state, so all three apply the same rule.
 
@@ -37,9 +37,8 @@ from .schema import (
 __all__ = ["RULES"]
 
 
-def _union(z: np.ndarray, induced: np.ndarray, observed: np.ndarray | None) -> np.ndarray:
-    union = np.broadcast_to(np.asarray(induced, dtype=np.uint8), z.shape)
-    return union if observed is None else np.maximum(union, observed)
+def _union(z: np.ndarray, induced: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    return np.maximum(np.broadcast_to(np.asarray(induced, dtype=np.uint8), z.shape), observed)
 
 
 def _mask_sampler(method, d: int, granularity: str):
@@ -89,20 +88,13 @@ def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> Placeh
         # Suboptimal mean/mode placeholders: the mean/mode fill values. The
         # observed-missing value only exists to keep the policy valid.
         fills = _fill_values(schema, z_train, observed)
-        policy = PlaceholderPolicy(fills, fills - 1.0)
-        policy.validate()
-        return policy
-    policy = derive_placeholders(schema)
-    if method.knockout_value is not None or method.observed_value is not None:
-        knock = policy.knockout_values.copy()
-        obs = policy.observed_values.copy()
-        if method.knockout_value is not None:
-            knock[:] = method.knockout_value
-        if method.observed_value is not None:
-            obs[:] = method.observed_value
-        policy = PlaceholderPolicy(knock, obs)
-        policy.validate()
-    return policy
+        return PlaceholderPolicy(fills, fills - 1.0)
+    derived = derive_placeholders(schema)
+    knock, obs = method.knockout_value, method.observed_value
+    return PlaceholderPolicy(
+        derived.knockout_values if knock is None else np.full(schema.d, knock),
+        derived.observed_values if obs is None else np.full(schema.d, obs),
+    )
 
 
 @dataclass

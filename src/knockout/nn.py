@@ -166,10 +166,8 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> Parameters:
 
 def _check_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim == 1:
-        batch = batch[None, :]
-    if batch.shape[1] != spec.widths[0]:
-        raise ValueError(f"batch width {batch.shape[1]} != input width {spec.widths[0]}")
+    if batch.ndim != 2 or batch.shape[1] != spec.widths[0]:
+        raise ValueError(f"batch shape {batch.shape} is not (n, {spec.widths[0]})")
     if not np.isfinite(batch).all():
         raise ValueError("non-finite values in the input batch")
     return batch
@@ -317,8 +315,8 @@ def train(
             idx = rng.integers(0, n, size=cfg.batch_size)
             xb = inputs[idx]
             yb = targets[idx]
-            nb = observed_mask[idx] if observed_mask is not None else None
             if augment is not None:
+                nb = observed_mask[idx] if observed_mask is not None else None
                 xb = augment(xb, nb, rng)
             try:
                 value, _ = loss_and_grad(spec, params, xb, yb, cfg.loss, out=g)

@@ -223,7 +223,6 @@ class ModelPipeline:
 
     name: str
     kind: str
-    schema: FeatureSchema
     net_spec: NetworkSpec
     params: Parameters
     y_mean: float
@@ -231,10 +230,7 @@ class ModelPipeline:
     rule: Rule
 
     def _model_inputs(
-        self,
-        x_raw: np.ndarray,
-        pattern: np.ndarray,
-        observed: np.ndarray | None = None,
+        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
     ) -> np.ndarray:
         """Normalize, then apply the method's missing-input rule.
 
@@ -242,14 +238,11 @@ class ModelPipeline:
         rows); ``observed`` marks entries that are really missing in the
         test data (per row, MNAR-tagged).
         """
-        z = apply_normalization(x_raw, self.schema.stats)
+        z = apply_normalization(x_raw, self.rule.schema.stats)
         return self.rule.inputs(z, pattern, observed)
 
     def predict_for_pattern(
-        self,
-        x_raw: np.ndarray,
-        pattern: np.ndarray,
-        observed: np.ndarray | None = None,
+        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
     ) -> np.ndarray:
         if self.net_spec.head != "linear":
             raise ValueError("predict_for_pattern is for regression pipelines")
@@ -257,10 +250,7 @@ class ModelPipeline:
         return out.ravel() * self.y_std + self.y_mean
 
     def proba_for_pattern(
-        self,
-        x_raw: np.ndarray,
-        pattern: np.ndarray,
-        observed: np.ndarray | None = None,
+        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
     ) -> np.ndarray:
         if self.net_spec.head != "logits":
             raise ValueError("proba_for_pattern is for classification pipelines")
@@ -277,7 +267,7 @@ class ModelPipeline:
             "net": {"widths": list(self.net_spec.widths), "head": self.net_spec.head},
             "weights": self.params.weights,
             "biases": self.params.biases,
-            "stats": self.schema.stats.to_json_dict(),
+            "stats": self.rule.schema.stats.to_json_dict(),
             "y_mean": self.y_mean,
             "y_std": self.y_std,
             **self.rule.to_json(),
@@ -308,7 +298,6 @@ def pipeline_from_json(obj: dict, schema_template: FeatureSchema) -> ModelPipeli
     return ModelPipeline(
         name=obj["name"],
         kind=obj["kind"],
-        schema=schema,
         net_spec=spec,
         params=params,
         y_mean=float(obj["y_mean"]),
@@ -324,13 +313,11 @@ def train_method(
     schema = data.schema
     task = _task_for(cfg)
     z_train = apply_normalization(data.x_train, schema.stats)
-    observed = data.train_observed if data.train_observed.any() else None
     rule, augment = RULES[method.kind].fit(cfg, method, schema, z_train, data.train_observed)
     inputs = z_train
     if augment is None:
         # A deterministic fill: the rule with no induced mask, applied once.
-        inputs = rule.inputs(z_train, np.zeros(schema.d, dtype=np.uint8), observed)
-        observed = None
+        inputs = rule.inputs(z_train, np.zeros(schema.d, dtype=np.uint8), data.train_observed)
 
     if task == "regression":
         targets = (data.y_train - data.y_mean) / data.y_std
@@ -347,7 +334,7 @@ def train_method(
     )
     net_spec = NetworkSpec(widths=(rule.width(), *cfg.hidden, out_width), head=head)
     try:
-        result = train(net_spec, train_cfg, inputs, targets, observed, augment)
+        result = train(net_spec, train_cfg, inputs, targets, data.train_observed, augment)
     except TrainingDivergedError as exc:
         raise TrainingDivergedError(
             f"method {method.name!r} repetition {data.rep}: {exc}"
@@ -355,7 +342,6 @@ def train_method(
     pipeline = ModelPipeline(
         name=method.name,
         kind=method.kind,
-        schema=schema,
         net_spec=net_spec,
         params=result.params,
         y_mean=data.y_mean,
@@ -438,13 +424,21 @@ def run_experiment(
     return _run_jobs(cfg, out, jobs)
 
 
-def _prepare_out(out: Path) -> None:
+def _prepare_out(cfg: ExperimentConfig, out: Path) -> None:
     """Create ``out`` and its subdirectories, and delete an earlier run's
     manifest, so that a run that fails part-way leaves no manifest naming
-    files it has overwritten."""
+    files it has overwritten. An earlier run's model and trace files of a
+    method's repetitions from ``cfg.repetitions`` on go too, so that
+    ``sweep`` over ``models/`` finds this run's repetitions only."""
     for sub in ("models", "traces", "worlds", "data"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
+    for method in cfg.methods:
+        rep = cfg.repetitions
+        while (model := out / "models" / f"{_model_stem(method, rep)}.json").exists():
+            model.unlink()
+            (out / "traces" / f"{_model_stem(method, rep)}.csv").unlink(missing_ok=True)
+            rep += 1
 
 
 def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunArtifacts:
@@ -458,7 +452,7 @@ def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunA
     """
     if cfg.world_kind == "csv":
         _load_csv_world(cfg)  # read and check the file before any job, and before a pool forks
-    _prepare_out(out)
+    _prepare_out(cfg, out)
     payloads = [
         (cfg, method, rep, mi, out, models_dir)
         for mi, method in enumerate(cfg.methods)
@@ -489,7 +483,7 @@ def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunA
 
 
 def _rep_metrics(task: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
-    observed = data.test_observed if data.test_observed.any() else None
+    observed = data.test_observed
     if task == "regression":
         return regression_pattern_metrics(
             lambda x, pattern: pipe.predict_for_pattern(x, pattern, observed),
@@ -522,7 +516,8 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
         est = estimates[j]
         rows_z = np.zeros((est.positions.shape[0], pattern.shape[0]))
         rows_z[:, j] = est.positions
-        proba = pipe.proba_for_pattern(invert_normalization(rows_z, data.schema.stats), pattern)
+        x = invert_normalization(rows_z, data.schema.stats)
+        proba = pipe.proba_for_pattern(x, pattern, np.zeros_like(pattern))
         return marginal_fidelity_binned(proba[:, 1], est)
 
     return {"marginal_jsd": _jsd_for_pattern}

@@ -77,7 +77,7 @@ class NormalizationStats:
     def d(self) -> int:
         return len(self.modes)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mean.shape != (self.d,) or self.std.shape != (self.d,):
             raise ValueError(f"mean and std must have length {self.d}, one entry per mode")
         for i, mode in enumerate(self.modes):
@@ -99,13 +99,11 @@ class NormalizationStats:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "NormalizationStats":
         # Keys of retired modes (lo, hi, shift, upper_sided) are ignored.
-        stats = cls(
+        return cls(
             modes=tuple(obj["modes"]),
             mean=np.asarray(obj["mean"], dtype=float),
             std=np.asarray(obj["std"], dtype=float),
         )
-        stats.validate()
-        return stats
 
 
 def _nan_to_none(values: np.ndarray) -> list:
@@ -125,7 +123,7 @@ class PlaceholderPolicy:
     knockout_values: np.ndarray
     observed_values: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.knockout_values.shape != self.observed_values.shape:
             raise ValueError("placeholder vectors must have equal length")
         for name, values in (("knockout", self.knockout_values), ("observed", self.observed_values)):
@@ -148,12 +146,10 @@ class PlaceholderPolicy:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PlaceholderPolicy":
         # A stored "zscore_magnitude" is ignored: the values already hold it.
-        policy = cls(
+        return cls(
             knockout_values=np.asarray(obj["knockout_values"], dtype=float),
             observed_values=np.asarray(obj["observed_values"], dtype=float),
         )
-        policy.validate()
-        return policy
 
 
 @dataclass(frozen=True)
@@ -175,17 +171,10 @@ class FeatureSchema:
         return dataclasses.replace(self, stats=stats)
 
 
-def _as_matrix(rows: np.ndarray) -> tuple[np.ndarray, bool]:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        return rows[None, :], True
-    return rows, False
-
-
 def fit_normalization(
     schema: FeatureSchema,
     raw: np.ndarray,
-    observed_mask: np.ndarray | None = None,
+    observed_mask: np.ndarray,
 ) -> NormalizationStats:
     """Fit per-feature normalization from the observed entries of ``raw``.
 
@@ -197,18 +186,15 @@ def fit_normalization(
         raise ValueError(f"expected an (n, {schema.d}) data matrix, got shape {raw.shape}")
     if raw.shape[0] == 0:
         raise ValueError("cannot fit normalization on an empty dataset")
-    if observed_mask is not None:
-        observed_mask = np.asarray(observed_mask)
-        if observed_mask.shape != raw.shape:
-            raise ValueError("observed_mask must match the data shape")
+    observed_mask = np.asarray(observed_mask)
+    if observed_mask.shape != raw.shape:
+        raise ValueError("observed_mask must match the data shape")
 
     modes = tuple(_mode_for_kind(kind) for kind in schema.kinds)
     mean = np.full(schema.d, np.nan)
     std = np.full(schema.d, np.nan)
     for i, (name, _) in enumerate(schema.features):
-        col = raw[:, i]
-        if observed_mask is not None:
-            col = col[observed_mask[:, i] == 0]
+        col = raw[observed_mask[:, i] == 0, i]
         if col.size == 0:
             raise ValueError(f"feature {i} ({name!r}): no observed entries to fit")
         if modes[i] == "zscore":
@@ -217,34 +203,33 @@ def fit_normalization(
             if std[i] == 0:
                 raise ValueError(f"feature {i} ({name!r}): constant feature, std is 0")
 
-    stats = NormalizationStats(modes, mean, std)
-    stats.validate()
-    return stats
+    return NormalizationStats(modes, mean, std)
 
 
 def _zscored(rows: np.ndarray, stats: NormalizationStats):
-    """``rows`` as a float matrix, whether it was one row, and the mask of
-    the z-scored columns."""
-    mat, single = _as_matrix(rows)
-    if mat.shape[1] != stats.d:
-        raise ValueError(f"row length {mat.shape[1]} != schema d {stats.d}")
-    return mat, single, np.array([mode == "zscore" for mode in stats.modes])
+    """``rows``, an (n, d) batch, as a float matrix, and the mask of the
+    z-scored columns."""
+    mat = np.asarray(rows, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != stats.d:
+        raise ValueError(f"expected an (n, {stats.d}) batch, got shape {mat.shape}")
+    return mat, np.array([mode == "zscore" for mode in stats.modes])
 
 
 def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map raw rows into normalized coordinates (invertible per feature)."""
-    mat, single, z = _zscored(rows, stats)
+    """Map a batch of raw rows into normalized coordinates (invertible per
+    feature)."""
+    mat, z = _zscored(rows, stats)
     out = mat.copy()
     out[:, z] = (mat[:, z] - stats.mean[z]) / stats.std[z]
-    return out[0] if single else out
+    return out
 
 
 def invert_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """Inverse of :func:`apply_normalization` on each feature."""
-    mat, single, z = _zscored(rows, stats)
+    mat, z = _zscored(rows, stats)
     out = mat.copy()
     out[:, z] = mat[:, z] * stats.std[z] + stats.mean[z]
-    return out[0] if single else out
+    return out
 
 
 # Derived placeholders of a z-scored feature sit this many standard
@@ -269,9 +254,7 @@ def derive_placeholders(schema: FeatureSchema) -> PlaceholderPolicy:
             observed[i] = -_ZSCORE_PLACEHOLDER
         else:
             raise ValueError(f"unknown feature kind: {kind!r}")
-    policy = PlaceholderPolicy(knock, observed)
-    policy.validate()
-    return policy
+    return PlaceholderPolicy(knock, observed)
 
 
 def encoded_width(schema: FeatureSchema) -> int:
@@ -281,14 +264,15 @@ def encoded_width(schema: FeatureSchema) -> int:
 
 
 def encode_inputs(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
-    """Expand categorical codes to one-hot columns; continuous pass through.
+    """Expand the categorical codes of a batch to one-hot columns;
+    continuous columns pass through.
 
     The one-hot of a feature with n classes has width n+2, with dedicated
     slots for the two placeholder codes n+1 and n+2.
     """
-    mat, single = _as_matrix(rows)
-    if mat.shape[1] != schema.d:
-        raise ValueError(f"row length {mat.shape[1]} != schema d {schema.d}")
+    mat = np.asarray(rows, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != schema.d:
+        raise ValueError(f"expected an (n, {schema.d}) batch, got shape {mat.shape}")
     cols = []
     for i, (_, kind) in enumerate(schema.features):
         if not isinstance(kind, Categorical):
@@ -300,5 +284,4 @@ def encode_inputs(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
         valid = (codes >= 1) & (codes <= width)
         block[np.flatnonzero(valid), codes[valid] - 1] = 1.0
         cols.append(block)
-    out = np.concatenate(cols, axis=1)
-    return out[0] if single else out
+    return np.concatenate(cols, axis=1)

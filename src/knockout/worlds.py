@@ -90,21 +90,17 @@ def bayes_conditional_mean(
     """E[Y | X_S = x_obs] for the observed feature subset S.
 
     ``observed_idx`` indexes the X coordinates (0-based, excluding the
-    target). ``x_obs`` is (m, |S|) for m rows or a single (|S|,) row;
-    an empty S returns the unconditional mean.
+    target). ``x_obs`` is (m, |S|) for m rows; an empty S returns the
+    unconditional mean.
     """
     observed_idx = list(observed_idx)
     x_obs = np.asarray(x_obs, dtype=float)
-    single = x_obs.ndim == 1
-    if single:
-        x_obs = x_obs[None, :]
     if not observed_idx:
-        out = np.full(x_obs.shape[0], world.mean[-1])
-        return out[0] if single else out
+        return np.full(x_obs.shape[0], world.mean[-1])
     if min(observed_idx) < 0 or max(observed_idx) >= world.d_x:
         raise ValueError(f"observed indices must be within 0..{world.d_x - 1}")
-    if x_obs.shape[1] != len(observed_idx):
-        raise ValueError("x_obs width must equal the number of observed indices")
+    if x_obs.ndim != 2 or x_obs.shape[1] != len(observed_idx):
+        raise ValueError("x_obs must be an (m, |S|) batch, one column per observed index")
     y = world.dim - 1
     cov_ss = world.cov[np.ix_(observed_idx, observed_idx)] + _JITTER * np.eye(len(observed_idx))
     cov_sy = world.cov[observed_idx, y]
@@ -113,8 +109,7 @@ def bayes_conditional_mean(
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular covariance block for subset {observed_idx}") from exc
     mu_s = world.mean[observed_idx]
-    out = world.mean[y] + (x_obs - mu_s) @ weights
-    return out[0] if single else out
+    return world.mean[y] + (x_obs - mu_s) @ weights
 
 
 @dataclass(frozen=True)
@@ -173,10 +168,8 @@ def _norm_logpdf(x, mu, sigma):
 
 
 def class_posterior(world: MixedClassWorld, x: np.ndarray) -> np.ndarray:
-    """Exact P(Y = 1 | X = x) per row."""
+    """Exact P(Y = 1 | X = x) for each row of the (n, 2) batch ``x``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
     if world.kind == "continuous2d":
         log1 = (
             _norm_logpdf(x[:, 0], world.mean1[0], world.sigma1)

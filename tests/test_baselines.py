@@ -51,6 +51,11 @@ def _impute_linreg_row(imputer: LinReg, row: np.ndarray, mask: np.ndarray) -> np
     return out
 
 
+def _none_missing(x: np.ndarray) -> np.ndarray:
+    """The observed mask of complete training rows."""
+    return np.zeros_like(x, dtype=np.uint8)
+
+
 def _row_loop(fill_row, imputer, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     out = x.copy()
     for i in range(x.shape[0]):
@@ -128,8 +133,8 @@ def test_knn_screen_rounding_does_not_reorder_ties():
     train_x = np.array([[9998.673, 9998.776, 1.0], [9999.919, 9998.694, 2.0]])
     x = np.array([9999.296, 9998.735, np.nan])
     mask = np.array([0, 0, 1], dtype=np.uint8)
-    imp = fit_imputer("knn", train_x, k=1)
-    assert impute(imp, x, mask)[2] == 1.0
+    imp = fit_imputer("knn", train_x, _none_missing(train_x), k=1)
+    assert impute(imp, x[None, :], mask[None, :])[0, 2] == 1.0
     assert _impute_knn_row(imp, x, mask)[2] == 1.0
 
 
@@ -191,11 +196,13 @@ def test_meanmode_mode_tie_breaks_low():
 def test_imputers_identity_on_complete_rows():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 4))
-    mask = np.zeros(4, dtype=np.uint8)
-    row = x[7]
+    mask = np.zeros((1, 4), dtype=np.uint8)
+    row = x[7][None, :]
     for kind in ("knn", "lin_reg"):
-        imp = fit_imputer(kind, x)
+        imp = fit_imputer(kind, x, _none_missing(x))
         np.testing.assert_array_equal(impute(imp, row, mask), row)
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) batch"):
+            impute(imp, row[0], mask[0])  # one row is no batch
 
 
 @pytest.mark.parametrize("kind", sorted(RULES))
@@ -204,7 +211,7 @@ def test_rule_inputs_on_complete_rows_are_the_encoded_rows(kind):
     schema = _continuous(4)
     z = rng.normal(size=(40, 4))
     rule = _fit_rule(kind, schema, z, np.zeros_like(z, dtype=np.uint8))
-    out = rule.inputs(z, np.zeros(4, dtype=np.uint8), None)
+    out = rule.inputs(z, np.zeros(4, dtype=np.uint8), _none_missing(z))
     expected = encode_inputs(schema, z)
     if kind == "zero_indicator":
         expected = np.hstack([expected, np.zeros_like(z)])  # no indicator set
@@ -218,7 +225,7 @@ def test_meanmode_zscored_fill_is_zero():
     z = rng.normal(size=(200, 3))
     z = (z - z.mean(axis=0)) / z.std(axis=0)
     rule = _fit_rule("common_baseline", schema, z, np.zeros_like(z, dtype=np.uint8))
-    out = rule.inputs(z[:1], np.array([1, 0, 0], dtype=np.uint8), None)
+    out = rule.inputs(z[:1], np.array([1, 0, 0], dtype=np.uint8), _none_missing(z[:1]))
     assert out[0, 0] == 0.0
     np.testing.assert_array_equal(out[0, 1:], z[0, 1:])
 
@@ -238,10 +245,10 @@ def test_zero_indicator_width_and_indicator():
 def test_knn_identical_row_fills_exactly():
     rng = np.random.default_rng(2)
     train = rng.normal(size=(30, 3))
-    imp = fit_imputer("knn", train, k=1)
+    imp = fit_imputer("knn", train, _none_missing(train), k=1)
     target = train[13]
-    out = impute(imp, target, np.array([0, 0, 1], dtype=np.uint8))
-    assert out[2] == target[2]  # nearest neighbor at distance zero
+    out = impute(imp, target[None, :], np.array([[0, 0, 1]], dtype=np.uint8))
+    assert out[0, 2] == target[2]  # nearest neighbor at distance zero
 
 
 def test_knn_distance_normalized_by_shared_coords():
@@ -250,34 +257,34 @@ def test_knn_distance_normalized_by_shared_coords():
     train = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 100.0]])
     train_obs = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.uint8)
     imp = fit_imputer("knn", train, train_obs, k=1)
-    out = impute(imp, np.array([0.1, 0.1, np.nan]), np.array([0, 0, 1], dtype=np.uint8))
-    assert out[2] == 100.0  # row 1 is nearest and observes the target feature
+    out = impute(imp, np.array([[0.1, 0.1, np.nan]]), np.array([[0, 0, 1]], dtype=np.uint8))
+    assert out[0, 2] == 100.0  # row 1 is nearest and observes the target feature
 
 
 def test_knn_tie_breaks_lowest_index():
     train = np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 3.0]])
-    imp = fit_imputer("knn", train, k=1)
-    out = impute(imp, np.array([0.0, np.nan]), np.array([0, 1], dtype=np.uint8))
-    assert out[1] == 1.0  # rows 0 and 1 tie at distance 0; lowest index wins
+    imp = fit_imputer("knn", train, _none_missing(train), k=1)
+    out = impute(imp, np.array([[0.0, np.nan]]), np.array([[0, 1]], dtype=np.uint8))
+    assert out[0, 1] == 1.0  # rows 0 and 1 tie at distance 0; lowest index wins
 
 
 def test_knn_permutation_invariant_with_distinct_distances():
     rng = np.random.default_rng(3)
     train = rng.normal(size=(20, 3))
-    row = rng.normal(size=3)
-    mask = np.array([0, 0, 1], dtype=np.uint8)
-    a = impute(fit_imputer("knn", train, k=4), row, mask)
+    row = rng.normal(size=(1, 3))
+    mask = np.array([[0, 0, 1]], dtype=np.uint8)
+    a = impute(fit_imputer("knn", train, _none_missing(train), k=4), row, mask)
     perm = rng.permutation(20)
-    b = impute(fit_imputer("knn", train[perm], k=4), row, mask)
+    b = impute(fit_imputer("knn", train[perm], _none_missing(train), k=4), row, mask)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_knn_no_shared_coords_falls_back_to_mean():
     # A fully missing query shares no coordinates with any neighbor.
     train = np.array([[1.0, 5.0], [3.0, 7.0]])
-    imp = fit_imputer("knn", train, k=2)
-    out = impute(imp, np.array([np.nan, np.nan]), np.ones(2, dtype=np.uint8))
-    np.testing.assert_allclose(out, [2.0, 6.0])
+    imp = fit_imputer("knn", train, _none_missing(train), k=2)
+    out = impute(imp, np.array([[np.nan, np.nan]]), np.ones((1, 2), dtype=np.uint8))
+    np.testing.assert_allclose(out, [[2.0, 6.0]])
 
 
 def test_linreg_recovers_exact_linear_relation():
@@ -285,20 +292,20 @@ def test_linreg_recovers_exact_linear_relation():
     x01 = rng.normal(size=(50, 2))
     x2 = 2.0 * x01[:, 0] - x01[:, 1] + 1.0
     train = np.column_stack([x01, x2])
-    imp = fit_imputer("lin_reg", train)
-    row = np.array([0.5, -0.25, np.nan])
-    out = impute(imp, row, np.array([0, 0, 1], dtype=np.uint8))
-    assert out[2] == pytest.approx(2.0 * 0.5 + 0.25 + 1.0, abs=1e-8)
+    imp = fit_imputer("lin_reg", train, _none_missing(train))
+    row = np.array([[0.5, -0.25, np.nan]])
+    out = impute(imp, row, np.array([[0, 0, 1]], dtype=np.uint8))
+    assert out[0, 2] == pytest.approx(2.0 * 0.5 + 0.25 + 1.0, abs=1e-8)
 
 
 def test_linreg_collinear_falls_back_with_warning():
     base = np.random.default_rng(5).normal(size=(30, 1))
     train = np.column_stack([base, 2 * base, base + 1])  # exactly collinear
     with pytest.warns(UserWarning, match="rank-deficient|falling back"):
-        imp = fit_imputer("lin_reg", train)
+        imp = fit_imputer("lin_reg", train, _none_missing(train))
     assert any(beta is None for beta in imp.coefs)
-    out = impute(imp, np.array([np.nan, 0.0, 0.0]), np.array([1, 0, 0], dtype=np.uint8))
-    assert out[0] == pytest.approx(train[:, 0].mean())
+    out = impute(imp, np.array([[np.nan, 0.0, 0.0]]), np.array([[1, 0, 0]], dtype=np.uint8))
+    assert out[0, 0] == pytest.approx(train[:, 0].mean())
 
 
 def test_linreg_too_few_complete_rows_warns():

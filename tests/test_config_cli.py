@@ -591,6 +591,33 @@ def test_cli_sweep_takes_its_repetitions_from_the_models(tmp_path):
     assert f"missing model file {models / 'knockout_rep1.json'}" in result.output
 
 
+def test_cli_run_deletes_the_later_repetitions_an_earlier_run_left(tmp_path):
+    """`run --seeds 1` into the directory of a three-repetition run deletes
+    that run's model and trace files of repetitions 1 and 2, so `sweep` over
+    its `models/` sweeps the second run's one repetition."""
+    out = tmp_path / "run"
+    cfg_path = write_config(
+        tmp_path, TINY_CONFIG.format(out=out).replace("repetitions = 1", "repetitions = 3")
+    )
+    runner = CliRunner()
+    run = ["run", "--config", str(cfg_path)]
+    assert runner.invoke(main, run).exit_code == 0
+    assert (out / "models" / "knockout_rep2.json").exists()
+    result = runner.invoke(main, [*run, "--seeds", "1"])
+    assert result.exit_code == 0, result.output
+    stems = ["common_baseline_rep0", "knockout_rep0"]
+    assert sorted(path.name for path in (out / "models").iterdir()) == [f"{s}.json" for s in stems]
+    assert sorted(path.name for path in (out / "traces").iterdir()) == [f"{s}.csv" for s in stems]
+    sweep_out = tmp_path / "s"
+    result = runner.invoke(
+        main,
+        ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(sweep_out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert (sweep_out / "report_long.csv").read_bytes() == (out / "report_long.csv").read_bytes()
+    assert json.loads((sweep_out / "manifest.json").read_text())["repetitions"] == 1
+
+
 def test_cli_ablate_single_value(tmp_path):
     out = tmp_path / "ablate"
     text = TINY_CONFIG.format(out=out).replace("[method.common_baseline]\nkind = common_baseline\n", "")

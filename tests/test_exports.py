@@ -32,6 +32,7 @@ DELETED = {
         "_zero",
     ),
     # No world or config produced bounded, half-bounded or grouped features.
+    # Rows are always an (n, d) batch, so no helper lifts one row to a batch.
     "knockout.schema": (
         "ContinuousBounded",
         "ContinuousHalfBounded",
@@ -39,6 +40,7 @@ DELETED = {
         "placeholder_in_support_violations",
         "stats_to_json",
         "stats_from_json",
+        "_as_matrix",
     ),
     # Training samples IID masks only; the mechanisms check their own ranges.
     "knockout.missingness": (
@@ -62,10 +64,11 @@ DELETED = {
 # training field the augmentation hooks take from the experiment config,
 # the float-table flag of the now rational-only joint, and the joint's
 # sparse Fraction table with its dense cache, accessors and separate
-# check: a joint is built from its integer table and checked then.
+# check: a joint is built from its integer table and checked then, as
+# policies and stats are.
 DELETED_MEMBERS = {
-    "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided"),
-    "knockout.schema.PlaceholderPolicy": ("zscore_magnitude",),
+    "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided", "validate"),
+    "knockout.schema.PlaceholderPolicy": ("zscore_magnitude", "validate"),
     "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
     "knockout.discrete.DiscreteJoint": (
         "is_exact",
@@ -85,10 +88,11 @@ DELETED_MEMBERS = {
     # layers are ReLU, Adam's constants and the trace interval are nn module
     # constants, a pipeline's task is its head's, lin-reg fell back where a
     # coefficient is None, a bin's mass is its count's share, nothing read
-    # the bin edges, and a report's repetitions are its per-repetition values.
+    # the bin edges, a report's repetitions are its per-repetition values, and
+    # a pipeline's schema is its rule's.
     "knockout.nn.TrainConfig": ("mask_granularity", "beta1", "beta2", "eps", "trace_every"),
     "knockout.nn.NetworkSpec": ("activation",),
-    "knockout.runner.ModelPipeline": ("task",),
+    "knockout.runner.ModelPipeline": ("task", "schema"),
     "knockout.baselines.LinReg": ("fell_back",),
     "knockout.worlds.BinnedConditional": ("edges", "mass"),
     "knockout.evaluate.SweepReport": ("n_reps",),

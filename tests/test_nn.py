@@ -228,8 +228,10 @@ def test_forward_matches_independent_reimplementation():
 def test_forward_rejects_bad_inputs():
     spec = NetworkSpec((3, 2))
     params = init_params(spec, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="batch width"):
+    with pytest.raises(ValueError, match=r"batch shape \(2, 4\) is not \(n, 3\)"):
         forward(spec, params, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"batch shape \(3,\) is not \(n, 3\)"):
+        forward(spec, params, np.zeros(3))  # one row is no batch
     with pytest.raises(ValueError, match="non-finite"):
         forward(spec, params, np.array([[1.0, np.nan, 0.0]]))
 

@@ -117,7 +117,7 @@ kind = lin_reg
     pattern[2] = 1
     for idx, method in enumerate(cfg.methods):
         pipe, trace = train_method(cfg, method, data, idx)
-        pred = pipe.predict_for_pattern(data.x_test[:10], pattern)
+        pred = pipe.predict_for_pattern(data.x_test[:10], pattern, data.test_observed[:10])
         assert pred.shape == (10,)
         assert np.isfinite(pred).all()
         assert trace and trace[0][0] == 0
@@ -137,7 +137,7 @@ def test_knockout_pipeline_uses_placeholders_for_pattern():
     pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[4] = 1
-    inputs = pipe._model_inputs(data.x_test[:5], pattern)
+    inputs = pipe._model_inputs(data.x_test[:5], pattern, data.test_observed[:5])
     assert (inputs[:, 4] == pipe.rule.policy.knockout_values[4]).all()
 
 
@@ -210,7 +210,7 @@ def _assert_inference_inputs_equal_training_inputs(name, mechanism, pattern, sta
         (data.x_train, data.train_observed, slice(train_start, train_start + 20)),
     ):
         x = x_all[rows]
-        observed = observed_all[rows] if observed_all.any() else None
+        observed = observed_all[rows]
         inference = saved._model_inputs(x, pattern, observed)
 
         z = apply_normalization(x, data.schema.stats)
@@ -296,8 +296,8 @@ def test_pipeline_json_round_trip_preserves_predictions():
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[1] = 1
     np.testing.assert_array_equal(
-        pipe.predict_for_pattern(data.x_test[:20], pattern),
-        restored.predict_for_pattern(data.x_test[:20], pattern),
+        pipe.predict_for_pattern(data.x_test[:20], pattern, data.test_observed[:20]),
+        restored.predict_for_pattern(data.x_test[:20], pattern, data.test_observed[:20]),
     )
 
 
@@ -374,8 +374,8 @@ def test_training_determinism_across_processes_payload(tmp_path):
 
     cfg = make_cfg()
     worker, local = tmp_path / "worker", tmp_path / "local"
-    _prepare_out(worker)
-    _prepare_out(local)
+    _prepare_out(cfg, worker)
+    _prepare_out(cfg, local)
     # A worker receives the payload (indices, no data), builds its
     # repetition, writes its files, and returns its result pickled.
     payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], 0, 0, worker, None)))
@@ -665,8 +665,11 @@ def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
     cfg = _world_config("gaussian", tmp_path, repetitions=1)
     run_experiment(cfg, out_dir=reused)
     run_experiment(cfg, out_dir=tmp_path / "fresh")
-    # The two-repetition run's rep1 files stay on disk but are not this run's.
-    assert (reused / "models" / "knockout_rep1.json").exists()
+    # The two-repetition run's rep1 model and trace files are deleted; its
+    # rep1 world and data files stay on disk but are not this run's.
+    assert not (reused / "models" / "knockout_rep1.json").exists()
+    assert not (reused / "traces" / "knockout_rep1.csv").exists()
+    assert (reused / "worlds" / "rep1.json").exists()
     manifest = (reused / "manifest.json").read_bytes()
     assert manifest == (tmp_path / "fresh" / "manifest.json").read_bytes()
     assert not [name for name in json.loads(manifest)["files"] if "rep1" in name]
@@ -830,7 +833,7 @@ def test_sweep_holds_at_most_one_earlier_prediction_per_model(tmp_path, monkeypa
     peak = {}
     calls = []
 
-    def recording_predict(self, x_raw, pattern, observed=None):
+    def recording_predict(self, x_raw, pattern, observed):
         calls.append(self.name)
         alive = [ref for ref in earlier.setdefault(self.name, []) if ref() is not None]
         peak[self.name] = max(peak.get(self.name, 0), len(alive))

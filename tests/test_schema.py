@@ -24,9 +24,15 @@ def unbounded_schema(d):
     return FeatureSchema(tuple((f"x{i}", ContinuousUnbounded()) for i in range(d)))
 
 
+def complete(raw):
+    """The observed mask of rows with no missing entry."""
+    return np.zeros_like(raw, dtype=np.uint8)
+
+
 def test_fit_zscore_column():
     schema = unbounded_schema(1)
-    stats = fit_normalization(schema, np.array([[1.0], [2.0], [3.0]]))
+    raw = np.array([[1.0], [2.0], [3.0]])
+    stats = fit_normalization(schema, raw, complete(raw))
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0))  # population std
 
@@ -34,7 +40,7 @@ def test_fit_zscore_column():
 def test_fit_constant_feature_errors():
     schema = unbounded_schema(1)
     with pytest.raises(ValueError, match="constant feature"):
-        fit_normalization(schema, np.full((4, 1), 5.0))
+        fit_normalization(schema, np.full((4, 1), 5.0), np.zeros((4, 1), dtype=np.uint8))
 
 
 def test_fit_respects_observed_mask():
@@ -57,20 +63,21 @@ def test_apply_zscore_and_scale01_examples():
         mean=np.array([2.0, np.nan]),
         std=np.array([4.0, np.nan]),
     )
-    row = apply_normalization(np.array([10.0, 3.0]), stats)
+    (row,) = apply_normalization(np.array([[10.0, 3.0]]), stats)
     assert row[0] == pytest.approx(2.0)
     assert row[1] == 3.0  # categorical codes pass through
-    # The scale01 mode is retired: stats that name it are rejected.
-    retired = NormalizationStats(("scale01",), np.array([np.nan]), np.array([np.nan]))
+    # The scale01 mode is retired: stats that name it are rejected when built.
     with pytest.raises(ValueError, match="feature 0: unknown normalization mode 'scale01'"):
-        retired.validate()
+        NormalizationStats(("scale01",), np.array([np.nan]), np.array([np.nan]))
 
 
 def test_apply_length_mismatch():
     schema = unbounded_schema(2)
-    stats = fit_normalization(schema, np.random.default_rng(0).normal(size=(10, 2)))
-    with pytest.raises(ValueError, match="row length"):
-        apply_normalization(np.zeros(3), stats)
+    raw = np.random.default_rng(0).normal(size=(10, 2))
+    stats = fit_normalization(schema, raw, complete(raw))
+    for rows in (np.zeros((1, 3)), np.zeros(2)):  # a wrong width, or one row that is no batch
+        with pytest.raises(ValueError, match=r"expected an \(n, 2\) batch"):
+            apply_normalization(rows, stats)
 
 
 def test_round_trip_thousand_rows():
@@ -89,7 +96,7 @@ def test_round_trip_thousand_rows():
             rng.exponential(2.0, size=1000),
         ]
     )
-    stats = fit_normalization(schema, data)
+    stats = fit_normalization(schema, data, complete(data))
     back = invert_normalization(apply_normalization(data, stats), stats)
     rel = np.abs(back - data) / np.maximum(np.abs(data), 1.0)
     assert rel.max() < 1e-12
@@ -107,8 +114,8 @@ def test_round_trip_random_stats(mean, std, value):
         mean=np.array([mean]),
         std=np.array([std]),
     )
-    back = invert_normalization(apply_normalization(np.array([value]), stats), stats)
-    assert back[0] == pytest.approx(value, rel=1e-12, abs=1e-9)
+    back = invert_normalization(apply_normalization(np.array([[value]]), stats), stats)
+    assert back[0, 0] == pytest.approx(value, rel=1e-12, abs=1e-9)
 
 
 def test_normalization_matches_a_per_column_reference_on_the_mixed_schema():
@@ -117,16 +124,16 @@ def test_normalization_matches_a_per_column_reference_on_the_mixed_schema():
     schema = FeatureSchema((("x1", Categorical(2)), ("x2", ContinuousUnbounded())))  # `mixed`
     rng = np.random.default_rng(21)
     rows = np.column_stack([rng.integers(1, 3, size=50), rng.normal(1.5, 3.0, size=50)])
-    stats = fit_normalization(schema, rows)
+    stats = fit_normalization(schema, rows, complete(rows))
     forward = rows.copy()
     forward[:, 1] = (rows[:, 1] - stats.mean[1]) / stats.std[1]
     back = rows.copy()
     back[:, 1] = rows[:, 1] * stats.std[1] + stats.mean[1]
     assert np.array_equal(apply_normalization(rows, stats), forward)
     assert np.array_equal(invert_normalization(rows, stats), back)
-    assert np.array_equal(apply_normalization(rows[3], stats), forward[3])  # one row
-    assert np.array_equal(invert_normalization(rows[3], stats), back[3])
-    with pytest.raises(ValueError, match="row length 1 != schema d 2"):
+    assert np.array_equal(apply_normalization(rows[3][None, :], stats), forward[3][None, :])
+    assert np.array_equal(invert_normalization(rows[3][None, :], stats), back[3][None, :])
+    with pytest.raises(ValueError, match=r"expected an \(n, 2\) batch, got shape \(50, 1\)"):
         apply_normalization(rows[:, :1], stats)
 
 
@@ -144,15 +151,13 @@ def test_derive_placeholders_table():
 
 
 def test_policy_rejects_equal_placeholders():
-    policy = PlaceholderPolicy(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
     with pytest.raises(ValueError, match="must differ"):
-        policy.validate()
+        PlaceholderPolicy(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
 
 
 def test_policy_rejects_non_finite_placeholders():
-    policy = PlaceholderPolicy(np.array([np.nan, 2.0]), np.array([1.0, -2.0]))
     with pytest.raises(ValueError, match=r"not finite for feature\(s\) \[0\]"):
-        policy.validate()
+        PlaceholderPolicy(np.array([np.nan, 2.0]), np.array([1.0, -2.0]))
 
 
 def test_kind_invariants():
@@ -174,7 +179,7 @@ def test_one_hot_extra_class_encoding():
 def test_stats_json_round_trip():
     schema = FeatureSchema((("a", ContinuousUnbounded()), ("b", Categorical(3))))
     rows = np.column_stack([np.random.default_rng(3).normal(size=20), np.arange(20) % 3 + 1])
-    stats = fit_normalization(schema, rows)
+    stats = fit_normalization(schema, rows, complete(rows))
     text = json.dumps(stats.to_json_dict(), allow_nan=False)  # unused slots are written as null
     restored = NormalizationStats.from_json_dict(json.loads(text))
     np.testing.assert_array_equal(restored.mean, stats.mean)  # NaN slots survive

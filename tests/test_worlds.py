@@ -69,6 +69,8 @@ def test_bayes_diagonal_cov_ignores_features():
     world = GaussianWorld(mean, np.diag(np.linspace(1, 2, 10)))
     out = bayes_conditional_mean(world, [0, 4, 7], np.array([[5.0, -3.0, 2.0]]))
     assert out[0] == pytest.approx(mean[-1])
+    with pytest.raises(ValueError, match=r"\(m, \|S\|\) batch"):  # one row is no batch
+        bayes_conditional_mean(world, [0, 4, 7], np.array([5.0, -3.0, 2.0]))
 
 
 def test_bayes_matches_large_sample_regression():
