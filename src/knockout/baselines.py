@@ -36,26 +36,6 @@ class KNN:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        # The training rows stay arrays: the model writer encodes them a row
-        # at a time.
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "train_x": self.train_x,
-            "train_observed": self.train_observed,
-            "fallback": self.fallback.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "KNN":
-        return cls(
-            k=int(obj["k"]),
-            train_x=np.asarray(obj["train_x"], dtype=float),
-            train_observed=np.asarray(obj["train_observed"], dtype=np.uint8),
-            fallback=np.asarray(obj["fallback"], dtype=float),
-        )
-
 
 @dataclass
 class LinReg:
@@ -63,20 +43,6 @@ class LinReg:
 
     coefs: list[np.ndarray | None]  # per feature: (d,) intercept-last layout, or None to fall back
     fallback: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "lin_reg",
-            "coefs": [c.tolist() if c is not None else None for c in self.coefs],
-            "fallback": self.fallback.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LinReg":
-        return cls(
-            coefs=[np.asarray(c, dtype=float) if c is not None else None for c in obj["coefs"]],
-            fallback=np.asarray(obj["fallback"], dtype=float),
-        )
 
 
 Imputer = KNN | LinReg

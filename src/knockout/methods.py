@@ -3,16 +3,16 @@
 Each kind has one rule: ``rule.inputs(z, induced, observed)`` maps
 normalized rows ``z``, an induced mask (one pattern for every row, or one
 mask per row) and the data's own missingness ``observed`` (1 = missing)
-to model inputs. Training calls it with the masks it samples,
-inference with the swept pattern, and a saved model stores the rule's
-fitted state, so all three apply the same rule.
+to model inputs. Training calls it with the masks it samples and
+inference with the swept pattern, so both apply the same rule.
 
 ``RULES`` maps each kind to its rule class. A rule class provides
 ``fit(cfg, method, schema, z_train, observed) -> (rule, augment)``, where
 ``augment`` is the per-batch training hook, or None when the training
-inputs are the rule's output with no induced mask, computed once;
-``from_json(obj, schema)`` and ``to_json()`` for the model file; and
-``width()`` for the network's input width.
+inputs are the rule's output with no induced mask, computed once; and
+``width()`` for the network's input width. A rule is a deterministic
+function of the config and the repetition's training split, so a saved
+model holds none of it: `knockout sweep` fits it again.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import merge_observed
-from .baselines import KNN, Imputer, LinReg, dropout_augment, fit_imputer, impute
+from .baselines import Imputer, dropout_augment, fit_imputer, impute
 from .missingness import IID, calibrate_rate, sample_mask, sample_masks
 from .schema import (
     Categorical,
@@ -106,9 +106,6 @@ class Rule:
     def width(self) -> int:
         return encoded_width(self.schema)
 
-    def to_json(self) -> dict:
-        return {}
-
 
 @dataclass
 class KnockoutRule(Rule):
@@ -124,7 +121,7 @@ class KnockoutRule(Rule):
         policy = _knockout_policy(method, schema, z_train, observed)
         # Training uses the dual placeholder only for derived placeholders
         # under MNAR (MCAR test data has no missing entries to tell apart),
-        # and the model keeps the flag it trained with. knockout*
+        # and inference uses the flag training used. knockout*
         # (placeholder = mean) under MNAR keeps its configured flag for
         # inference instead: a known mismatch, pinned by the strict xfail
         # test_knockout_star_mnar_inference_inputs_equal_training_inputs.
@@ -140,14 +137,6 @@ class KnockoutRule(Rule):
     def inputs(self, z, induced, observed):
         merged = merge_observed(z, observed, induced, self.dual_placeholder, self.policy)
         return encode_inputs(self.schema, merged)
-
-    def to_json(self) -> dict:
-        return {"policy": self.policy.to_json_dict(), "dual_placeholder": self.dual_placeholder}
-
-    @classmethod
-    def from_json(cls, obj: dict, schema: FeatureSchema) -> "KnockoutRule":
-        policy = PlaceholderPolicy.from_json_dict(obj["policy"])
-        return cls(schema, policy, bool(obj["dual_placeholder"]))
 
 
 @dataclass
@@ -165,13 +154,6 @@ class CommonBaselineRule(Rule):
         filled = np.where(_union(z, induced, observed) == 1, self.fill_values, z)
         return encode_inputs(self.schema, filled)
 
-    def to_json(self) -> dict:
-        return {"fill_values": self.fill_values.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict, schema: FeatureSchema) -> "CommonBaselineRule":
-        return cls(schema, np.asarray(obj["fill_values"], dtype=float))
-
 
 class DropoutRule(CommonBaselineRule):
     """Zero fill (the mean of z-scored features); training also zeroes
@@ -180,17 +162,10 @@ class DropoutRule(CommonBaselineRule):
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
-        rule = cls.from_json({}, schema)  # nothing to fit
+        rule = cls(schema, np.zeros(schema.d))  # nothing to fit
         rate = calibrate_rate(schema.d, method.p_clean)
         no_mask = np.zeros(schema.d, dtype=np.uint8)
         return rule, lambda xb, nb, rng: dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
-
-    def to_json(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_json(cls, obj: dict, schema: FeatureSchema) -> "DropoutRule":
-        return cls(schema, np.zeros(schema.d))
 
 
 class ZeroIndicatorRule(Rule):
@@ -200,7 +175,7 @@ class ZeroIndicatorRule(Rule):
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
-        rule = cls.from_json({}, schema)  # nothing to fit
+        rule = cls(schema)  # nothing to fit
         return rule, _masked_training(rule, _mask_sampler(method, schema.d, cfg.mask_granularity))
 
     def inputs(self, z, induced, observed):
@@ -209,10 +184,6 @@ class ZeroIndicatorRule(Rule):
 
     def width(self) -> int:
         return 2 * self.schema.d
-
-    @classmethod
-    def from_json(cls, obj: dict, schema: FeatureSchema) -> "ZeroIndicatorRule":
-        return cls(schema)
 
 
 @dataclass
@@ -231,14 +202,6 @@ class FittedImputerRule(Rule):
 
     def inputs(self, z, induced, observed):
         return encode_inputs(self.schema, impute(self.imputer, z, _union(z, induced, observed)))
-
-    def to_json(self) -> dict:
-        return {"imputer": self.imputer.to_json_dict()}
-
-    @classmethod
-    def from_json(cls, obj: dict, schema: FeatureSchema) -> "FittedImputerRule":
-        imputer = {"knn": KNN, "lin_reg": LinReg}[obj["imputer"]["kind"]]
-        return cls(schema, imputer.from_json_dict(obj["imputer"]))
 
 
 RULES = {

@@ -38,7 +38,6 @@ from .schema import (
     Categorical,
     ContinuousUnbounded,
     FeatureSchema,
-    NormalizationStats,
     apply_normalization,
     fit_normalization,
     invert_normalization,
@@ -156,10 +155,6 @@ class RepetitionData:
     y_std: float
 
 
-def _task_for(cfg: ExperimentConfig) -> str:
-    return "classification" if cfg.loss == "cross_entropy" else "regression"
-
-
 def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
     """Deterministically generate one repetition's world, data, and schema."""
     schema = _schema_for(cfg)
@@ -195,7 +190,7 @@ def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
 
     schema = schema.with_stats(fit_normalization(schema, x_train, observed))
 
-    if _task_for(cfg) == "regression":
+    if cfg.loss == "mse":
         y_mean = float(y_train.mean())
         y_std = float(y_train.std())
         if y_std == 0:
@@ -257,69 +252,67 @@ class ModelPipeline:
         return predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
 
     def json_fields(self) -> dict:
-        """The model file's fields. The weights, biases and a KNN imputer's
-        training rows stay numpy arrays, which `_write_model` encodes a row
-        at a time."""
+        """The model file's fields: what training learned. The weights and
+        biases stay numpy arrays, which `_write_model` encodes a row at a
+        time. The rule is not stored: `load_pipeline` fits it again."""
         return {
-            "format_version": 1,
+            "format_version": 2,
             "name": self.name,
             "kind": self.kind,
             "net": {"widths": list(self.net_spec.widths), "head": self.net_spec.head},
             "weights": self.params.weights,
             "biases": self.params.biases,
-            "stats": self.rule.schema.stats.to_json_dict(),
-            "y_mean": self.y_mean,
-            "y_std": self.y_std,
-            **self.rule.to_json(),
         }
 
-    def to_json_dict(self) -> dict:
-        """The model file as plain JSON values, every array as nested lists."""
-        return _plain(self.json_fields())
+
+def _fit_rule(cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData):
+    """The normalized training rows, and the method's rule and training
+    hook fitted on them."""
+    z_train = apply_normalization(data.x_train, data.schema.stats)
+    rule, augment = RULES[method.kind].fit(cfg, method, data.schema, z_train, data.train_observed)
+    return z_train, rule, augment
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(item) for item in obj]
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj
-
-
-def pipeline_from_json(obj: dict, schema_template: FeatureSchema) -> ModelPipeline:
-    if obj.get("format_version") != 1:
-        raise ValueError(f"unsupported model format version {obj.get('format_version')}")
-    schema = schema_template.with_stats(NormalizationStats.from_json_dict(obj["stats"]))
+def load_pipeline(
+    path: Path, cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData
+) -> ModelPipeline:
+    """The saved network of ``method`` at ``path``, with the method's rule
+    fitted on ``data`` as `train_method` fits it. A file holds the network
+    only; the keys that format 1 also wrote (the stats, the rule's fitted
+    state, ``y_mean`` and ``y_std``) are ignored."""
+    obj = json.loads(path.read_text())
+    if obj.get("format_version") not in (1, 2):
+        raise ValueError(f"{path}: unsupported model format version {obj.get('format_version')}")
+    if obj["kind"] != method.kind:
+        raise ValueError(
+            f"{path}: a {obj['kind']} model, but method {method.name} has kind {method.kind}"
+        )
+    _, rule, _ = _fit_rule(cfg, method, data)
     spec = NetworkSpec(widths=tuple(obj["net"]["widths"]), head=obj["net"]["head"])
+    if spec.widths[0] != rule.width():
+        raise ValueError(
+            f"{path}: input width {spec.widths[0]}, but method {method.name} "
+            f"takes {rule.width()} inputs"
+        )
     params = Parameters(
         [np.asarray(w, dtype=float) for w in obj["weights"]],
         [np.asarray(b, dtype=float) for b in obj["biases"]],
     )
-    return ModelPipeline(
-        name=obj["name"],
-        kind=obj["kind"],
-        net_spec=spec,
-        params=params,
-        y_mean=float(obj["y_mean"]),
-        y_std=float(obj["y_std"]),
-        rule=RULES[obj["kind"]].from_json(obj, schema),
-    )
+    return ModelPipeline(method.name, method.kind, spec, params, data.y_mean, data.y_std, rule)
 
 
 def train_method(
     cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData, method_index: int
 ) -> tuple[ModelPipeline, list[tuple[int, float]]]:
     """Train one method on one repetition's data."""
-    schema = data.schema
-    task = _task_for(cfg)
-    z_train = apply_normalization(data.x_train, schema.stats)
-    rule, augment = RULES[method.kind].fit(cfg, method, schema, z_train, data.train_observed)
+    z_train, rule, augment = _fit_rule(cfg, method, data)
     inputs = z_train
     if augment is None:
         # A deterministic fill: the rule with no induced mask, applied once.
-        inputs = rule.inputs(z_train, np.zeros(schema.d, dtype=np.uint8), data.train_observed)
+        no_mask = np.zeros(data.schema.d, dtype=np.uint8)
+        inputs = rule.inputs(z_train, no_mask, data.train_observed)
 
-    if task == "regression":
+    if cfg.loss == "mse":
         targets = (data.y_train - data.y_mean) / data.y_std
         head, out_width = "linear", 1
     else:
@@ -340,13 +333,7 @@ def train_method(
             f"method {method.name!r} repetition {data.rep}: {exc}"
         ) from exc
     pipeline = ModelPipeline(
-        name=method.name,
-        kind=method.kind,
-        net_spec=net_spec,
-        params=result.params,
-        y_mean=data.y_mean,
-        y_std=data.y_std,
-        rule=rule,
+        method.name, method.kind, net_spec, result.params, data.y_mean, data.y_std, rule
     )
     return pipeline, result.trace
 
@@ -374,9 +361,10 @@ def _method_job(
 ):
     """One (method, repetition), from its data to its written files.
 
-    Builds repetition ``rep``, then trains the method, or loads its saved
-    model from ``models_dir`` when given; sweeps that one model; and writes
-    its model file, and its trace if it trained, under ``out``. The first
+    Builds repetition ``rep``, then trains the method, or, when
+    ``models_dir`` is given, loads its saved network and fits the method's
+    rule as training does; sweeps that one model; and writes its model
+    file, and its trace if it trained, under ``out``. The first
     method's job also writes the repetition's world and data files.
     Returns ``(report, jsd_report, written)``: the JSD report is None for
     regression, and ``written`` lists the files the job wrote.
@@ -387,15 +375,13 @@ def _method_job(
     if models_dir is None:
         pipeline, trace = train_method(cfg, method, data, method_index)
     else:
-        text = (models_dir / f"{stem}.json").read_text()
-        pipeline = pipeline_from_json(json.loads(text), data.schema)
-    task = _task_for(cfg)
+        pipeline = load_pipeline(models_dir / f"{stem}.json", cfg, method, data)
     n_test = data.x_test.shape[0]
     patterns = enumerate_patterns(data.schema.d, cfg.k_max)
-    metrics = {method.name: [_rep_metrics(task, pipeline, data)]}
+    metrics = {method.name: [_rep_metrics(cfg.loss, pipeline, data)]}
     report = run_pattern_sweep(metrics, patterns, n_test)[method.name]
     jsd_report = None
-    if task == "classification":
+    if cfg.loss == "cross_entropy":
         single_observed = list(1 - np.eye(data.schema.d, dtype=np.uint8))
         jsd_metrics = {method.name: [_jsd_metrics(pipeline, data)]}
         jsd_report = run_pattern_sweep(jsd_metrics, single_observed, n_test)[method.name]
@@ -406,7 +392,7 @@ def _method_job(
         if data.world is not None:
             path = out / "worlds" / f"rep{rep}.json"
             written.append(_write_json_line(path, data.world.to_json_dict()))
-        names = [f"x{i + 1}" for i in range(data.schema.d)]
+        names = [name for name, _ in data.schema.features]
         train_rows = _float_rows(data.x_train, data.y_train)
         written.append(_write_csv(out / "data" / f"train_rep{rep}.csv", [*names, "y"], train_rows))
         mask_rows = (row.tolist() for row in data.train_observed)
@@ -482,9 +468,9 @@ def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunA
     return RunArtifacts(out, reports, jsd_reports)
 
 
-def _rep_metrics(task: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
+def _rep_metrics(loss: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
     observed = data.test_observed
-    if task == "regression":
+    if loss == "mse":
         return regression_pattern_metrics(
             lambda x, pattern: pipe.predict_for_pattern(x, pattern, observed),
             data.world,
@@ -536,9 +522,10 @@ def _write_json_line(path: Path, obj) -> Path:
 
 
 def _write_model(path: Path, pipe: ModelPipeline) -> Path:
-    """Write the bytes of ``json.dumps(pipe.to_json_dict(), sort_keys=True,
-    allow_nan=False)`` and a newline, encoding every array a row at a time:
-    the model never exists whole as lists or as one string."""
+    """Write ``pipe.json_fields()``, its arrays as nested lists, in the bytes
+    of ``json.dumps(..., sort_keys=True, allow_nan=False)`` and a newline,
+    encoding every array a row at a time: the model never exists whole as
+    lists or as one string."""
     with open(path, "w") as fh:
         _dump(pipe.json_fields(), fh.write)
         fh.write("\n")
@@ -669,8 +656,9 @@ def sweep_saved_models(
 ) -> RunArtifacts:
     """Evaluation-only run over the saved models of repetitions 0, 1, ...
     up to the first that no method has: each job rebuilds its repetition
-    and loads its model, then the run sweeps and writes every artifact as
-    `run_experiment` does."""
+    from ``cfg``, loads its model's network and fits the method's rule,
+    then the run sweeps and writes every artifact as `run_experiment`
+    does. So ``cfg`` must be the config of the run that saved the models."""
     models_dir = Path(models_dir)
     reps = 0
     while True:

@@ -88,27 +88,6 @@ class NormalizationStats:
             if mode == "zscore" and not 0 < self.std[i] < np.inf:
                 raise ValueError(f"feature {i}: zscore std must be > 0, got {self.std[i]}")
 
-    def to_json_dict(self) -> dict:
-        # Unused (NaN) slots are written as null, which reads back as NaN.
-        return {
-            "modes": list(self.modes),
-            "mean": _nan_to_none(self.mean),
-            "std": _nan_to_none(self.std),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NormalizationStats":
-        # Keys of retired modes (lo, hi, shift, upper_sided) are ignored.
-        return cls(
-            modes=tuple(obj["modes"]),
-            mean=np.asarray(obj["mean"], dtype=float),
-            std=np.asarray(obj["std"], dtype=float),
-        )
-
-
-def _nan_to_none(values: np.ndarray) -> list:
-    return [None if np.isnan(v) else float(v) for v in values]
-
 
 @dataclass(frozen=True)
 class PlaceholderPolicy:
@@ -136,20 +115,6 @@ class PlaceholderPolicy:
                 "observed-missingness placeholder equals knockout placeholder "
                 f"for feature(s) {clashes.tolist()}; the two must differ"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "knockout_values": self.knockout_values.tolist(),
-            "observed_values": self.observed_values.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PlaceholderPolicy":
-        # A stored "zscore_magnitude" is ignored: the values already hold it.
-        return cls(
-            knockout_values=np.asarray(obj["knockout_values"], dtype=float),
-            observed_values=np.asarray(obj["observed_values"], dtype=float),
-        )
 
 
 @dataclass(frozen=True)

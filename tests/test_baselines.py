@@ -233,7 +233,7 @@ def test_meanmode_zscored_fill_is_zero():
 def test_zero_indicator_width_and_indicator():
     schema = _continuous(3)
     z = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    rule = ZeroIndicatorRule.from_json({}, schema)
+    rule = ZeroIndicatorRule(schema)
     assert rule.width() == 6
     induced = np.array([0, 1, 0], dtype=np.uint8)
     observed = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)

@@ -565,6 +565,42 @@ def test_cli_sweep_missing_model_errors(tmp_path):
     assert not (tmp_path / "s" / "report_long.csv").exists()
 
 
+def _set_kind(model):
+    model["kind"] = "common_baseline"
+
+
+def _set_input_width(model):
+    model["net"]["widths"][0] = 10
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set_kind, "a common_baseline model, but method knockout has kind knockout"),
+        (_set_input_width, "input width 10, but method knockout takes 9 inputs"),
+    ],
+    ids=["kind", "input_width"],
+)
+def test_cli_sweep_rejects_a_model_the_config_method_cannot_use(tmp_path, edit, message):
+    """A model file whose kind or input width is not the configured
+    method's fails the sweep with an error that names the file."""
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", str(cfg_path)]).exit_code == 0
+    path = out / "models" / "knockout_rep0.json"
+    model = json.loads(path.read_text())
+    edit(model)
+    path.write_text(json.dumps(model))
+    result = runner.invoke(
+        main,
+        ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(tmp_path / "s")],
+    )
+    assert result.exit_code == 1
+    assert f"Error: {path}: {message}\n" in result.output
+    assert not (tmp_path / "s" / "report_long.csv").exists()
+
+
 def test_cli_sweep_takes_its_repetitions_from_the_models(tmp_path):
     """`run --seeds 1` of a three-repetition config saves one repetition's
     models; `sweep` sweeps exactly the repetitions that every method saved."""

@@ -41,6 +41,7 @@ DELETED = {
         "stats_to_json",
         "stats_from_json",
         "_as_matrix",
+        "_nan_to_none",
     ),
     # Training samples IID masks only; the mechanisms check their own ranges.
     "knockout.missingness": (
@@ -55,9 +56,24 @@ DELETED = {
     # World files are written, never read back.
     "knockout.worlds": ("world_to_json", "world_from_json", "make_class_world"),
     "knockout.nn": ("grad",),
-    # A csv world is read once per process, not passed to each job.
-    "knockout.runner": ("_world_table",),
+    # A csv world is read once per process, not passed to each job. A
+    # model file holds the network only, and `load_pipeline` reads it; the
+    # task is the config's loss.
+    "knockout.runner": ("_world_table", "pipeline_from_json", "_plain", "_task_for"),
 }
+
+# A model file holds the network only: `sweep` fits each rule, with its
+# imputer, stats or policy, from the config again, so none of them is
+# written to or read from JSON.
+_JSON_DICT = ("to_json_dict", "from_json_dict")
+_RULES = (
+    "Rule",
+    "KnockoutRule",
+    "CommonBaselineRule",
+    "DropoutRule",
+    "ZeroIndicatorRule",
+    "FittedImputerRule",
+)
 
 # Fields and methods no command reached: the slots of the retired
 # normalization modes, a policy copy nothing read, unread accessors, a
@@ -67,8 +83,15 @@ DELETED = {
 # check: a joint is built from its integer table and checked then, as
 # policies and stats are.
 DELETED_MEMBERS = {
-    "knockout.schema.NormalizationStats": ("lo", "hi", "shift", "upper_sided", "validate"),
-    "knockout.schema.PlaceholderPolicy": ("zscore_magnitude", "validate"),
+    "knockout.schema.NormalizationStats": (
+        "lo",
+        "hi",
+        "shift",
+        "upper_sided",
+        "validate",
+        *_JSON_DICT,
+    ),
+    "knockout.schema.PlaceholderPolicy": ("zscore_magnitude", "validate", *_JSON_DICT),
     "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
     "knockout.discrete.DiscreteJoint": (
         "is_exact",
@@ -92,8 +115,10 @@ DELETED_MEMBERS = {
     # a pipeline's schema is its rule's.
     "knockout.nn.TrainConfig": ("mask_granularity", "beta1", "beta2", "eps", "trace_every"),
     "knockout.nn.NetworkSpec": ("activation",),
-    "knockout.runner.ModelPipeline": ("task", "schema"),
-    "knockout.baselines.LinReg": ("fell_back",),
+    "knockout.runner.ModelPipeline": ("task", "schema", "to_json_dict"),
+    "knockout.baselines.LinReg": ("fell_back", *_JSON_DICT),
+    "knockout.baselines.KNN": _JSON_DICT,
+    **{f"knockout.methods.{rule}": ("to_json", "from_json") for rule in _RULES},
     "knockout.worlds.BinnedConditional": ("edges", "mass"),
     "knockout.evaluate.SweepReport": ("n_reps",),
 }

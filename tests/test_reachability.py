@@ -34,9 +34,6 @@ UNREACHED = {
     "evaluate.PatternResult.value": "read by the gates in tests/test_acceptance.py",
     "discrete.DiscreteJoint.__eq__": "value equality for callers and tests; no command "
     "compares two joints",
-    "runner.ModelPipeline.to_json_dict": "oracle of the model writer in tests/test_runner.py: "
-    "json.dumps of it gives the bytes _write_model writes",
-    "runner._plain": "helper of ModelPipeline.to_json_dict",
     "worlds.class_posterior": "oracle of the class-world tests in tests/test_worlds.py",
     "worlds._norm_logpdf": "helper of class_posterior",
 }

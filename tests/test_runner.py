@@ -1,5 +1,7 @@
 import functools
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from knockout.config import _KIND_KEYS, parse_config
 from knockout.methods import RULES
-from knockout.runner import _schema_for, build_repetition, pipeline_from_json, train_method
+from knockout.runner import _write_model, build_repetition, load_pipeline, train_method
 from knockout.schema import apply_normalization
 
 BASE = """
@@ -51,6 +53,27 @@ def base(mechanism="none"):
 
 def make_cfg(mechanism="none", extra=""):
     return parse_config(base(mechanism) + extra)
+
+
+def _plain(obj):
+    """``obj`` as plain JSON values, every array as nested lists."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def _model_text(pipe) -> bytes:
+    """The model file `_write_model` must write: the json.dumps oracle."""
+    return (json.dumps(_plain(pipe.json_fields()), sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def _written_and_loaded(cfg, method, data, pipe):
+    """``pipe`` written to a model file by `_write_model`, then loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_model(Path(tmp) / "model.json", pipe)
+        return load_pipeline(path, cfg, method, data)
 
 
 def test_build_repetition_deterministic_and_split():
@@ -195,7 +218,7 @@ def _saved_and_fitted(name, mechanism):
     data = build_repetition(cfg, 0)
     method = cfg.methods[0]
     pipe, _ = train_method(cfg, method, data, 0)
-    saved = pipeline_from_json(pipe.to_json_dict(), _schema_for(cfg))
+    saved = _written_and_loaded(cfg, method, data, pipe)
     z_train = apply_normalization(data.x_train, data.schema.stats)
     rule, augment = RULES[method.kind].fit(cfg, method, data.schema, z_train, data.train_observed)
     return data, saved, rule, augment
@@ -292,7 +315,7 @@ def test_pipeline_json_round_trip_preserves_predictions():
     cfg = make_cfg()
     data = build_repetition(cfg, 0)
     pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
-    restored = pipeline_from_json(pipe.to_json_dict(), _schema_for(cfg))
+    restored = _written_and_loaded(cfg, cfg.methods[0], data, pipe)
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[1] = 1
     np.testing.assert_array_equal(
@@ -301,70 +324,83 @@ def test_pipeline_json_round_trip_preserves_predictions():
     )
 
 
-def test_model_in_the_earlier_format_loads_and_predicts_identically():
-    """Model files once held null slots for retired normalization modes, the
-    policy's magnitude, the task, the hidden layers' activation and lin-reg's
-    fell-back features; they load, predict the same and drop those keys."""
-    cfg = make_cfg("mnar_self_censor", "\n[method.lin_reg]\nkind = lin_reg\n")
+def _v1_fields(pipe, data) -> dict:
+    """What format 1 also stored: the normalization stats, the rule's fitted
+    state, and the target's mean and std."""
+    stats = data.schema.stats
+    fields = {
+        "stats": {
+            "modes": list(stats.modes),
+            "mean": [None if np.isnan(v) else float(v) for v in stats.mean],
+            "std": [None if np.isnan(v) else float(v) for v in stats.std],
+        },
+        "y_mean": data.y_mean,
+        "y_std": data.y_std,
+    }
+    rule = pipe.rule
+    if pipe.kind == "knockout":
+        policy = {
+            "knockout_values": rule.policy.knockout_values,
+            "observed_values": rule.policy.observed_values,
+        }
+        fields.update(policy=policy, dual_placeholder=rule.dual_placeholder)
+    elif pipe.kind == "common_baseline":
+        fields["fill_values"] = rule.fill_values
+    elif pipe.kind == "knn":
+        imputer = rule.imputer
+        fields["imputer"] = {
+            "kind": "knn",
+            "k": imputer.k,
+            "train_x": imputer.train_x,
+            "train_observed": imputer.train_observed,
+            "fallback": imputer.fallback,
+        }
+    elif pipe.kind == "lin_reg":
+        coefs = [None if c is None else c.tolist() for c in rule.imputer.coefs]
+        fields["imputer"] = {"kind": "lin_reg", "coefs": coefs, "fallback": rule.imputer.fallback}
+    return _plain(fields)
+
+
+def test_model_in_the_earlier_format_loads_and_predicts_identically(tmp_path):
+    """A format-1 model file, which also held the stats, the rule's fitted
+    state and the target's mean and std, loads and predicts as the model it
+    was written from; a sweep rewrites it in format 2."""
+    extra = """
+[method.common_baseline]
+kind = common_baseline
+
+[method.dropout]
+kind = dropout
+
+[method.zero_indicator]
+kind = zero_indicator
+
+[method.knn]
+kind = knn
+k = 3
+
+[method.lin_reg]
+kind = lin_reg
+"""
+    cfg = make_cfg("mnar_self_censor", extra)
     data = build_repetition(cfg, 0)
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[1] = 1
     for index, method in enumerate(cfg.methods):
         pipe, _ = train_method(cfg, method, data, index)
-        current = pipe.to_json_dict()
-        earlier = json.loads(json.dumps(current))
-        nulls = [None] * data.schema.d
-        earlier["stats"].update(lo=nulls, hi=nulls, shift=nulls, upper_sided=[False] * data.schema.d)
-        earlier["task"] = "regression"
-        earlier["net"]["activation"] = "relu"
-        if method.kind == "knockout":
-            earlier["policy"]["zscore_magnitude"] = 10.0
-        else:
-            coefs = earlier["imputer"]["coefs"]
-            earlier["imputer"]["fell_back"] = [j for j, beta in enumerate(coefs) if beta is None]
-        restored = pipeline_from_json(earlier, _schema_for(cfg))
+        v1 = {**_plain(pipe.json_fields()), **_v1_fields(pipe, data), "format_version": 1}
+        v1.update(task="regression", net={**v1["net"], "activation": "relu"})  # older still
+        path = tmp_path / f"{method.name}.json"
+        path.write_text(json.dumps(v1, sort_keys=True, allow_nan=False) + "\n")
+        restored = load_pipeline(path, cfg, method, data)
         np.testing.assert_array_equal(
             pipe.predict_for_pattern(data.x_test, pattern, data.test_observed),
             restored.predict_for_pattern(data.x_test, pattern, data.test_observed),
         )
-        assert json.dumps(restored.to_json_dict()) == json.dumps(current)
-        assert "task" not in current and "activation" not in current["net"]
-        assert "fell_back" not in current.get("imputer", {})
-
-
-def _set(path, value):
-    def edit(obj):
-        *parents, leaf = path
-        for key in parents:
-            obj = obj[key]
-        obj[leaf] = value
-
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit,message",
-    [
-        (_set(("stats", "modes", 3), "scale01"), r"feature 3: unknown normalization mode 'scale01'"),
-        (_set(("stats", "modes", 3), "log"), r"feature 3: unknown normalization mode 'log'"),
-        (_set(("stats", "std", 1), None), r"feature 1: zscore std must be > 0"),
-        (_set(("policy", "observed_values", 2), 10.0), r"for feature\(s\) \[2\]"),
-        (_set(("policy", "knockout_values", 5), None), r"not finite for feature\(s\) \[5\]"),
-    ],
-    ids=["retired_mode", "unknown_mode", "zero_std", "equal_placeholders", "nan_placeholder"],
-)
-def test_invalid_model_file_fails_at_load_naming_the_feature(edit, message):
-    cfg = make_cfg()
-    data = build_repetition(cfg, 0)
-    obj = train_method(cfg, cfg.methods[0], data, 0)[0].to_json_dict()
-    edit(obj)
-    with pytest.raises(ValueError, match=message):
-        pipeline_from_json(obj, _schema_for(cfg))
-
-
-def _model_text(pipe) -> bytes:
-    """The model file `_write_model` must write: the json.dumps oracle."""
-    return (json.dumps(pipe.to_json_dict(), sort_keys=True, allow_nan=False) + "\n").encode()
+        assert _model_text(restored) == _model_text(pipe)
+        current = json.loads(_model_text(pipe))
+        assert current["format_version"] == 2
+        assert sorted(current) == ["biases", "format_version", "kind", "name", "net", "weights"]
 
 
 def test_training_determinism_across_processes_payload(tmp_path):
@@ -406,8 +442,6 @@ WRITER_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
 
 @pytest.mark.parametrize("name", sorted(WRITER_METHODS))
 def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
-    from knockout.runner import _write_model
-
     cfg = parse_config(
         base("mnar_self_censor").replace(
             "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{WRITER_METHODS[name]}"
@@ -416,10 +450,6 @@ def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
     pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
     path = tmp_path / "model.json"
     assert _write_model(path, pipe).read_bytes() == _model_text(pipe)
-    if name == "lin_reg":  # a feature without a fitted model writes null
-        pipe.rule.imputer.coefs[0] = None
-        assert _write_model(path, pipe).read_bytes() == _model_text(pipe)
-        assert json.loads(path.read_text())["imputer"]["coefs"][0] is None
     pipe.params.weights[-1][0, 0] = np.nan
     with pytest.raises(ValueError, match="Out of range float values"):
         _write_model(path, pipe)
@@ -430,7 +460,6 @@ def test_writing_a_fig1_size_model_allocates_less_than_the_file(tmp_path):
     import tracemalloc
 
     from knockout.nn import NetworkSpec, init_params
-    from knockout.runner import _write_model
 
     cfg = make_cfg()
     pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
@@ -484,11 +513,8 @@ kind = common_baseline
     jsd_vals = [r.value for rep in art.jsd_reports.values() for r in rep.results]
     assert all(np.isfinite(v) and v >= 0 for v in jsd_vals)
     # One-hot width: 2 classes + 2 placeholder slots + 1 continuous feature.
-    pipe = pipeline_from_json(
-        json.loads((tmp_path / "models" / "knockout_rep0.json").read_text()),
-        build_repetition(cfg, 0).schema,
-    )
-    assert pipe.net_spec.widths[0] == 5
+    model = json.loads((tmp_path / "models" / "knockout_rep0.json").read_text())
+    assert model["net"]["widths"][0] == 5
 
 
 def test_ablation_rejects_categorical_worlds(tmp_path):
@@ -545,9 +571,9 @@ placeholder = mean
     )
     art = run_experiment(cfg, out_dir=tmp_path)
     data = build_repetition(cfg, 0)
-    text = (tmp_path / "models" / "knockout_star_rep0.json").read_text()
-    obj = json.loads(text, parse_constant=lambda name: pytest.fail(f"model JSON holds {name}"))
-    pipe = pipeline_from_json(obj, data.schema)
+    path = tmp_path / "models" / "knockout_star_rep0.json"
+    json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"model JSON holds {name}"))
+    pipe = load_pipeline(path, cfg, cfg.methods[0], data)
     codes, counts = np.unique(data.x_train[:, 0], return_counts=True)
     assert pipe.rule.policy.knockout_values[0] == codes[np.argmax(counts)]
     assert np.isfinite(pipe.rule.policy.observed_values).all()
@@ -821,6 +847,16 @@ def test_a_csv_world_job_payload_holds_indices_not_the_table(tmp_path, monkeypat
     runner.run_experiment(cfg, out_dir=tmp_path / "run")
     assert len(payloads) == 2 * 2
     assert max(len(pickle.dumps(payload)) for payload in payloads) < 2048
+
+
+def test_a_csv_world_data_files_are_headed_with_its_column_names(tmp_path):
+    from knockout.runner import run_experiment
+
+    cfg = _world_config("csv", tmp_path, repetitions=1)  # columns a, b, c and target
+    run_experiment(cfg, out_dir=tmp_path / "run")
+    data = tmp_path / "run" / "data"
+    assert (data / "train_rep0.csv").read_text().splitlines()[0] == "a,b,c,y"
+    assert (data / "train_mask_rep0.csv").read_text().splitlines()[0] == "a,b,c"
 
 
 def test_sweep_holds_at_most_one_earlier_prediction_per_model(tmp_path, monkeypatch):

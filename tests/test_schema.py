@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,12 +174,16 @@ def test_one_hot_extra_class_encoding():
     np.testing.assert_array_equal(enc[:, 5], rows[:, 1])
 
 
-def test_stats_json_round_trip():
-    schema = FeatureSchema((("a", ContinuousUnbounded()), ("b", Categorical(3))))
-    rows = np.column_stack([np.random.default_rng(3).normal(size=20), np.arange(20) % 3 + 1])
-    stats = fit_normalization(schema, rows, complete(rows))
-    text = json.dumps(stats.to_json_dict(), allow_nan=False)  # unused slots are written as null
-    restored = NormalizationStats.from_json_dict(json.loads(text))
-    np.testing.assert_array_equal(restored.mean, stats.mean)  # NaN slots survive
-    np.testing.assert_array_equal(restored.std, stats.std)
-    assert restored.modes == stats.modes == ("zscore", "none")
+@pytest.mark.parametrize(
+    "mean,std,message",
+    [
+        ([0.0], [1.0, 1.0], "mean and std must have length 2"),
+        ([np.inf, np.nan], [1.0, np.nan], r"feature 0: zscore mean must be finite, got inf"),
+        ([0.0, np.nan], [0.0, np.nan], r"feature 0: zscore std must be > 0, got 0.0"),
+        ([0.0, np.nan], [np.nan, np.nan], r"feature 0: zscore std must be > 0, got nan"),
+    ],
+    ids=["length", "infinite_mean", "zero_std", "nan_std"],
+)
+def test_stats_reject_bad_values_naming_the_feature(mean, std, message):
+    with pytest.raises(ValueError, match=message):
+        NormalizationStats(("zscore", "none"), np.array(mean), np.array(std))
