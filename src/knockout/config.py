@@ -26,6 +26,7 @@ __all__ = [
     "serialize_config",
     "config_hash",
     "check_k_max",
+    "default_k_max",
     "train_rows",
 ]
 
@@ -166,7 +167,7 @@ class ExperimentConfig:
     hidden: tuple[int, ...] = (100, 100)
     seed0: int = 17
     mask_granularity: str = "per_batch"
-    k_max: int = 3
+    k_max: int | None = None  # None: `default_k_max` of the feature count, once known
     repetitions: int = 10
     out_dir: str = "out"
 
@@ -193,12 +194,12 @@ class ExperimentConfig:
             train_rows(self.n_total, self.train_fraction)
         if self.repetitions < 1:
             _reject("sweep", "repetitions", f"must be >= 1, got {self.repetitions}")
-        if self.k_max < 0:
+        if self.k_max is not None and self.k_max < 0:
             _reject("sweep", "k_max", f"must be >= 0, got {self.k_max}")
         if self.world_kind == "gaussian" and self.dim < 2:
             _reject("world", "dim", f"must be >= 2 (the target and a feature), got {self.dim}")
         d = _feature_count(self.world_kind, self.dim)
-        if d is not None:
+        if d is not None and self.k_max is not None:
             check_k_max(self.k_max, d)
         if self.mechanism == "mcar" and not 0.0 <= self.mcar_p <= 1.0:
             _reject("missingness", "p", f"must be in [0, 1], got {self.mcar_p}")
@@ -233,6 +234,11 @@ def check_k_max(k_max: int, d: int) -> None:
     """Reject a sweep depth above the feature count: no pattern has that many missing."""
     if k_max > d:
         _reject("sweep", "k_max", f"must be <= {d}, the world's feature count, got {k_max}")
+
+
+def default_k_max(d: int) -> int:
+    """The sweep depth when no k_max is set: 3, or the feature count if fewer."""
+    return max(0, min(3, d))
 
 
 def train_rows(n: int, train_fraction: float, path: str | None = None) -> int:
@@ -330,9 +336,10 @@ def parse_config(text: str) -> ExperimentConfig:
     ]
     methods.sort(key=lambda m: m.name)
 
-    # A sweep 3 deep, or to every feature if fewer.
+    # A csv world's feature count is known once the runner reads its header.
     d = _feature_count(values["world_kind"], values.get("dim", ExperimentConfig.dim))
-    values.setdefault("k_max", 3 if d is None else max(0, min(3, d)))
+    if d is not None:
+        values.setdefault("k_max", default_k_max(d))
     return ExperimentConfig(methods=tuple(methods), **values)
 
 

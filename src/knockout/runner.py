@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, MethodConfig, check_k_max, config_hash, serialize_config
-from .config import train_rows
+from .config import ExperimentConfig, MethodConfig, check_k_max, config_hash, default_k_max
+from .config import serialize_config, train_rows
 from .evaluate import (
     classification_pattern_metrics,
     marginal_fidelity_binned,
@@ -89,7 +89,8 @@ def _load_csv_world(cfg: ExperimentConfig) -> tuple[tuple[str, ...], np.ndarray,
     path = cfg.csv_path
     stat = os.stat(path)
     names, x, y = _read_csv(path, cfg.csv_target, stat.st_size, stat.st_mtime_ns)
-    check_k_max(cfg.k_max, len(names))
+    if cfg.k_max is not None:
+        check_k_max(cfg.k_max, len(names))
     train_rows(x.shape[0], cfg.train_fraction, path)
     return names, x, y
 
@@ -107,6 +108,13 @@ def _read_csv(
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: the header repeats column(s) {repeated}")
+        if target not in header:
+            raise ValueError(f"{path}: no column {target!r} (section [world], key 'target')")
+        if len(header) < 2:
+            raise ValueError(f"{path}: no feature column besides the target {target!r}")
         rows = []
         for row in reader:
             if not row:
@@ -131,8 +139,6 @@ def _read_csv(
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    if target not in header:
-        raise ValueError(f"{path}: no column {target!r} (section [world], key 'target')")
     t = header.index(target)
     columns = [i for i in range(len(header)) if i != t]
     table = np.asarray(rows, dtype=float).take([*columns, t], axis=1)
@@ -279,25 +285,31 @@ def load_pipeline(
     """The saved network of ``method`` at ``path``, with the method's rule
     fitted on ``data`` as `train_method` fits it. A file holds the network
     only; the keys that format 1 also wrote (the stats, the rule's fitted
-    state, ``y_mean`` and ``y_std``) are ignored."""
-    obj = json.loads(path.read_text())
-    if obj.get("format_version") not in (1, 2):
-        raise ValueError(f"{path}: unsupported model format version {obj.get('format_version')}")
-    if obj["kind"] != method.kind:
-        raise ValueError(
-            f"{path}: a {obj['kind']} model, but method {method.name} has kind {method.kind}"
+    state, ``y_mean`` and ``y_std``) are ignored. Every error names ``path``."""
+    try:
+        obj = json.loads(path.read_text())
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        if obj.get("format_version") not in (1, 2):
+            raise ValueError(f"unsupported model format version {obj.get('format_version')}")
+        kind = obj["kind"]
+        spec = NetworkSpec(widths=tuple(obj["net"]["widths"]), head=obj["net"]["head"])
+        params = Parameters(
+            [np.asarray(w, dtype=float) for w in obj["weights"]],
+            [np.asarray(b, dtype=float) for b in obj["biases"]],
         )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if kind != method.kind:
+        raise ValueError(f"{path}: a {kind} model, but method {method.name} has kind {method.kind}")
     _, rule, _ = _fit_rule(cfg, method, data)
-    spec = NetworkSpec(widths=tuple(obj["net"]["widths"]), head=obj["net"]["head"])
     if spec.widths[0] != rule.width():
         raise ValueError(
             f"{path}: input width {spec.widths[0]}, but method {method.name} "
             f"takes {rule.width()} inputs"
         )
-    params = Parameters(
-        [np.asarray(w, dtype=float) for w in obj["weights"]],
-        [np.asarray(b, dtype=float) for b in obj["biases"]],
-    )
     return ModelPipeline(method.name, method.kind, spec, params, data.y_mean, data.y_std, rule)
 
 
@@ -436,6 +448,8 @@ def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunA
     ``models_dir`` holds saved models for the jobs to sweep instead of
     training.
     """
+    if cfg.k_max is None:  # a csv world's header gives its feature count
+        cfg = dataclasses.replace(cfg, k_max=default_k_max(_schema_for(cfg).d))
     if cfg.world_kind == "csv":
         _load_csv_world(cfg)  # read and check the file before any job, and before a pool forks
     _prepare_out(cfg, out)
@@ -560,8 +574,7 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)  # a float cell is written as its repr
     return path
 
 

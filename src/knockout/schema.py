@@ -49,44 +49,34 @@ class ContinuousUnbounded:
 
 FeatureKind = Union[Categorical, ContinuousUnbounded]
 
-# Continuous features are z-scored; categorical codes pass through.
-_MODES = ("zscore", "none")
-
-
-def _mode_for_kind(kind: FeatureKind) -> str:
-    if isinstance(kind, Categorical):
-        return "none"
-    if isinstance(kind, ContinuousUnbounded):
-        return "zscore"
-    raise ValueError(f"unknown feature kind: {kind!r}")
-
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-feature normalization parameters.
+    """Per-feature affine map ``z = (x - mean) / std``.
 
-    ``mean`` and ``std`` hold NaN for features that are not z-scored. All
-    arrays have length d and the object is immutable once fitted.
+    Continuous features are z-scored; categorical features have mean 0 and
+    std 1, so their codes pass through unchanged. Both arrays have length d
+    and the object is immutable once fitted.
     """
 
-    modes: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
 
     @property
     def d(self) -> int:
-        return len(self.modes)
+        return len(self.mean)
 
     def __post_init__(self):
-        if self.mean.shape != (self.d,) or self.std.shape != (self.d,):
-            raise ValueError(f"mean and std must have length {self.d}, one entry per mode")
-        for i, mode in enumerate(self.modes):
-            if mode not in _MODES:
-                raise ValueError(f"feature {i}: unknown normalization mode {mode!r}")
-            if mode == "zscore" and not np.isfinite(self.mean[i]):
-                raise ValueError(f"feature {i}: zscore mean must be finite, got {self.mean[i]}")
-            if mode == "zscore" and not 0 < self.std[i] < np.inf:
-                raise ValueError(f"feature {i}: zscore std must be > 0, got {self.std[i]}")
+        if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
+            raise ValueError(
+                "mean and std must be vectors of one length, "
+                f"got shapes {self.mean.shape} and {self.std.shape}"
+            )
+        for i, (mean, std) in enumerate(zip(self.mean, self.std)):
+            if not np.isfinite(mean):
+                raise ValueError(f"feature {i}: mean must be finite, got {mean}")
+            if not 0 < std < np.inf:
+                raise ValueError(f"feature {i}: std must be in (0, inf), got {std}")
 
 
 @dataclass(frozen=True)
@@ -155,46 +145,37 @@ def fit_normalization(
     if observed_mask.shape != raw.shape:
         raise ValueError("observed_mask must match the data shape")
 
-    modes = tuple(_mode_for_kind(kind) for kind in schema.kinds)
-    mean = np.full(schema.d, np.nan)
-    std = np.full(schema.d, np.nan)
-    for i, (name, _) in enumerate(schema.features):
+    mean = np.zeros(schema.d)
+    std = np.ones(schema.d)
+    for i, (name, kind) in enumerate(schema.features):
         col = raw[observed_mask[:, i] == 0, i]
         if col.size == 0:
             raise ValueError(f"feature {i} ({name!r}): no observed entries to fit")
-        if modes[i] == "zscore":
+        if isinstance(kind, ContinuousUnbounded):
             mean[i] = col.mean()
             std[i] = col.std()  # population std; deterministic preprocessing choice
             if std[i] == 0:
                 raise ValueError(f"feature {i} ({name!r}): constant feature, std is 0")
 
-    return NormalizationStats(modes, mean, std)
+    return NormalizationStats(mean, std)
 
 
-def _zscored(rows: np.ndarray, stats: NormalizationStats):
-    """``rows``, an (n, d) batch, as a float matrix, and the mask of the
-    z-scored columns."""
+def _batch(rows: np.ndarray, d: int) -> np.ndarray:
+    """``rows``, an (n, d) batch, as a float matrix."""
     mat = np.asarray(rows, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != stats.d:
-        raise ValueError(f"expected an (n, {stats.d}) batch, got shape {mat.shape}")
-    return mat, np.array([mode == "zscore" for mode in stats.modes])
+    if mat.ndim != 2 or mat.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) batch, got shape {mat.shape}")
+    return mat
 
 
 def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Map a batch of raw rows into normalized coordinates (invertible per
-    feature)."""
-    mat, z = _zscored(rows, stats)
-    out = mat.copy()
-    out[:, z] = (mat[:, z] - stats.mean[z]) / stats.std[z]
-    return out
+    """Map a batch of raw rows into normalized coordinates."""
+    return (_batch(rows, stats.d) - stats.mean) / stats.std
 
 
 def invert_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """Inverse of :func:`apply_normalization` on each feature."""
-    mat, z = _zscored(rows, stats)
-    out = mat.copy()
-    out[:, z] = mat[:, z] * stats.std[z] + stats.mean[z]
-    return out
+    return _batch(rows, stats.d) * stats.std + stats.mean
 
 
 # Derived placeholders of a z-scored feature sit this many standard
@@ -235,9 +216,7 @@ def encode_inputs(schema: FeatureSchema, rows: np.ndarray) -> np.ndarray:
     The one-hot of a feature with n classes has width n+2, with dedicated
     slots for the two placeholder codes n+1 and n+2.
     """
-    mat = np.asarray(rows, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != schema.d:
-        raise ValueError(f"expected an (n, {schema.d}) batch, got shape {mat.shape}")
+    mat = _batch(rows, schema.d)
     cols = []
     for i, (_, kind) in enumerate(schema.features):
         if not isinstance(kind, Categorical):

@@ -567,10 +567,12 @@ def test_cli_sweep_missing_model_errors(tmp_path):
 
 def _set_kind(model):
     model["kind"] = "common_baseline"
+    return json.dumps(model)
 
 
 def _set_input_width(model):
     model["net"]["widths"][0] = 10
+    return json.dumps(model)
 
 
 @pytest.mark.parametrize(
@@ -578,25 +580,30 @@ def _set_input_width(model):
     [
         (_set_kind, "a common_baseline model, but method knockout has kind knockout"),
         (_set_input_width, "input width 10, but method knockout takes 9 inputs"),
+        (
+            lambda model: "{",
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (lambda model: '{"format_version": 2}', "missing key 'kind'"),
+        (lambda model: "[]", "not a JSON object"),
     ],
-    ids=["kind", "input_width"],
+    ids=["kind", "input_width", "not_json", "no_kind", "not_object"],
 )
 def test_cli_sweep_rejects_a_model_the_config_method_cannot_use(tmp_path, edit, message):
-    """A model file whose kind or input width is not the configured
-    method's fails the sweep with an error that names the file."""
+    """A model file that is no JSON object, lacks a key, or whose kind or
+    input width is not the configured method's fails the sweep with an
+    error that names the file."""
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
     runner = CliRunner()
     assert runner.invoke(main, ["run", "--config", str(cfg_path)]).exit_code == 0
     path = out / "models" / "knockout_rep0.json"
-    model = json.loads(path.read_text())
-    edit(model)
-    path.write_text(json.dumps(model))
+    path.write_text(edit(json.loads(path.read_text())))
     result = runner.invoke(
         main,
         ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(tmp_path / "s")],
     )
-    assert result.exit_code == 1
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
     assert f"Error: {path}: {message}\n" in result.output
     assert not (tmp_path / "s" / "report_long.csv").exists()
 
@@ -764,6 +771,26 @@ kind = knockout
     assert len(patterns) == 4  # complete + one per feature
 
 
+def test_cli_run_csv_world_sweeps_every_feature_when_fewer_than_three(tmp_path):
+    """With no [sweep] k_max, a 2-feature csv world sweeps both features
+    out at once: k_max is 3, or the header's feature count if fewer."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b,target\n" + "".join(f"{i % 7},{i % 5},{i % 3}\n" for i in range(40)))
+    out = tmp_path / "run"
+    cfg_path = write_config(
+        tmp_path,
+        f"[world]\nkind = csv\npath = {csv_path}\ntarget = target\ntrain_fraction = 0.5\n"
+        "[train]\nsteps = 5\nbatch_size = 8\nhidden = 4\n"
+        f"[sweep]\nrepetitions = 1\n[output]\ndir = {out}\n[method.knockout]\nkind = knockout\n",
+    )
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    report = (out / "report_long.csv").read_text().splitlines()
+    assert {line.split(",")[1] for line in report[1:]} == {"00", "10", "01", "11"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert parse_config(manifest["config"]).k_max == 2
+
+
 @pytest.mark.parametrize(
     "rows, k_max, message",
     [
@@ -776,19 +803,25 @@ kind = knockout
         (["a,b,target", "1,2,3", "nan,2,3"], 1, "data.csv, line 3, column 'a': not finite: 'nan'"),
         (["a,b,target", "1,inf,3"], 1, "data.csv, line 2, column 'b': not finite: 'inf'"),
         (["a,b,target", "1,2,-inf"], 1, "data.csv, line 2, column 'target': not finite: '-inf'"),
+        (["target", "1", "2"], 0, "data.csv: no feature column besides the target 'target'"),
+        (["target", "1", "2"], None, "data.csv: no feature column besides the target 'target'"),
+        (["x,target,target", "1,2,3"], 1, "data.csv: the header repeats column(s) ['target']"),
     ],
 )
 def test_cli_run_csv_world_rejects_bad_files(tmp_path, rows, k_max, message):
+    """A bad data file fails the run with an error, not a traceback, that
+    names the file; ``k_max`` None leaves the key out."""
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("".join(line + "\n" for line in rows))
+    sweep = "" if k_max is None else f"[sweep]\nk_max = {k_max}\n"
     cfg_path = write_config(
         tmp_path,
         f"[world]\nkind = csv\npath = {csv_path}\ntarget = target\n"
-        f"[sweep]\nk_max = {k_max}\n[output]\ndir = {tmp_path / 'o'}\n"
+        f"{sweep}[output]\ndir = {tmp_path / 'o'}\n"
         "[method.knockout]\nkind = knockout\n",
     )
     result = CliRunner().invoke(main, ["run", "--config", str(cfg_path)])
-    assert result.exit_code == 1
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert message in result.output
 
 

@@ -42,6 +42,11 @@ DELETED = {
         "stats_from_json",
         "_as_matrix",
         "_nan_to_none",
+        # A feature's kind fixes its normalization: the stats are one affine
+        # map per feature, the identity on categorical codes.
+        "_MODES",
+        "_mode_for_kind",
+        "_zscored",
     ),
     # Training samples IID masks only; the mechanisms check their own ranges.
     "knockout.missingness": (
@@ -75,8 +80,8 @@ _RULES = (
     "FittedImputerRule",
 )
 
-# Fields and methods no command reached: the slots of the retired
-# normalization modes, a policy copy nothing read, unread accessors, a
+# Fields and methods no command reached: the retired normalization
+# modes and their slots, a policy copy nothing read, unread accessors, a
 # training field the augmentation hooks take from the experiment config,
 # the float-table flag of the now rational-only joint, and the joint's
 # sparse Fraction table with its dense cache, accessors and separate
@@ -84,6 +89,7 @@ _RULES = (
 # policies and stats are.
 DELETED_MEMBERS = {
     "knockout.schema.NormalizationStats": (
+        "modes",
         "lo",
         "hi",
         "shift",

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from knockout.config import _KIND_KEYS, parse_config
 from knockout.methods import RULES
-from knockout.runner import _write_model, build_repetition, load_pipeline, train_method
-from knockout.schema import apply_normalization
+from knockout.runner import _write_csv, _write_model, build_repetition, load_pipeline
+from knockout.runner import train_method
+from knockout.schema import Categorical, apply_normalization
 
 BASE = """
 [world]
@@ -328,11 +329,14 @@ def _v1_fields(pipe, data) -> dict:
     """What format 1 also stored: the normalization stats, the rule's fitted
     state, and the target's mean and std."""
     stats = data.schema.stats
+    # Format 1 named each feature's mode and wrote null stats for a
+    # categorical feature, whose codes pass through.
+    zscored = [not isinstance(kind, Categorical) for kind in data.schema.kinds]
     fields = {
         "stats": {
-            "modes": list(stats.modes),
-            "mean": [None if np.isnan(v) else float(v) for v in stats.mean],
-            "std": [None if np.isnan(v) else float(v) for v in stats.std],
+            "modes": ["zscore" if z else "none" for z in zscored],
+            "mean": [float(v) if z else None for z, v in zip(zscored, stats.mean)],
+            "std": [float(v) if z else None for z, v in zip(zscored, stats.std)],
         },
         "y_mean": data.y_mean,
         "y_std": data.y_std,
@@ -453,6 +457,14 @@ def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
     pipe.params.weights[-1][0, 0] = np.nan
     with pytest.raises(ValueError, match="Out of range float values"):
         _write_model(path, pipe)
+
+
+def test_csv_writer_writes_each_float_as_a_plain_decimal(tmp_path):
+    """A numpy float64, whose repr under numpy 2 is ``np.float64(...)``, is
+    written as the plain decimal of a Python float, and ints as ints."""
+    rows = [[np.float64(0.1), 0.1, 1e-20, 3], (np.float64(-2.5), float("nan"), 2.0, 0)]
+    path = _write_csv(tmp_path / "rows.csv", ["a", "b", "c", "d"], rows)
+    assert path.read_text() == "a,b,c,d\n0.1,0.1,1e-20,3\n-2.5,nan,2.0,0\n"
 
 
 def test_writing_a_fig1_size_model_allocates_less_than_the_file(tmp_path):

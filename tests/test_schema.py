@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,17 +58,13 @@ def test_fit_all_missing_column_errors():
 
 
 def test_apply_zscore_and_scale01_examples():
-    stats = NormalizationStats(
-        modes=("zscore", "none"),
-        mean=np.array([2.0, np.nan]),
-        std=np.array([4.0, np.nan]),
-    )
+    stats = NormalizationStats(mean=np.array([2.0, 0.0]), std=np.array([4.0, 1.0]))
     (row,) = apply_normalization(np.array([[10.0, 3.0]]), stats)
     assert row[0] == pytest.approx(2.0)
     assert row[1] == 3.0  # categorical codes pass through
-    # The scale01 mode is retired: stats that name it are rejected when built.
-    with pytest.raises(ValueError, match="feature 0: unknown normalization mode 'scale01'"):
-        NormalizationStats(("scale01",), np.array([np.nan]), np.array([np.nan]))
+    # The scale01 mode is retired, and with it every mode: the stats are one
+    # affine map per feature.
+    assert [field.name for field in dataclasses.fields(NormalizationStats)] == ["mean", "std"]
 
 
 def test_apply_length_mismatch():
@@ -107,22 +105,20 @@ def test_round_trip_thousand_rows():
     value=st.floats(-1000, 1000),
 )
 def test_round_trip_random_stats(mean, std, value):
-    stats = NormalizationStats(
-        modes=("zscore",),
-        mean=np.array([mean]),
-        std=np.array([std]),
-    )
+    stats = NormalizationStats(mean=np.array([mean]), std=np.array([std]))
     back = invert_normalization(apply_normalization(np.array([[value]]), stats), stats)
     assert back[0, 0] == pytest.approx(value, rel=1e-12, abs=1e-9)
 
 
 def test_normalization_matches_a_per_column_reference_on_the_mixed_schema():
-    """Both maps treat all z-scored columns at once; each entry gets the same
-    arithmetic as a per-column loop, and categorical codes pass through."""
+    """Both maps treat all columns at once; each entry gets the same
+    arithmetic as a per-column loop, and categorical codes, whose map is
+    mean 0 and std 1, pass through exactly."""
     schema = FeatureSchema((("x1", Categorical(2)), ("x2", ContinuousUnbounded())))  # `mixed`
     rng = np.random.default_rng(21)
     rows = np.column_stack([rng.integers(1, 3, size=50), rng.normal(1.5, 3.0, size=50)])
     stats = fit_normalization(schema, rows, complete(rows))
+    assert (stats.mean[0], stats.std[0]) == (0.0, 1.0)
     forward = rows.copy()
     forward[:, 1] = (rows[:, 1] - stats.mean[1]) / stats.std[1]
     back = rows.copy()
@@ -177,13 +173,14 @@ def test_one_hot_extra_class_encoding():
 @pytest.mark.parametrize(
     "mean,std,message",
     [
-        ([0.0], [1.0, 1.0], "mean and std must have length 2"),
-        ([np.inf, np.nan], [1.0, np.nan], r"feature 0: zscore mean must be finite, got inf"),
-        ([0.0, np.nan], [0.0, np.nan], r"feature 0: zscore std must be > 0, got 0.0"),
-        ([0.0, np.nan], [np.nan, np.nan], r"feature 0: zscore std must be > 0, got nan"),
+        ([0.0], [1.0, 1.0], r"vectors of one length, got shapes \(1,\) and \(2,\)"),
+        ([np.inf, 0.0], [1.0, 1.0], r"feature 0: mean must be finite, got inf"),
+        ([0.0, 0.0], [0.0, 1.0], r"feature 0: std must be in \(0, inf\), got 0.0"),
+        # No NaN marks a feature that is not z-scored: a categorical one has std 1.
+        ([0.0, 0.0], [1.0, np.nan], r"feature 1: std must be in \(0, inf\), got nan"),
     ],
     ids=["length", "infinite_mean", "zero_std", "nan_std"],
 )
 def test_stats_reject_bad_values_naming_the_feature(mean, std, message):
     with pytest.raises(ValueError, match=message):
-        NormalizationStats(("zscore", "none"), np.array(mean), np.array(std))
+        NormalizationStats(np.array(mean), np.array(std))
