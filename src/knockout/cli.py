@@ -68,7 +68,7 @@ def cmd_run(config_path, out, seeds, jobs, k_max):
     out_dir = _resolve_out(cfg.out_dir, out)
     try:
         artifacts = run_experiment(cfg, out_dir=out_dir, jobs=jobs)
-    except (ValueError, KeyError, TrainingDivergedError) as exc:
+    except (ValueError, KeyError, OSError, TrainingDivergedError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote reports to {artifacts.out_dir}")
 
@@ -111,14 +111,15 @@ def cmd_ablate(config_path, values, out, seeds, jobs):
     out_dir = _resolve_out(cfg.out_dir, out)
     try:
         artifacts = ablate_placeholder(cfg, parsed_values, out_dir=out_dir, jobs=jobs)
-    except (ValueError, KeyError, TrainingDivergedError) as exc:
+    except (ValueError, KeyError, OSError, TrainingDivergedError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote ablation reports to {artifacts.out_dir}")
 
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--models", "models_dir", required=True, type=click.Path(exists=True))
+@click.option("--models", "models_dir", required=True,
+              type=click.Path(exists=True, file_okay=False))
 @click.option("--out", default=None)
 @click.option("--k-max", default=None, type=int)
 def cmd_sweep(config_path, models_dir, out, k_max):
@@ -132,7 +133,7 @@ def cmd_sweep(config_path, models_dir, out, k_max):
     out_dir = _resolve_out(cfg.out_dir + "_sweep", out)
     try:
         artifacts = sweep_saved_models(cfg, models_dir, out_dir)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote sweep report to {artifacts.out_dir}")
 

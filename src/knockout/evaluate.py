@@ -224,16 +224,18 @@ def merge_repetitions(reports: Sequence[SweepReport]) -> SweepReport:
 
 
 def regression_pattern_metrics(
-    predict_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    predict: Callable[[np.ndarray], np.ndarray],
     world: GaussianWorld | None,
     x_test: np.ndarray,
     y_test: np.ndarray,
 ) -> dict[str, Callable]:
     """Metric callables for one trained regression model (one repetition).
 
-    Without a world (e.g. data loaded from a file) there is no exact
-    oracle, so only the observation MSE is produced. Both metrics share one
-    prediction per pattern; only the latest pattern's prediction is kept.
+    ``predict(pattern)`` predicts every test row; the raw rows ``x_test``
+    feed only the Bayes oracle. Without a world (e.g. data loaded from a
+    file) there is no exact oracle, so only the observation MSE is produced.
+    Both metrics share one prediction per pattern; only the latest
+    pattern's prediction is kept.
     """
     latest: dict[str, np.ndarray] = {}
 
@@ -241,7 +243,7 @@ def regression_pattern_metrics(
         key = mask_to_bits(pattern)
         if key not in latest:
             latest.clear()  # drop the previous pattern's prediction first
-            latest[key] = predict_fn(x_test, pattern)
+            latest[key] = predict(pattern)
         return latest[key]
 
     def _mse_obs(pattern: np.ndarray) -> float:
@@ -257,14 +259,14 @@ def regression_pattern_metrics(
 
 
 def classification_pattern_metrics(
-    proba_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x_test: np.ndarray,
+    predict: Callable[[np.ndarray], np.ndarray],
     y_test: np.ndarray,
 ) -> dict[str, Callable]:
-    """Metric callables for one trained classifier (one repetition)."""
+    """Metric callables for one trained classifier (one repetition), whose
+    ``predict(pattern)`` gives every test row's class probabilities."""
 
     def _error(pattern: np.ndarray) -> float:
-        proba = proba_fn(x_test, pattern)
+        proba = predict(pattern)
         return error_rate(np.argmax(proba, axis=1), y_test)
 
     return {"error": _error}

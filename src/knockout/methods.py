@@ -99,7 +99,7 @@ def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> Placeh
 
 @dataclass
 class Rule:
-    """What every rule holds: the fitted schema its rows are encoded with."""
+    """What every rule holds: the schema its rows are encoded with."""
 
     schema: FeatureSchema
 

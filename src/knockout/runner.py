@@ -40,7 +40,6 @@ from .schema import (
     FeatureSchema,
     apply_normalization,
     fit_normalization,
-    invert_normalization,
 )
 from .worlds import (
     GaussianWorld,
@@ -148,6 +147,9 @@ def _read_csv(
 
 @dataclass
 class RepetitionData:
+    """One repetition's splits. The models see ``z_train`` and ``z_test``:
+    the raw splits normalized with stats fitted on the training split."""
+
     rep: int
     world: GaussianWorld | None
     x_train: np.ndarray
@@ -156,13 +158,16 @@ class RepetitionData:
     x_test: np.ndarray
     y_test: np.ndarray
     test_observed: np.ndarray
-    schema: FeatureSchema  # with the stats fitted on the training split
+    z_train: np.ndarray
+    z_test: np.ndarray
+    schema: FeatureSchema
     y_mean: float
     y_std: float
 
 
 def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
-    """Deterministically generate one repetition's world, data, and schema."""
+    """Deterministically generate one repetition's world and data, and
+    normalize both splits."""
     schema = _schema_for(cfg)
     world = None
     rng_data = _rng_for(cfg.seed0, rep, _DATA_STREAM)
@@ -194,7 +199,7 @@ def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
         observed[:, cont] = inject_mnar_self_censor(x_train[:, cont], cfg.mnar_q)
         test_observed[:, cont] = inject_mnar_self_censor(x_test[:, cont], cfg.mnar_q)
 
-    schema = schema.with_stats(fit_normalization(schema, x_train, observed))
+    stats = fit_normalization(schema, x_train, observed)
 
     if cfg.loss == "mse":
         y_mean = float(y_train.mean())
@@ -212,6 +217,8 @@ def build_repetition(cfg: ExperimentConfig, rep: int) -> RepetitionData:
         x_test=x_test,
         y_test=y_test,
         test_observed=test_observed,
+        z_train=apply_normalization(x_train, stats),
+        z_test=apply_normalization(x_test, stats),
         schema=schema,
         y_mean=y_mean,
         y_std=y_std,
@@ -230,32 +237,19 @@ class ModelPipeline:
     y_std: float
     rule: Rule
 
-    def _model_inputs(
-        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
-    ) -> np.ndarray:
-        """Normalize, then apply the method's missing-input rule.
-
-        ``pattern`` is the induced sweep mask (known MCAR, shared by all
-        rows); ``observed`` marks entries that are really missing in the
-        test data (per row, MNAR-tagged).
-        """
-        z = apply_normalization(x_raw, self.rule.schema.stats)
-        return self.rule.inputs(z, pattern, observed)
+    # Both take normalized rows ``z``, the induced sweep mask ``pattern``
+    # (shared by all rows) and the data's own missingness ``observed``.
 
     def predict_for_pattern(
-        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
+        self, z: np.ndarray, pattern: np.ndarray, observed: np.ndarray
     ) -> np.ndarray:
-        if self.net_spec.head != "linear":
-            raise ValueError("predict_for_pattern is for regression pipelines")
-        out = predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
+        out = predict(self.net_spec, self.params, self.rule.inputs(z, pattern, observed))
         return out.ravel() * self.y_std + self.y_mean
 
     def proba_for_pattern(
-        self, x_raw: np.ndarray, pattern: np.ndarray, observed: np.ndarray
+        self, z: np.ndarray, pattern: np.ndarray, observed: np.ndarray
     ) -> np.ndarray:
-        if self.net_spec.head != "logits":
-            raise ValueError("proba_for_pattern is for classification pipelines")
-        return predict(self.net_spec, self.params, self._model_inputs(x_raw, pattern, observed))
+        return predict(self.net_spec, self.params, self.rule.inputs(z, pattern, observed))
 
     def json_fields(self) -> dict:
         """The model file's fields: what training learned. The weights and
@@ -272,11 +266,16 @@ class ModelPipeline:
 
 
 def _fit_rule(cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData):
-    """The normalized training rows, and the method's rule and training
-    hook fitted on them."""
-    z_train = apply_normalization(data.x_train, data.schema.stats)
-    rule, augment = RULES[method.kind].fit(cfg, method, data.schema, z_train, data.train_observed)
-    return z_train, rule, augment
+    """The method's rule and training hook, fitted on the normalized
+    training split."""
+    return RULES[method.kind].fit(cfg, method, data.schema, data.z_train, data.train_observed)
+
+
+def _network_for(cfg: ExperimentConfig, rule: Rule) -> NetworkSpec:
+    """The network `train_method` trains for ``rule``: the config's hidden
+    layers, and the output and head of its loss."""
+    out, head = (1, "linear") if cfg.loss == "mse" else (2, "logits")
+    return NetworkSpec(widths=(rule.width(), *cfg.hidden, out), head=head)
 
 
 def load_pipeline(
@@ -285,7 +284,9 @@ def load_pipeline(
     """The saved network of ``method`` at ``path``, with the method's rule
     fitted on ``data`` as `train_method` fits it. A file holds the network
     only; the keys that format 1 also wrote (the stats, the rule's fitted
-    state, ``y_mean`` and ``y_std``) are ignored. Every error names ``path``."""
+    state, ``y_mean`` and ``y_std``) are ignored. The network must be the
+    one `train_method` trains, with one finite weight and bias of that
+    shape per layer. Every error names ``path``."""
     try:
         obj = json.loads(path.read_text())
         if not isinstance(obj, dict):
@@ -304,12 +305,27 @@ def load_pipeline(
         raise ValueError(f"{path}: {exc}") from exc
     if kind != method.kind:
         raise ValueError(f"{path}: a {kind} model, but method {method.name} has kind {method.kind}")
-    _, rule, _ = _fit_rule(cfg, method, data)
+    rule, _ = _fit_rule(cfg, method, data)
+    expected = _network_for(cfg, rule)
     if spec.widths[0] != rule.width():
         raise ValueError(
             f"{path}: input width {spec.widths[0]}, but method {method.name} "
             f"takes {rule.width()} inputs"
         )
+    if spec.widths != expected.widths:
+        raise ValueError(
+            f"{path}: layer widths {list(spec.widths)}, but the config gives "
+            f"{list(expected.widths)}"
+        )
+    if spec.head != expected.head:
+        raise ValueError(f"{path}: a {spec.head} head, but loss {cfg.loss} needs {expected.head}")
+    shapes = [(w.shape, b.shape) for w, b in zip(params.weights, params.biases)]
+    fans = zip(spec.widths, spec.widths[1:])
+    needed = [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in fans]
+    if len(params.weights) != len(params.biases) or shapes != needed:
+        raise ValueError(f"{path}: (weight, bias) shapes {shapes}, but the widths need {needed}")
+    if not all(np.isfinite(array).all() for array in (*params.weights, *params.biases)):
+        raise ValueError(f"{path}: a weight or bias is not finite")
     return ModelPipeline(method.name, method.kind, spec, params, data.y_mean, data.y_std, rule)
 
 
@@ -317,19 +333,17 @@ def train_method(
     cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData, method_index: int
 ) -> tuple[ModelPipeline, list[tuple[int, float]]]:
     """Train one method on one repetition's data."""
-    z_train, rule, augment = _fit_rule(cfg, method, data)
-    inputs = z_train
+    rule, augment = _fit_rule(cfg, method, data)
+    inputs = data.z_train
     if augment is None:
         # A deterministic fill: the rule with no induced mask, applied once.
         no_mask = np.zeros(data.schema.d, dtype=np.uint8)
-        inputs = rule.inputs(z_train, no_mask, data.train_observed)
+        inputs = rule.inputs(data.z_train, no_mask, data.train_observed)
 
     if cfg.loss == "mse":
         targets = (data.y_train - data.y_mean) / data.y_std
-        head, out_width = "linear", 1
     else:
         targets = data.y_train.astype(int)
-        head, out_width = "logits", 2
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         steps=cfg.steps,
@@ -337,7 +351,7 @@ def train_method(
         seed=_train_seed(cfg.seed0, data.rep, method_index),
         loss=cfg.loss,
     )
-    net_spec = NetworkSpec(widths=(rule.width(), *cfg.hidden, out_width), head=head)
+    net_spec = _network_for(cfg, rule)
     try:
         result = train(net_spec, train_cfg, inputs, targets, data.train_observed, augment)
     except TrainingDivergedError as exc:
@@ -483,16 +497,16 @@ def _run_jobs(cfg, out: Path, jobs: int, models_dir: Path | None = None) -> RunA
 
 
 def _rep_metrics(loss: str, pipe: ModelPipeline, data: RepetitionData) -> dict:
-    observed = data.test_observed
+    z, observed = data.z_test, data.test_observed
     if loss == "mse":
         return regression_pattern_metrics(
-            lambda x, pattern: pipe.predict_for_pattern(x, pattern, observed),
+            lambda pattern: pipe.predict_for_pattern(z, pattern, observed),
             data.world,
             data.x_test,
             data.y_test,
         )
     return classification_pattern_metrics(
-        lambda x, pattern: pipe.proba_for_pattern(x, pattern, observed), data.x_test, data.y_test
+        lambda pattern: pipe.proba_for_pattern(z, pattern, observed), data.y_test
     )
 
 
@@ -501,11 +515,10 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
 
     The empirical marginal is estimated from all of the repetition's data
     (train and test pooled) in normalized coordinates; the model is queried
-    through its own missing-input rule.
+    at the bin positions through its own missing-input rule.
     """
-    x_all = np.vstack([data.x_train, data.x_test])
+    z_all = np.vstack([data.z_train, data.z_test])
     y_all = np.concatenate([data.y_train, data.y_test]).astype(int)
-    z_all = apply_normalization(x_all, data.schema.stats)
     estimates = [
         empirical_conditional(z_all[:, j], y_all, bins=50, discrete=isinstance(kind, Categorical))
         for j, (_, kind) in enumerate(data.schema.features)
@@ -514,10 +527,9 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
     def _jsd_for_pattern(pattern):
         (j,) = np.flatnonzero(pattern == 0)
         est = estimates[j]
-        rows_z = np.zeros((est.positions.shape[0], pattern.shape[0]))
-        rows_z[:, j] = est.positions
-        x = invert_normalization(rows_z, data.schema.stats)
-        proba = pipe.proba_for_pattern(x, pattern, np.zeros_like(pattern))
+        rows = np.zeros((est.positions.shape[0], pattern.shape[0]))
+        rows[:, j] = est.positions
+        proba = pipe.proba_for_pattern(rows, pattern, np.zeros_like(pattern))
         return marginal_fidelity_binned(proba[:, 1], est)
 
     return {"marginal_jsd": _jsd_for_pattern}

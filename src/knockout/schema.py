@@ -1,15 +1,14 @@
 """Feature descriptions, normalization, and placeholder derivation.
 
-A feature schema declares what each input column is (an integer-coded
-categorical or an unbounded continuous feature), how it is normalized,
-and which placeholder values mark a knocked-out entry
-(``knockout_values``) versus an entry that was missing in the observed
-data (``observed_values``).
+A feature schema declares what each input column is: an integer-coded
+categorical or an unbounded continuous feature. The kind fixes how the
+feature is normalized and which placeholder values mark a knocked-out
+entry (``knockout_values``) versus an entry that was missing in the
+observed data (``observed_values``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,7 +23,6 @@ __all__ = [
     "FeatureSchema",
     "fit_normalization",
     "apply_normalization",
-    "invert_normalization",
     "derive_placeholders",
     "encode_inputs",
     "encoded_width",
@@ -61,10 +59,6 @@ class NormalizationStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return len(self.mean)
 
     def __post_init__(self):
         if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
@@ -109,10 +103,9 @@ class PlaceholderPolicy:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature declarations plus fitted stats."""
+    """Ordered feature declarations."""
 
     features: tuple[tuple[str, FeatureKind], ...]
-    stats: NormalizationStats | None = None
 
     @property
     def d(self) -> int:
@@ -122,8 +115,13 @@ class FeatureSchema:
     def kinds(self) -> tuple[FeatureKind, ...]:
         return tuple(kind for _, kind in self.features)
 
-    def with_stats(self, stats: NormalizationStats) -> "FeatureSchema":
-        return dataclasses.replace(self, stats=stats)
+
+def _batch(rows: np.ndarray, d: int) -> np.ndarray:
+    """``rows``, an (n, d) batch, as a float matrix."""
+    mat = np.asarray(rows, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) batch, got shape {mat.shape}")
+    return mat
 
 
 def fit_normalization(
@@ -136,9 +134,7 @@ def fit_normalization(
     ``observed_mask`` marks missing entries with 1 (same convention as
     the masks elsewhere); those entries are excluded from the statistics.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != schema.d:
-        raise ValueError(f"expected an (n, {schema.d}) data matrix, got shape {raw.shape}")
+    raw = _batch(raw, schema.d)
     if raw.shape[0] == 0:
         raise ValueError("cannot fit normalization on an empty dataset")
     observed_mask = np.asarray(observed_mask)
@@ -160,22 +156,9 @@ def fit_normalization(
     return NormalizationStats(mean, std)
 
 
-def _batch(rows: np.ndarray, d: int) -> np.ndarray:
-    """``rows``, an (n, d) batch, as a float matrix."""
-    mat = np.asarray(rows, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != d:
-        raise ValueError(f"expected an (n, {d}) batch, got shape {mat.shape}")
-    return mat
-
-
 def apply_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """Map a batch of raw rows into normalized coordinates."""
-    return (_batch(rows, stats.d) - stats.mean) / stats.std
-
-
-def invert_normalization(rows: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Inverse of :func:`apply_normalization` on each feature."""
-    return _batch(rows, stats.d) * stats.std + stats.mean
+    return (_batch(rows, len(stats.mean)) - stats.mean) / stats.std
 
 
 # Derived placeholders of a z-scored feature sit this many standard

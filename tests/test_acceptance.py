@@ -19,7 +19,6 @@ from knockout.evaluate import marginal_fidelity_binned
 from knockout.missingness import calibrate_rate, enumerate_patterns
 from knockout.nn import NetworkSpec, Parameters, TrainConfig, init_params, loss_and_grad, predict, train
 from knockout.runner import ablate_placeholder, build_repetition, run_experiment
-from knockout.schema import apply_normalization
 from knockout.verify import (
     check_decomposition,
     check_out_of_support,
@@ -452,7 +451,6 @@ def test_classification_fitted_marginal_reference(class_run):
         )
         fitted_vals = []
         for data in reps:
-            z_train = apply_normalization(data.x_train, data.schema.stats)
             spec = NetworkSpec((1, 100, 100, 2), head="logits")
             cfg = TrainConfig(
                 learning_rate=3e-3,
@@ -461,10 +459,9 @@ def test_classification_fitted_marginal_reference(class_run):
                 seed=9000 + data.rep,
                 loss="cross_entropy",
             )
-            result = train(spec, cfg, z_train[:, [feature]], data.y_train.astype(int))
-            x_all = np.vstack([data.x_train, data.x_test])
+            result = train(spec, cfg, data.z_train[:, [feature]], data.y_train.astype(int))
             y_all = np.concatenate([data.y_train, data.y_test]).astype(int)
-            z_all = apply_normalization(x_all, data.schema.stats)
+            z_all = np.vstack([data.z_train, data.z_test])
             est = empirical_conditional(z_all[:, feature], y_all, bins=50)
             proba = predict(spec, result.params, est.positions[:, None])
             fitted_vals.append(marginal_fidelity_binned(proba[:, 1], est))

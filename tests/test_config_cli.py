@@ -522,9 +522,63 @@ kind = lin_reg
 """
 
 
+MIXED_MNAR = """
+[world]
+kind = mixed
+n_total = 300
+train_fraction = 0.5
+
+[missingness]
+mechanism = mnar_self_censor
+q = 0.8
+
+[train]
+steps = 20
+batch_size = 32
+hidden = 8
+seed0 = 11
+
+[sweep]
+k_max = 2
+repetitions = 2
+
+[output]
+dir = {out}
+
+[method.knockout]
+kind = knockout
+
+[method.knockout_star]
+kind = knockout
+placeholder = mean
+
+[method.common_baseline]
+kind = common_baseline
+"""
+
+
 def test_cli_sweep_reproduces_every_report_of_all_six_kinds(tmp_path):
+    _assert_sweep_reproduces_the_run(
+        tmp_path,
+        ALL_KINDS_MNAR,
+        {"knockout", "common_baseline", "dropout", "zero_indicator", "knn", "lin_reg"},
+    )
+
+
+def test_cli_sweep_reproduces_every_report_of_a_mixed_mnar_world(tmp_path):
+    """A categorical feature, whose codes the normalization leaves as they
+    are, next to a self-censored continuous one: the error and the
+    marginal-fidelity reports both."""
+    _assert_sweep_reproduces_the_run(
+        tmp_path, MIXED_MNAR, {"knockout", "knockout_star", "common_baseline"}
+    )
+    metrics = {line.split(",")[3] for line in (tmp_path / "run" / "report_long.csv").open()}
+    assert metrics == {"metric", "error", "marginal_jsd"}
+
+
+def _assert_sweep_reproduces_the_run(tmp_path, config, methods):
     out = tmp_path / "run"
-    cfg_path = write_config(tmp_path, ALL_KINDS_MNAR.format(out=out))
+    cfg_path = write_config(tmp_path, config.format(out=out))
     runner = CliRunner()
     result = runner.invoke(main, ["run", "--config", str(cfg_path)])
     assert result.exit_code == 0, result.output
@@ -534,8 +588,8 @@ def test_cli_sweep_reproduces_every_report_of_all_six_kinds(tmp_path):
         ["sweep", "--config", str(cfg_path), "--models", str(out / "models"), "--out", str(sweep_out)],
     )
     assert result.exit_code == 0, result.output
-    methods = {line.split(",")[0] for line in (out / "report_long.csv").read_text().splitlines()[1:]}
-    assert methods == {"knockout", "common_baseline", "dropout", "zero_indicator", "knn", "lin_reg"}
+    swept = {line.split(",")[0] for line in (out / "report_long.csv").read_text().splitlines()[1:]}
+    assert swept == methods
     for name in ("report_long.csv", "plotdata.csv", "aggregates.json"):
         assert (sweep_out / name).read_bytes() == (out / name).read_bytes(), name
     # The sweep writes the loaded models back unchanged, and a manifest.
@@ -575,6 +629,34 @@ def _set_input_width(model):
     return json.dumps(model)
 
 
+def _cut_weight_row(model):
+    model["weights"][1] = model["weights"][1][:-1]
+    return json.dumps(model)
+
+
+def _cut_bias(model):
+    model["biases"][0] = model["biases"][0][:-1]
+    return json.dumps(model)
+
+
+def _overflow_weight(model):
+    model["weights"][0][0][0] = "overflow"
+    return json.dumps(model).replace('"overflow"', "1e999")  # parses as inf
+
+
+def _set_logits_head(model):
+    model["net"]["head"] = "logits"
+    return json.dumps(model)
+
+
+def _widen_output(model):
+    """Two outputs, each layer consistent with its widths."""
+    model["net"]["widths"][-1] = 2
+    model["weights"][-1] = [row * 2 for row in model["weights"][-1]]
+    model["biases"][-1] = model["biases"][-1] * 2
+    return json.dumps(model)
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -586,13 +668,38 @@ def _set_input_width(model):
         ),
         (lambda model: '{"format_version": 2}', "missing key 'kind'"),
         (lambda model: "[]", "not a JSON object"),
+        (
+            _cut_weight_row,
+            "(weight, bias) shapes [((9, 16), (16,)), ((15, 1), (1,))], "
+            "but the widths need [((9, 16), (16,)), ((16, 1), (1,))]",
+        ),
+        (
+            _cut_bias,
+            "(weight, bias) shapes [((9, 16), (15,)), ((16, 1), (1,))], "
+            "but the widths need [((9, 16), (16,)), ((16, 1), (1,))]",
+        ),
+        (_overflow_weight, "a weight or bias is not finite"),
+        (_set_logits_head, "a logits head, but loss mse needs linear"),
+        (_widen_output, "layer widths [9, 16, 2], but the config gives [9, 16, 1]"),
     ],
-    ids=["kind", "input_width", "not_json", "no_kind", "not_object"],
+    ids=[
+        "kind",
+        "input_width",
+        "not_json",
+        "no_kind",
+        "not_object",
+        "weight_rows",
+        "bias_length",
+        "weight_not_finite",
+        "head",
+        "output_width",
+    ],
 )
 def test_cli_sweep_rejects_a_model_the_config_method_cannot_use(tmp_path, edit, message):
-    """A model file that is no JSON object, lacks a key, or whose kind or
-    input width is not the configured method's fails the sweep with an
-    error that names the file."""
+    """A model file that is no JSON object, lacks a key, whose kind, layer
+    widths or head are not what the configured method trains, or whose
+    weights and biases do not fit those widths or are not finite fails the
+    sweep with an error that names the file."""
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
     runner = CliRunner()
@@ -606,6 +713,36 @@ def test_cli_sweep_rejects_a_model_the_config_method_cannot_use(tmp_path, edit, 
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
     assert f"Error: {path}: {message}\n" in result.output
     assert not (tmp_path / "s" / "report_long.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate-placeholder"])
+def test_cli_output_path_that_is_a_file_is_an_error(tmp_path, command):
+    """An output directory that cannot be made fails with an error that
+    names the path, not a traceback."""
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
+    runner = CliRunner()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    args = {
+        "run": ["run", "--config", str(cfg_path)],
+        "sweep": ["sweep", "--config", str(cfg_path), "--models", str(out / "models")],
+        "ablate-placeholder": ["ablate-placeholder", "--config", str(cfg_path), "--values", "1"],
+    }[command]
+    if command == "sweep":
+        assert runner.invoke(main, ["run", "--config", str(cfg_path)]).exit_code == 0
+    result = runner.invoke(main, [*args, "--out", str(a_file)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("Error: ") and str(a_file / "models") in result.output
+
+
+def test_cli_sweep_models_must_be_a_directory(tmp_path):
+    cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "run"))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    result = CliRunner().invoke(main, ["sweep", "--config", str(cfg_path), "--models", str(a_file)])
+    assert result.exit_code == 2
+    assert "is a file" in result.output and "missing model file" not in result.output
 
 
 def test_cli_sweep_takes_its_repetitions_from_the_models(tmp_path):

@@ -185,11 +185,11 @@ def test_regression_metrics_cache_predictions():
     y_test = np.random.default_rng(10).normal(size=30)
     calls = []
 
-    def predict_fn(x, pattern):
+    def predict(pattern):
         calls.append(tuple(pattern))
-        return np.zeros(x.shape[0])
+        return np.zeros(x_test.shape[0])
 
-    metrics = regression_pattern_metrics(predict_fn, world, x_test, y_test)
+    metrics = regression_pattern_metrics(predict, world, x_test, y_test)
     pattern = np.zeros(9, dtype=np.uint8)
     metrics["mse_obs"](pattern)
     metrics["mse_bayes"](pattern)

@@ -47,6 +47,8 @@ DELETED = {
         "_MODES",
         "_mode_for_kind",
         "_zscored",
+        # Each repetition normalizes its splits once; nothing maps back.
+        "invert_normalization",
     ),
     # Training samples IID masks only; the mechanisms check their own ranges.
     "knockout.missingness": (
@@ -88,7 +90,10 @@ _RULES = (
 # check: a joint is built from its integer table and checked then, as
 # policies and stats are.
 DELETED_MEMBERS = {
+    # The stats are a local of the repetition that fits them; nothing
+    # reads their length.
     "knockout.schema.NormalizationStats": (
+        "d",
         "modes",
         "lo",
         "hi",
@@ -98,7 +103,16 @@ DELETED_MEMBERS = {
         *_JSON_DICT,
     ),
     "knockout.schema.PlaceholderPolicy": ("zscore_magnitude", "validate", *_JSON_DICT),
-    "knockout.schema.FeatureSchema": ("policy", "groups", "with_policy", "names"),
+    # A schema declares the features; the fitted stats stay with the
+    # repetition that normalized its splits with them.
+    "knockout.schema.FeatureSchema": (
+        "policy",
+        "groups",
+        "with_policy",
+        "names",
+        "stats",
+        "with_stats",
+    ),
     "knockout.discrete.DiscreteJoint": (
         "is_exact",
         "table",
@@ -118,10 +132,11 @@ DELETED_MEMBERS = {
     # constants, a pipeline's task is its head's, lin-reg fell back where a
     # coefficient is None, a bin's mass is its count's share, nothing read
     # the bin edges, a report's repetitions are its per-repetition values, and
-    # a pipeline's schema is its rule's.
+    # a pipeline's schema is its rule's, and a pipeline takes normalized rows,
+    # so its inputs are its rule's.
     "knockout.nn.TrainConfig": ("mask_granularity", "beta1", "beta2", "eps", "trace_every"),
     "knockout.nn.NetworkSpec": ("activation",),
-    "knockout.runner.ModelPipeline": ("task", "schema", "to_json_dict"),
+    "knockout.runner.ModelPipeline": ("task", "schema", "to_json_dict", "_model_inputs"),
     "knockout.baselines.LinReg": ("fell_back", *_JSON_DICT),
     "knockout.baselines.KNN": _JSON_DICT,
     **{f"knockout.methods.{rule}": ("to_json", "from_json") for rule in _RULES},
@@ -141,6 +156,10 @@ DELETED_PARAMETERS = {
     "knockout.runner._run_jobs": ("table",),
     # Its only caller had the predictions already.
     "knockout.evaluate.mse_vs_bayes": ("predict_fn",),
+    # The model is queried through a callable of the pattern alone: it holds
+    # its normalized test rows, and the raw ones feed only the Bayes oracle.
+    "knockout.evaluate.regression_pattern_metrics": ("predict_fn",),
+    "knockout.evaluate.classification_pattern_metrics": ("proba_fn", "x_test"),
     # The +/-10 in z units is a module constant.
     "knockout.schema.derive_placeholders": ("zscore_magnitude",),
     # `knockout sweep --k-max` is applied to the config as `run --k-max` is.

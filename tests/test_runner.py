@@ -13,7 +13,7 @@ from knockout.config import _KIND_KEYS, parse_config
 from knockout.methods import RULES
 from knockout.runner import _write_csv, _write_model, build_repetition, load_pipeline
 from knockout.runner import train_method
-from knockout.schema import Categorical, apply_normalization
+from knockout.schema import Categorical, apply_normalization, fit_normalization
 
 BASE = """
 [world]
@@ -117,6 +117,70 @@ def test_mnar_censors_both_splits_and_keeps_values():
         assert (data.x_test[flagged, col] > cut).all()
 
 
+@pytest.mark.parametrize("mechanism", ["mcar", "mnar_self_censor"])
+def test_build_repetition_normalizes_both_splits_with_the_training_stats(mechanism):
+    """The normalized splits are the raw splits mapped by the stats fitted
+    on the training split's observed entries: one map for both splits."""
+    data = build_repetition(make_cfg(mechanism), 0)
+    stats = fit_normalization(data.schema, data.x_train, data.train_observed)
+    assert np.array_equal(data.z_train, apply_normalization(data.x_train, stats))
+    assert np.array_equal(data.z_test, apply_normalization(data.x_test, stats))
+    # The observed entries of the training split are z-scored exactly.
+    kept = data.train_observed == 0
+    means = [data.z_train[kept[:, j], j].mean() for j in range(data.schema.d)]
+    np.testing.assert_allclose(means, 0.0, atol=1e-12)
+
+
+def test_jsd_queries_reach_the_model_at_the_exact_bin_positions(monkeypatch):
+    """Every row the marginal-fidelity sweep passes to the network holds the
+    bin positions exactly in its observed column. A round trip through raw
+    coordinates moved 5 of the 50 positions of the second feature here."""
+    import knockout.runner as runner
+    from knockout.worlds import empirical_conditional
+
+    cfg = parse_config(
+        """
+[world]
+kind = continuous2d
+n_total = 3000
+train_fraction = 0.1
+
+[train]
+steps = 2
+batch_size = 32
+hidden = 8
+seed0 = 17
+
+[sweep]
+k_max = 0
+repetitions = 1
+
+[method.knockout]
+kind = knockout
+"""
+    )
+    data = build_repetition(cfg, 0)
+    pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
+    predict, seen = runner.predict, []
+
+    def recording_predict(spec, params, rows):
+        seen.append(rows)
+        return predict(spec, params, rows)
+
+    jsd = runner._jsd_metrics(pipe, data)["marginal_jsd"]
+    monkeypatch.setattr(runner, "predict", recording_predict)
+    stats = fit_normalization(data.schema, data.x_train, data.train_observed)
+    z_all = apply_normalization(np.vstack([data.x_train, data.x_test]), stats)
+    y_all = np.concatenate([data.y_train, data.y_test]).astype(int)
+    for j in range(data.schema.d):
+        pattern = np.ones(data.schema.d, dtype=np.uint8)
+        pattern[j] = 0
+        jsd(pattern)
+        est = empirical_conditional(z_all[:, j], y_all, bins=50)
+        assert np.array_equal(seen[-1][:, j], est.positions), j
+        assert (seen[-1][:, 1 - j] == pipe.rule.policy.knockout_values[1 - j]).all()
+
+
 def test_train_method_each_kind_runs_and_predicts():
     extra = """
 [method.common_baseline]
@@ -141,7 +205,7 @@ kind = lin_reg
     pattern[2] = 1
     for idx, method in enumerate(cfg.methods):
         pipe, trace = train_method(cfg, method, data, idx)
-        pred = pipe.predict_for_pattern(data.x_test[:10], pattern, data.test_observed[:10])
+        pred = pipe.predict_for_pattern(data.z_test[:10], pattern, data.test_observed[:10])
         assert pred.shape == (10,)
         assert np.isfinite(pred).all()
         assert trace and trace[0][0] == 0
@@ -161,7 +225,7 @@ def test_knockout_pipeline_uses_placeholders_for_pattern():
     pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[4] = 1
-    inputs = pipe._model_inputs(data.x_test[:5], pattern, data.test_observed[:5])
+    inputs = pipe.rule.inputs(data.z_test[:5], pattern, data.test_observed[:5])
     assert (inputs[:, 4] == pipe.rule.policy.knockout_values[4]).all()
 
 
@@ -170,13 +234,13 @@ def test_mnar_inference_uses_dual_placeholder():
     data = build_repetition(cfg, 0)
     pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
     pattern = np.zeros(9, dtype=np.uint8)
-    inputs = pipe._model_inputs(data.x_test, pattern, data.test_observed)
+    inputs = pipe.rule.inputs(data.z_test, pattern, data.test_observed)
     censored = data.test_observed == 1
     assert (inputs[censored] == pipe.rule.policy.observed_values[0]).all()
     # The ablated variant treats them with the knockout placeholder instead.
     minus_cfg = make_cfg("mnar_self_censor", "dual_placeholder = false\n")
     pipe_minus, _ = train_method(minus_cfg, minus_cfg.methods[0], data, 0)
-    inputs_minus = pipe_minus._model_inputs(data.x_test, pattern, data.test_observed)
+    inputs_minus = pipe_minus.rule.inputs(data.z_test, pattern, data.test_observed)
     assert (inputs_minus[censored] == pipe_minus.rule.policy.knockout_values[0]).all()
 
 
@@ -185,7 +249,7 @@ def test_pattern_overrides_observed_missingness():
     data = build_repetition(cfg, 0)
     pipe, _ = train_method(cfg, cfg.methods[0], data, 0)
     pattern = np.ones(9, dtype=np.uint8)
-    inputs = pipe._model_inputs(data.x_test[:20], pattern, data.test_observed[:20])
+    inputs = pipe.rule.inputs(data.z_test[:20], pattern, data.test_observed[:20])
     assert (inputs == pipe.rule.policy.knockout_values).all()
 
 
@@ -220,8 +284,9 @@ def _saved_and_fitted(name, mechanism):
     method = cfg.methods[0]
     pipe, _ = train_method(cfg, method, data, 0)
     saved = _written_and_loaded(cfg, method, data, pipe)
-    z_train = apply_normalization(data.x_train, data.schema.stats)
-    rule, augment = RULES[method.kind].fit(cfg, method, data.schema, z_train, data.train_observed)
+    rule, augment = RULES[method.kind].fit(
+        cfg, method, data.schema, data.z_train, data.train_observed
+    )
     return data, saved, rule, augment
 
 
@@ -229,15 +294,14 @@ def _assert_inference_inputs_equal_training_inputs(name, mechanism, pattern, sta
     data, saved, rule, augment = _saved_and_fitted(name, mechanism)
     pattern = np.asarray(pattern, dtype=np.uint8)
     train_start = start % (data.x_train.shape[0] - 20)
-    for x_all, observed_all, rows in (
-        (data.x_test, data.test_observed, slice(start, start + 20)),
-        (data.x_train, data.train_observed, slice(train_start, train_start + 20)),
+    for z_all, observed_all, rows in (
+        (data.z_test, data.test_observed, slice(start, start + 20)),
+        (data.z_train, data.train_observed, slice(train_start, train_start + 20)),
     ):
-        x = x_all[rows]
+        z = z_all[rows]
         observed = observed_all[rows]
-        inference = saved._model_inputs(x, pattern, observed)
+        inference = saved.rule.inputs(z, pattern, observed)
 
-        z = apply_normalization(x, data.schema.stats)
         if augment is None:  # training inputs computed once, with no induced mask
             training = rule.inputs(z, pattern, observed)
         else:
@@ -305,10 +369,9 @@ def test_rules_read_only_the_method_keys_their_kind_declares(name):
     data = build_repetition(cfg, 0)
     kind = cfg.methods[0].kind
     method = _ReadRecorder(cfg.methods[0])
-    z_train = apply_normalization(data.x_train, data.schema.stats)
-    _, augment = RULES[kind].fit(cfg, method, data.schema, z_train, data.train_observed)
+    _, augment = RULES[kind].fit(cfg, method, data.schema, data.z_train, data.train_observed)
     if augment is not None:
-        augment(z_train[:8], data.train_observed[:8], np.random.default_rng(0))
+        augment(data.z_train[:8], data.train_observed[:8], np.random.default_rng(0))
     assert method.read <= {"name", "kind", *_KIND_KEYS[kind]}, method.read
 
 
@@ -320,15 +383,15 @@ def test_pipeline_json_round_trip_preserves_predictions():
     pattern = np.zeros(9, dtype=np.uint8)
     pattern[1] = 1
     np.testing.assert_array_equal(
-        pipe.predict_for_pattern(data.x_test[:20], pattern, data.test_observed[:20]),
-        restored.predict_for_pattern(data.x_test[:20], pattern, data.test_observed[:20]),
+        pipe.predict_for_pattern(data.z_test[:20], pattern, data.test_observed[:20]),
+        restored.predict_for_pattern(data.z_test[:20], pattern, data.test_observed[:20]),
     )
 
 
 def _v1_fields(pipe, data) -> dict:
     """What format 1 also stored: the normalization stats, the rule's fitted
     state, and the target's mean and std."""
-    stats = data.schema.stats
+    stats = fit_normalization(data.schema, data.x_train, data.train_observed)
     # Format 1 named each feature's mode and wrote null stats for a
     # categorical feature, whose codes pass through.
     zscored = [not isinstance(kind, Categorical) for kind in data.schema.kinds]
@@ -398,8 +461,8 @@ kind = lin_reg
         path.write_text(json.dumps(v1, sort_keys=True, allow_nan=False) + "\n")
         restored = load_pipeline(path, cfg, method, data)
         np.testing.assert_array_equal(
-            pipe.predict_for_pattern(data.x_test, pattern, data.test_observed),
-            restored.predict_for_pattern(data.x_test, pattern, data.test_observed),
+            pipe.predict_for_pattern(data.z_test, pattern, data.test_observed),
+            restored.predict_for_pattern(data.z_test, pattern, data.test_observed),
         )
         assert _model_text(restored) == _model_text(pipe)
         current = json.loads(_model_text(pipe))
@@ -881,11 +944,11 @@ def test_sweep_holds_at_most_one_earlier_prediction_per_model(tmp_path, monkeypa
     peak = {}
     calls = []
 
-    def recording_predict(self, x_raw, pattern, observed):
+    def recording_predict(self, z, pattern, observed):
         calls.append(self.name)
         alive = [ref for ref in earlier.setdefault(self.name, []) if ref() is not None]
         peak[self.name] = max(peak.get(self.name, 0), len(alive))
-        out = predict(self, x_raw, pattern, observed)
+        out = predict(self, z, pattern, observed)
         earlier[self.name] = alive + [weakref.ref(out)]
         return out
 
