@@ -12,7 +12,7 @@ import numpy as np
 
 from .schema import PlaceholderPolicy
 
-__all__ = ["apply_knockout", "merge_observed"]
+__all__ = ["apply_knockout", "mask_union", "merge_observed"]
 
 
 def _broadcast_pair(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -24,6 +24,15 @@ def _broadcast_pair(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.nda
         else:
             raise ValueError(f"mask shape {mask.shape} does not match data shape {x.shape}")
     return x, mask
+
+
+def mask_union(x: np.ndarray, induced_mask: np.ndarray, observed_mask: np.ndarray) -> np.ndarray:
+    """The union N | M of an induced and an observed mask over the batch
+    ``x``, in the shape of ``x``; either mask may be one 1-d pattern
+    shared by every row."""
+    x, induced = _broadcast_pair(x, induced_mask)
+    _, observed = _broadcast_pair(x, observed_mask)
+    return np.maximum(induced, observed)
 
 
 def apply_knockout(x: np.ndarray, mask: np.ndarray, policy: PlaceholderPolicy) -> np.ndarray:
@@ -57,9 +66,9 @@ def merge_observed(
     """
     if not np.any(observed_mask):
         return apply_knockout(x, induced_mask, policy)
+    if not dual:
+        return apply_knockout(x, mask_union(x, induced_mask, observed_mask), policy)
     x, induced = _broadcast_pair(x, induced_mask)
     _, observed = _broadcast_pair(x, observed_mask)
-    if not dual:
-        return apply_knockout(x, np.maximum(observed, induced), policy)
     out = np.where(observed == 1, policy.observed_values, x)
     return np.where(induced == 1, policy.knockout_values, out)

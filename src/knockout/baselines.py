@@ -168,9 +168,9 @@ def _impute_knn(imputer: KNN, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class _KnnScreen:
     """Exact k-nearest training rows for a chunk of query rows.
 
-    Three matmuls give every masked squared distance up to a rounding
-    error bounded per pair; every training row the bound cannot rule out
-    of the k nearest is then re-ranked with the exact elementwise
+    Four matmuls give every masked squared distance up to a rounding
+    error bounded per query row; every training row the bound cannot rule
+    out of the k nearest is then re-ranked with the exact elementwise
     arithmetic, so the neighbours and their order are those of a stable
     sort of the exact distances.
     """
@@ -194,11 +194,14 @@ class _KnnScreen:
         shared = count > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             approx = np.where(shared, (t1 - 2.0 * (xq @ self.t_t) + t3) / count, np.inf)
-            # t1 + t3 bounds every term of both sums (|2xt| <= x^2 + t^2), so
-            # the matmuls and the exact elementwise sum each round by a few
-            # (d + 2) eps (t1 + t3); tol bounds their difference with room.
-            tol = np.where(shared, 8 * (d + 2) * np.finfo(float).eps * (t1 + t3 + 1.0) / count, 0.0)
-        tol = tol.max(axis=1)
+        # t1 + t3 bounds every term of both sums (|2xt| <= x^2 + t^2), so
+        # the matmuls and the exact elementwise sum each round by a few
+        # (d + 2) eps (t1 + t3) / count; 8 (d + 2) eps (t1 + t3 + 1) / count
+        # bounds their difference with room. One bound per query row covers
+        # all of its pairs: a shared pair has count >= 1, and t1 and t3 are
+        # at most their row maxima.
+        eps = np.finfo(float).eps
+        tol = 8 * (d + 2) * eps * (t1.max(axis=1) + t3.max(axis=1) + 1.0)
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # A row of the exact k nearest is within kth + tol exactly, hence
         # within kth + 2 tol on the screen. With fewer than k finite

@@ -6,6 +6,13 @@ mask per row) and the data's own missingness ``observed`` (1 = missing)
 to model inputs. Training calls it with the masks it samples and
 inference with the swept pattern, so both apply the same rule.
 
+Three kinds fill masked entries with placeholder values, one rule for
+all: ``common_baseline`` is knockout with the mean/mode fills as its
+placeholders and no induced masks in training, and ``dropout`` is the
+same with zero fills, zeroing entries at random in training. The other
+kinds take the union of the induced and observed masks from
+`augment.mask_union`.
+
 ``RULES`` maps each kind to its rule class. A rule class provides
 ``fit(cfg, method, schema, z_train, observed) -> (rule, augment)``, where
 ``augment`` is the per-batch training hook, or None when the training
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import merge_observed
+from .augment import mask_union, merge_observed
 from .baselines import Imputer, dropout_augment, fit_imputer, impute
 from .missingness import IID, calibrate_rate, sample_mask, sample_masks
 from .schema import (
@@ -35,10 +42,6 @@ from .schema import (
 )
 
 __all__ = ["RULES"]
-
-
-def _union(z: np.ndarray, induced: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    return np.maximum(np.broadcast_to(np.asarray(induced, dtype=np.uint8), z.shape), observed)
 
 
 def _mask_sampler(method, d: int, granularity: str):
@@ -83,12 +86,17 @@ def _fill_values(schema: FeatureSchema, z_train: np.ndarray, observed: np.ndarra
     return fills
 
 
+def _fill_policy(fills: np.ndarray) -> PlaceholderPolicy:
+    """Placeholders that put ``fills`` at masked entries. The rules built on
+    them merge with the union of both masks, so the observed-missing value
+    ``fills - 1`` only keeps the policy valid; knockout* under MNAR infers
+    with it all the same (see `KnockoutRule.fit`)."""
+    return PlaceholderPolicy(fills, fills - 1.0)
+
+
 def _knockout_policy(method, schema: FeatureSchema, z_train, observed) -> PlaceholderPolicy:
-    if method.placeholder == "mean":
-        # Suboptimal mean/mode placeholders: the mean/mode fill values. The
-        # observed-missing value only exists to keep the policy valid.
-        fills = _fill_values(schema, z_train, observed)
-        return PlaceholderPolicy(fills, fills - 1.0)
+    if method.placeholder == "mean":  # knockout*: the mean/mode fill values
+        return _fill_policy(_fill_values(schema, z_train, observed))
     derived = derive_placeholders(schema)
     knock, obs = method.knockout_value, method.observed_value
     return PlaceholderPolicy(
@@ -139,30 +147,27 @@ class KnockoutRule(Rule):
         return encode_inputs(self.schema, merged)
 
 
-@dataclass
-class CommonBaselineRule(Rule):
-    """Mean/mode fill of the union of the induced and observed masks;
-    training fills the data's own missing entries."""
-
-    fill_values: np.ndarray
+class CommonBaselineRule(KnockoutRule):
+    """Knockout with the mean/mode fills as its placeholders, merged with
+    the union of both masks (the MCAR merge); training sees no induced
+    masks, so it fills the data's own missing entries only."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
-        return cls(schema, _fill_values(schema, z_train, observed)), None
-
-    def inputs(self, z, induced, observed):
-        filled = np.where(_union(z, induced, observed) == 1, self.fill_values, z)
-        return encode_inputs(self.schema, filled)
+        policy = _fill_policy(_fill_values(schema, z_train, observed))
+        return cls(schema, policy, dual_placeholder=False), None
 
 
-class DropoutRule(CommonBaselineRule):
-    """Zero fill (the mean of z-scored features); training also zeroes
-    entries at random."""
+class DropoutRule(KnockoutRule):
+    """Knockout with zero fills (the mean of z-scored features) and no
+    induced masks, as `common_baseline`; training also zeroes entries at
+    random."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
-        rule = cls(schema, np.zeros(schema.d))  # nothing to fit
+        # Nothing to fit: z-scored features have mean 0.
+        rule = cls(schema, _fill_policy(np.zeros(schema.d)), dual_placeholder=False)
         rate = calibrate_rate(schema.d, method.p_clean)
         no_mask = np.zeros(schema.d, dtype=np.uint8)
         return rule, lambda xb, nb, rng: dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
@@ -179,7 +184,7 @@ class ZeroIndicatorRule(Rule):
         return rule, _masked_training(rule, _mask_sampler(method, schema.d, cfg.mask_granularity))
 
     def inputs(self, z, induced, observed):
-        union = _union(z, induced, observed)
+        union = mask_union(z, induced, observed)
         return np.hstack([np.where(union == 1, 0.0, z), union.astype(float)])
 
     def width(self) -> int:
@@ -201,7 +206,7 @@ class FittedImputerRule(Rule):
         return cls(schema, imputer), None
 
     def inputs(self, z, induced, observed):
-        return encode_inputs(self.schema, impute(self.imputer, z, _union(z, induced, observed)))
+        return encode_inputs(self.schema, impute(self.imputer, z, mask_union(z, induced, observed)))
 
 
 RULES = {

@@ -284,17 +284,23 @@ def load_pipeline(
     """The saved network of ``method`` at ``path``, with the method's rule
     fitted on ``data`` as `train_method` fits it. A file holds the network
     only; the keys that format 1 also wrote (the stats, the rule's fitted
-    state, ``y_mean`` and ``y_std``) are ignored. The network must be the
-    one `train_method` trains, with one finite weight and bias of that
-    shape per layer. Every error names ``path``."""
+    state, ``y_mean`` and ``y_std``) are ignored. The format version and
+    the layer widths must be integers, and the network must be the one
+    `train_method` trains, with one finite weight and bias of that shape
+    per layer. Every error names ``path``."""
     try:
         obj = json.loads(path.read_text())
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
-        if obj.get("format_version") not in (1, 2):
-            raise ValueError(f"unsupported model format version {obj.get('format_version')}")
+        # JSON's true and 1.0 compare equal to 1, so the checks ask for ints.
+        version = obj.get("format_version")
+        if type(version) is not int or version not in (1, 2):
+            raise ValueError(f"unsupported model format version {json.dumps(version)}")
         kind = obj["kind"]
-        spec = NetworkSpec(widths=tuple(obj["net"]["widths"]), head=obj["net"]["head"])
+        widths = obj["net"]["widths"]
+        if not isinstance(widths, list) or any(type(width) is not int for width in widths):
+            raise ValueError(f"layer widths {json.dumps(widths)} are not a list of integers")
+        spec = NetworkSpec(widths=tuple(widths), head=obj["net"]["head"])
         params = Parameters(
             [np.asarray(w, dtype=float) for w in obj["weights"]],
             [np.asarray(b, dtype=float) for b in obj["biases"]],

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from knockout import baselines
 from knockout.baselines import KNN, LinReg, dropout_augment, fit_imputer, impute
 from knockout.config import parse_config
-from knockout.methods import RULES, ZeroIndicatorRule, _fill_values
+from knockout.methods import RULES, KnockoutRule, ZeroIndicatorRule, _fill_values
 from knockout.schema import Categorical, ContinuousUnbounded, FeatureSchema, encode_inputs
 
 
@@ -82,6 +82,17 @@ def _knn_case(draw):
         train_x[draw(st.integers(0, n - 1))] = train_x[0]  # a duplicate row
     m = draw(st.integers(1, 25))
     x = draw(hnp.arrays(float, (m, d), elements=_VALUES))
+    copies = draw(st.integers(0, 4))
+    if copies:
+        # Copies of row 0, with its observed mask, tie exactly with it at
+        # every query; query row 0 equals it, so for k up to the number of
+        # copies the tie falls at its k-th distance, and its screen keeps
+        # more than k candidates.
+        train_x = np.vstack([train_x, np.repeat(train_x[:1], copies, axis=0)])
+        train_observed = np.vstack(
+            [train_observed, np.repeat(train_observed[:1], copies, axis=0)]
+        )
+        x[0] = train_x[0]
     mask = draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
     x[mask == 1] = np.nan
     # A large common offset makes the screen's matmul terms cancel, so its
@@ -136,6 +147,26 @@ def test_knn_screen_rounding_does_not_reorder_ties():
     imp = fit_imputer("knn", train_x, _none_missing(train_x), k=1)
     assert impute(imp, x[None, :], mask[None, :])[0, 2] == 1.0
     assert _impute_knn_row(imp, x, mask)[2] == 1.0
+
+
+def test_knn_screen_keeps_every_row_tied_at_the_kth_distance():
+    # Four copies of the nearest row tie at the query's k-th distance for
+    # every k up to 4, so the screen keeps more than k candidates, and the
+    # exact re-rank takes the lowest-indexed copies.
+    rng = np.random.default_rng(12)
+    nearest = np.array([[0.5, -1.0, 2.0]])
+    train_x = np.vstack([rng.normal(size=(6, 3)) + 5.0, np.repeat(nearest, 4, axis=0)])
+    train_x[7:, 2] = [3.0, 4.0, 5.0]  # the copies differ only where the query is masked
+    x = np.array([[0.5, -1.0, np.nan]])
+    mask = np.array([[0, 0, 1]], dtype=np.uint8)
+    for k in (1, 2, 3):
+        imp = fit_imputer("knn", train_x, _none_missing(train_x), k=k)
+        with mock.patch.object(baselines.np, "lexsort", wraps=np.lexsort) as lexsort:
+            out = impute(imp, x, mask)
+        (dists, query_rows), = lexsort.call_args.args
+        assert query_rows.size == 4 > k  # candidates of the one query row
+        assert np.array_equal(out, _row_loop(_impute_knn_row, imp, x, mask))
+        assert out[0, 2] == np.mean([2.0, 3.0, 4.0, 5.0][:k])
 
 
 def test_knn_matches_row_loop_across_chunks():
@@ -228,6 +259,67 @@ def test_meanmode_zscored_fill_is_zero():
     out = rule.inputs(z[:1], np.array([1, 0, 0], dtype=np.uint8), _none_missing(z[:1]))
     assert out[0, 0] == 0.0
     np.testing.assert_array_equal(out[0, 1:], z[0, 1:])
+
+
+_MIXED = FeatureSchema(
+    (("c", Categorical(2)), ("x0", ContinuousUnbounded()), ("x1", ContinuousUnbounded()))
+)
+
+
+@st.composite
+def _fill_case(draw):
+    """A fill kind and schema, a training split, and rows with an induced and
+    an observed mask, each one shared pattern or one mask per row."""
+    kind, schema = draw(
+        st.sampled_from(
+            [
+                ("common_baseline", _continuous(3)),
+                ("common_baseline", _MIXED),
+                ("dropout", _continuous(3)),
+            ]
+        )
+    )
+    codes = st.sampled_from([1.0, 2.0])  # the codes of Categorical(2)
+
+    def split(n):
+        columns = [
+            draw(hnp.arrays(float, n, elements=codes if isinstance(k, Categorical) else _VALUES))
+            for k in schema.kinds
+        ]
+        return np.column_stack(columns)
+
+    def mask(n):
+        shape = draw(st.sampled_from([(schema.d,), (n, schema.d)]))
+        return draw(hnp.arrays(np.uint8, shape, elements=st.sampled_from([0, 1])))
+
+    z_train = split(draw(st.integers(1, 8)))
+    train_observed = draw(hnp.arrays(np.uint8, z_train.shape, elements=st.sampled_from([0, 0, 1])))
+    train_observed[0] = 0  # every feature observed somewhere
+    n = draw(st.integers(1, 6))
+    return kind, schema, z_train, train_observed, split(n), mask(n), mask(n)
+
+
+@pytest.mark.parametrize("kind", ["common_baseline", "dropout"])
+def test_fill_rules_are_knockout_rules_that_only_fit_their_fills(kind):
+    assert issubclass(RULES[kind], KnockoutRule)
+    assert {name for name in vars(RULES[kind]) if not name.startswith("__")} == {"fit"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fill_case())
+def test_fill_rules_put_their_fills_at_the_union_of_both_masks(case):
+    """`common_baseline` (mean/mode fills) and `dropout` (zero fills) map rows,
+    an induced and an observed mask to the encoded rows with the fills at
+    every entry either mask marks."""
+    kind, schema, z_train, train_observed, z, induced, observed = case
+    rule = _fit_rule(kind, schema, z_train, train_observed)
+    if kind == "dropout":
+        fills = np.zeros(schema.d)
+    else:
+        fills = _fill_values(schema, z_train, train_observed)
+    union = (np.broadcast_to(induced, z.shape) | np.broadcast_to(observed, z.shape)) == 1
+    expected = encode_inputs(schema, np.where(union, fills, z))
+    np.testing.assert_array_equal(rule.inputs(z, induced, observed), expected)
 
 
 def test_zero_indicator_width_and_indicator():

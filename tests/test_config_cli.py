@@ -649,6 +649,19 @@ def _set_logits_head(model):
     return json.dumps(model)
 
 
+def _float_width(model):
+    model["net"]["widths"][1] = 16.0
+    return json.dumps(model)
+
+
+def _set_version(version):
+    def edit(model):
+        model["format_version"] = version
+        return json.dumps(model)
+
+    return edit
+
+
 def _widen_output(model):
     """Two outputs, each layer consistent with its widths."""
     model["net"]["widths"][-1] = 2
@@ -681,6 +694,9 @@ def _widen_output(model):
         (_overflow_weight, "a weight or bias is not finite"),
         (_set_logits_head, "a logits head, but loss mse needs linear"),
         (_widen_output, "layer widths [9, 16, 2], but the config gives [9, 16, 1]"),
+        (_float_width, "layer widths [9, 16.0, 1] are not a list of integers"),
+        (_set_version(True), "unsupported model format version true"),
+        (_set_version(1.0), "unsupported model format version 1.0"),
     ],
     ids=[
         "kind",
@@ -693,13 +709,17 @@ def _widen_output(model):
         "weight_not_finite",
         "head",
         "output_width",
+        "float_width",
+        "version_true",
+        "version_float",
     ],
 )
 def test_cli_sweep_rejects_a_model_the_config_method_cannot_use(tmp_path, edit, message):
-    """A model file that is no JSON object, lacks a key, whose kind, layer
-    widths or head are not what the configured method trains, or whose
-    weights and biases do not fit those widths or are not finite fails the
-    sweep with an error that names the file."""
+    """A model file that is no JSON object, lacks a key, whose format version
+    or layer widths are not integers, whose kind, layer widths or head are
+    not what the configured method trains, or whose weights and biases do
+    not fit those widths or are not finite fails the sweep with an error
+    that names the file."""
     out = tmp_path / "run"
     cfg_path = write_config(tmp_path, TINY_CONFIG.format(out=out))
     runner = CliRunner()

@@ -16,7 +16,8 @@ DELETED = {
     "knockout.augment": ("AugmentedRow", "augment_row", "impute_for_inference"),
     # Each method kind's fill lives in its rule, not in an imputer object.
     "knockout.baselines": ("MeanMode", "ZeroIndicator"),
-    "knockout.methods": ("ImputedRule",),
+    # The union of an induced and an observed mask is `augment.mask_union`.
+    "knockout.methods": ("ImputedRule", "_union"),
     # The runner builds the plot rows and the aggregates from one
     # by_popcount call per report.
     "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics", "aggregates_dict"),
@@ -122,6 +123,9 @@ DELETED_MEMBERS = {
         "validate",
     ),
     "knockout.worlds.GaussianWorld": ("from_json_dict",),
+    # The fills of common_baseline and dropout are their knockout placeholders.
+    "knockout.methods.CommonBaselineRule": ("fill_values",),
+    "knockout.methods.DropoutRule": ("fill_values",),
     # Each rate is solved from p_clean; no config set rescale or dumped test
     # data; the derived placeholders sit at +/-10 in z units, and only
     # knockout_value and observed_value move them.

@@ -412,7 +412,7 @@ def _v1_fields(pipe, data) -> dict:
         }
         fields.update(policy=policy, dual_placeholder=rule.dual_placeholder)
     elif pipe.kind == "common_baseline":
-        fields["fill_values"] = rule.fill_values
+        fields["fill_values"] = rule.policy.knockout_values
     elif pipe.kind == "knn":
         imputer = rule.imputer
         fields["imputer"] = {
