@@ -64,11 +64,7 @@ def merge_observed(
     placeholders even when also observed-missing, and entries missing only
     in the data get the observed-missingness placeholders.
     """
-    if not np.any(observed_mask):
-        return apply_knockout(x, induced_mask, policy)
     if not dual:
         return apply_knockout(x, mask_union(x, induced_mask, observed_mask), policy)
-    x, induced = _broadcast_pair(x, induced_mask)
-    _, observed = _broadcast_pair(x, observed_mask)
-    out = np.where(observed == 1, policy.observed_values, x)
-    return np.where(induced == 1, policy.knockout_values, out)
+    x, observed = _broadcast_pair(x, observed_mask)
+    return apply_knockout(np.where(observed == 1, policy.observed_values, x), induced_mask, policy)

@@ -168,46 +168,46 @@ def _impute_knn(imputer: KNN, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class _KnnScreen:
     """Exact k-nearest training rows for a chunk of query rows.
 
-    Four matmuls give every masked squared distance up to a rounding
-    error bounded per query row; every training row the bound cannot rule
-    out of the k nearest is then re-ranked with the exact elementwise
-    arithmetic, so the neighbours and their order are those of a stable
-    sort of the exact distances.
+    Two products, ``q @ ok`` and ``[q, xq, xq^2] @ [t^2; -2t; ok]``, give every
+    shared count and sum of ``(t - x)^2`` up to a rounding bound set by the
+    training and query norms; the rows the bound cannot rule out of the k
+    nearest are re-ranked exactly, as a stable sort of the exact distances.
     """
 
     def __init__(self, train_x: np.ndarray, train_ok: np.ndarray):
         self.train_x = train_x
         self.train_ok = train_ok
         self.ok_t = train_ok.T.astype(float)
-        t = np.where(train_ok, train_x, 0.0)
-        self.t_t = np.ascontiguousarray(t.T)
-        self.t_sq_t = np.ascontiguousarray((t * t).T)
+        t = np.where(train_ok, train_x, 0.0).T
+        self.terms = np.vstack([t * t, -2.0 * t, self.ok_t])
+        self.t_norm = (t * t).sum(axis=0).max()
 
     def neighbours(self, x: np.ndarray, observed: np.ndarray, k: int) -> np.ndarray:
         """(rows, k) training indices, nearest first; -1 rows share no coordinate."""
-        d = x.shape[1]
         q = observed.astype(float)
         xq = np.where(observed, x, 0.0)
+        xq_sq = xq * xq
         count = q @ self.ok_t  # shared coordinates, exact in float
-        t1 = q @ self.t_sq_t
-        t3 = (xq * xq) @ self.ok_t
-        shared = count > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            approx = np.where(shared, (t1 - 2.0 * (xq @ self.t_t) + t3) / count, np.inf)
-        # t1 + t3 bounds every term of both sums (|2xt| <= x^2 + t^2), so
-        # the matmuls and the exact elementwise sum each round by a few
-        # (d + 2) eps (t1 + t3) / count; 8 (d + 2) eps (t1 + t3 + 1) / count
-        # bounds their difference with room. One bound per query row covers
-        # all of its pairs: a shared pair has count >= 1, and t1 and t3 are
-        # at most their row maxima.
+            approx = np.hstack([q, xq, xq_sq]) @ self.terms
+            approx /= count
+        approx[count == 0] = np.inf
+        # With u = eps / 2 and N = T + |xq|^2, T the largest training-row norm, a
+        # pair's shared t^2 + x^2 sum to at most N, so its exact (t - x)^2 and its
+        # 3d summands t^2, -2xt, x^2 sum to at most 2N in size. Squaring t and xq
+        # errs by uN in all and the 3d-term product by 3d u 2N; the exact
+        # elementwise sum errs by 3u 2N rounding t - x and its square and by
+        # (d - 1) u 2N adding. Dividing by count >= 1 shrinks both and rounds each
+        # by u 2N. So the screen is within (4d + 9/2) eps N of the exact distance,
+        # under 2 (3d + 2) eps N; the factor 4 and the + 1 cover second-order terms.
         eps = np.finfo(float).eps
-        tol = 8 * (d + 2) * eps * (t1.max(axis=1) + t3.max(axis=1) + 1.0)
+        tol = 4 * (3 * x.shape[1] + 2) * eps * (self.t_norm + xq_sq.sum(axis=1) + 1.0)
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # A row of the exact k nearest is within kth + tol exactly, hence
         # within kth + 2 tol on the screen. With fewer than k finite
         # distances kth is inf and every row is kept, as the exact ranking
         # takes the unshared rows in index order.
-        live = shared.any(axis=1)
+        live = count.any(axis=1)
         candidates = (approx <= (kth + 2.0 * tol)[:, None]) & live[:, None]
         qi, ti = np.nonzero(candidates)
         both = observed[qi] & self.train_ok[ti]

@@ -45,8 +45,7 @@ class DiscreteJoint:
     ``alphabets[i]`` and the last axis over ``y_values``, in their declared
     order. It holds Python ints (``dtype=object``), and p(x, y) is
     ``numerators[x, y] / denominator``. The joint keeps a read-only copy of
-    the table, checked when the joint is built. Two joints are equal when
-    their alphabets, labels, denominator and table are.
+    the table, checked when the joint is built.
     """
 
     alphabets: tuple[tuple[int, ...], ...]
@@ -76,16 +75,6 @@ class DiscreteJoint:
             raise ValueError(
                 f"numerators sum to {table.sum()}, not the denominator {self.denominator}"
             )
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscreteJoint):
-            return NotImplemented
-        return (
-            self.alphabets == other.alphabets
-            and self.y_values == other.y_values
-            and self.denominator == other.denominator
-            and np.array_equal(self.numerators, other.numerators)
-        )
 
     @property
     def d(self) -> int:

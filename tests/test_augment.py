@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from knockout.augment import apply_knockout, merge_observed
 from knockout.schema import PlaceholderPolicy
@@ -83,3 +84,27 @@ def test_mcar_merge_equals_union_knockout(x, n_bits, m_bits):
     union = apply_knockout(x, np.maximum(n, m), policy)
     np.testing.assert_array_equal(merged, union)
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_merges_on_batches(data):
+    """On an (n, d) batch, with each mask one shared pattern or one mask per
+    row: the MNAR merge puts the knockout placeholders at induced entries
+    and the observed-missingness ones at entries missing only in the data,
+    and with nothing observed missing both merges are plain knockout."""
+    n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    x = data.draw(hnp.arrays(float, (n, d), elements=st.floats(-5, 5)))
+    policy = PlaceholderPolicy(np.full(d, 7.0), np.full(d, -7.0))
+
+    def mask():
+        shape = data.draw(st.sampled_from([(d,), (n, d)]))
+        return data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+
+    induced, observed = mask(), mask()
+    expected = np.where(induced == 1, 7.0, np.where(observed == 1, -7.0, x))
+    np.testing.assert_array_equal(merge_observed(x, observed, induced, True, policy), expected)
+    nothing = np.zeros_like(observed)
+    for dual in (False, True):
+        np.testing.assert_array_equal(
+            merge_observed(x, nothing, induced, dual, policy), apply_knockout(x, induced, policy)
+        )

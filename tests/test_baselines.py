@@ -74,7 +74,7 @@ _VALUES = st.one_of(
 @st.composite
 def _knn_case(draw):
     n = draw(st.integers(1, 12))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 10))  # fig1's d = 9 sums in numpy's 8-way pairwise order
     train_x = draw(hnp.arrays(float, (n, d), elements=_VALUES))
     train_observed = draw(hnp.arrays(np.uint8, (n, d), elements=st.sampled_from([0, 0, 1])))
     train_observed[0, train_observed.all(axis=0)] = 0  # every feature observed somewhere
@@ -93,13 +93,30 @@ def _knn_case(draw):
             [train_observed, np.repeat(train_observed[:1], copies, axis=0)]
         )
         x[0] = train_x[0]
-    mask = draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
-    x[mask == 1] = np.nan
-    # A large common offset makes the screen's matmul terms cancel, so its
+    # A large common offset makes the screen's product terms cancel, so its
     # rounding error dwarfs the gaps between near-tied distances.
-    offset = draw(st.sampled_from([0.0, 0.0, 1e4]))
+    mirrors = draw(st.integers(0, 16))
+    offset = 1e4 if mirrors else draw(st.sampled_from([0.0, 0.0, 1e4]))
     train_x += offset
     x += offset
+    mask = draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
+    if mirrors:
+        # A last query row x0, at least 8 from every drawn row in each
+        # coordinate, masked in one, and its nearest training rows
+        # x0 + signs * s, mirror images of one another about it. With x0 and
+        # s on a 2^-20 grid, each row and its differences to x0 are exact
+        # floats, so the rows tie exactly in the loop's arithmetic while the
+        # product's rounding ranks them apart. A seeded generator draws the
+        # grid values, so that they have the low bits that make it round.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x0 = offset + 16.0 + rng.integers(-(2**22), 2**22, d) / 2**20
+        s = rng.integers(-(2**20), 2**20, d) / 2**20
+        train_x = np.vstack([train_x, x0 + rng.choice([1.0, -1.0], (mirrors, d)) * s])
+        train_observed = np.vstack([train_observed, np.zeros((mirrors, d), dtype=np.uint8)])
+        x = np.vstack([x, x0])
+        mask = np.vstack([mask, np.zeros(d, dtype=np.uint8)])
+        mask[-1, draw(st.integers(0, d - 1))] = 1
+    x[mask == 1] = np.nan
     k = draw(st.integers(1, 15))  # often more than n
     chunk_pairs = draw(st.sampled_from([1, 7, baselines._KNN_CHUNK_PAIRS]))
     return train_x, train_observed, x, mask, k, chunk_pairs
@@ -139,10 +156,10 @@ def test_knn_matches_row_loop_on_named_edge_cases():
 
 def test_knn_screen_rounding_does_not_reorder_ties():
     # Rows mirrored about a query far from the origin tie exactly in the
-    # loop's arithmetic; the screen's cancelling matmul terms rank row 1
+    # loop's arithmetic; the screen's cancelling product terms rank row 1
     # first, so only the exact re-rank keeps row 0.
-    train_x = np.array([[9998.673, 9998.776, 1.0], [9999.919, 9998.694, 2.0]])
-    x = np.array([9999.296, 9998.735, np.nan])
+    train_x = np.array([[9999.628, 9999.359, 1.0], [9999.592, 9999.873, 2.0]])
+    x = np.array([9999.61, 9999.616, np.nan])
     mask = np.array([0, 0, 1], dtype=np.uint8)
     imp = fit_imputer("knn", train_x, _none_missing(train_x), k=1)
     assert impute(imp, x[None, :], mask[None, :])[0, 2] == 1.0

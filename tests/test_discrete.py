@@ -326,19 +326,6 @@ def test_joint_table_is_read_only():
     assert joint.numerators[0, 0] == 1
 
 
-def test_joints_compare_by_value():
-    assert counterexample_joint() == counterexample_joint()
-    joint = counterexample_joint()
-    moved = joint.numerators.copy()
-    moved.flat[[0, 1]] = moved.flat[[1, 0]]
-    assert joint != DiscreteJoint(joint.alphabets, joint.y_values, moved, joint.denominator)
-    scaled = DiscreteJoint(
-        joint.alphabets, joint.y_values, joint.numerators * 2, joint.denominator * 2
-    )
-    assert joint != scaled  # the same distribution over another denominator
-    assert joint != "joint"
-
-
 @st.composite
 def knockout_cases(draw):
     """A random joint, q, placeholders and an evidence grid for the kernel."""

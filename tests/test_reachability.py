@@ -32,8 +32,6 @@ UNREACHED = {
     "as the gradient checks in tests/test_acceptance.py do",
     "nn.Parameters.from_flat": "used by the gradient checks in tests/test_acceptance.py",
     "evaluate.PatternResult.value": "read by the gates in tests/test_acceptance.py",
-    "discrete.DiscreteJoint.__eq__": "value equality for callers and tests; no command "
-    "compares two joints",
     "worlds.class_posterior": "oracle of the class-world tests in tests/test_worlds.py",
     "worlds._norm_logpdf": "helper of class_posterior",
 }
