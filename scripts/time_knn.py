@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from knockout.augment import mask_union
 from knockout.baselines import fit_imputer, impute
 from knockout.config import parse_config
 from knockout.runner import build_repetition
@@ -32,10 +33,14 @@ def main(config_path: str, patterns: list[str]) -> dict:
         cfg = parse_config(fh.read())
     data = build_repetition(cfg, 0)
     imputer = fit_imputer("knn", data.z_train, data.train_observed, k=5)
+    d = data.z_test.shape[1]
+    for bits in patterns:
+        if len(bits) != d or set(bits) - {"0", "1"}:
+            raise ValueError(f"pattern {bits!r} is not {d} digits of 0/1")
     out = {"train_rows": int(data.z_train.shape[0]), "test_rows": int(data.z_test.shape[0])}
     for bits in patterns:
         pattern = np.array([int(b) for b in bits], dtype=np.uint8)
-        mask = np.maximum(np.broadcast_to(pattern, data.z_test.shape), data.test_observed)
+        mask = mask_union(data.z_test, pattern, data.test_observed)
         wall, cpu = time.perf_counter(), time.process_time()
         filled = impute(imputer, data.z_test, mask)
         out[bits] = {

@@ -137,9 +137,11 @@ def _decomposition_estimates(seed: int, n_draws: int) -> tuple[float, float, flo
     """The exact pattern-weighted loss, and its Monte Carlo mean and SE.
 
     A draw picks a pattern and a row, so it can take only 4 x 400 values:
-    the squared residual of each (pattern, row) pair is computed once, by
-    four 400-row forward passes, and the draws index that table.
+    four 400-row forward passes give each one's squared residual, and one
+    multinomial draw gives how many of n_draws i.i.d. draws fall on each.
     """
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be at least 2 for a standard error, got {n_draws}")
     rng = np.random.default_rng(seed)
     n, d = 400, 2
     x = rng.standard_normal((n, d))
@@ -156,9 +158,10 @@ def _decomposition_estimates(seed: int, n_draws: int) -> tuple[float, float, flo
     )
     exact = sum(p * float(np.mean(loss)) for p, loss in zip(probs, losses))
 
-    # Patterns first, then rows: the draw order of a row-by-row pass.
-    draws = losses[rng.choice(4, size=n_draws, p=probs), rng.integers(0, n, size=n_draws)]
-    return exact, float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
+    counts = rng.multinomial(n_draws, np.outer(probs, np.full(n, 1.0 / n)).ravel())
+    mean = counts @ losses.ravel() / n_draws
+    var = counts @ (losses.ravel() - mean) ** 2 / (n_draws - 1)
+    return exact, float(mean), float(np.sqrt(var / n_draws))
 
 
 def check_decomposition(seed: int = 11, n_draws: int = 100_000) -> CheckResult:

@@ -75,8 +75,12 @@ _VALUES = st.one_of(
 def _knn_case(draw):
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 10))  # fig1's d = 9 sums in numpy's 8-way pairwise order
+    # The masks are seeded Bernoulli draws, one per entry: hypothesis's own
+    # arrays repeat one fill value, so whole query rows would often mask
+    # nothing or everything and never reach the neighbour search.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train_x = draw(hnp.arrays(float, (n, d), elements=_VALUES))
-    train_observed = draw(hnp.arrays(np.uint8, (n, d), elements=st.sampled_from([0, 0, 1])))
+    train_observed = (rng.random((n, d)) < 1 / 3).astype(np.uint8)
     train_observed[0, train_observed.all(axis=0)] = 0  # every feature observed somewhere
     if draw(st.booleans()):
         train_x[draw(st.integers(0, n - 1))] = train_x[0]  # a duplicate row
@@ -99,16 +103,15 @@ def _knn_case(draw):
     offset = 1e4 if mirrors else draw(st.sampled_from([0.0, 0.0, 1e4]))
     train_x += offset
     x += offset
-    mask = draw(hnp.arrays(np.uint8, (m, d), elements=st.sampled_from([0, 1])))
+    mask = rng.integers(0, 2, (m, d), dtype=np.uint8)
     if mirrors:
         # A last query row x0, at least 8 from every drawn row in each
         # coordinate, masked in one, and its nearest training rows
         # x0 + signs * s, mirror images of one another about it. With x0 and
         # s on a 2^-20 grid, each row and its differences to x0 are exact
         # floats, so the rows tie exactly in the loop's arithmetic while the
-        # product's rounding ranks them apart. A seeded generator draws the
+        # product's rounding ranks them apart. The seeded generator draws the
         # grid values, so that they have the low bits that make it round.
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         x0 = offset + 16.0 + rng.integers(-(2**22), 2**22, d) / 2**20
         s = rng.integers(-(2**20), 2**20, d) / 2**20
         train_x = np.vstack([train_x, x0 + rng.choice([1.0, -1.0], (mirrors, d)) * s])

@@ -406,9 +406,9 @@ def test_cli_verify_passes_and_prints_reference_values():
     assert "0.0741" in result.output
     assert "130" in result.output
     # The approximation bound and the decomposition, from rational joints
-    # and a pattern-indexed mask draw.
+    # and a multinomial draw of (pattern, row) cell counts.
     assert "TV(eps) = 6.780e-03, 6.998e-05, 7.000e-07; C = 0.350" in result.output
-    assert "MC 16.583187 vs exact 16.563735 (3 SE = 0.214850)" in result.output
+    assert "MC 16.438687 vs exact 16.563735 (3 SE = 0.213417)" in result.output
     assert "all 6 checks passed" in result.output
 
 

@@ -13,8 +13,9 @@ from knockout.verify import _decomposition_estimates, check_decomposition
 
 
 def row_by_row_estimates(seed, n_draws):
-    """Exact loss, MC mean and SE from one forward pass over all the drawn
-    (masked row) inputs, with the same RNG stream as the check."""
+    """Exact loss, MC mean and SE from one forward pass over the drawn
+    (masked row) inputs: the check's multinomial cell counts, with the same
+    RNG stream, expanded into one row per draw."""
     rng = np.random.default_rng(seed)
     n, d = 400, 2
     x = rng.standard_normal((n, d))
@@ -30,8 +31,9 @@ def row_by_row_estimates(seed, n_draws):
         return float(np.mean((out - y) ** 2))
 
     exact = sum(p * mean_loss(m) for p, m in zip(probs, patterns))
-    masks = patterns[rng.choice(4, size=n_draws, p=probs)]
-    idx = rng.integers(0, n, size=n_draws)
+    counts = rng.multinomial(n_draws, np.outer(probs, np.full(n, 1.0 / n)).ravel())
+    cells = np.repeat(np.arange(4 * n), counts)
+    masks, idx = patterns[cells // n], cells % n
     residuals = forward(spec, params, apply_knockout(x[idx], masks, policy)).ravel() - y[idx]
     draws = residuals**2
     return exact, float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
@@ -47,8 +49,11 @@ def test_loss_table_matches_row_by_row_forward_pass(seed, n_draws):
 
 
 def test_decomposition_check_allocates_no_per_draw_activations():
-    # A forward pass over the 100k draws peaks near 18 MB; indexing the
-    # (4, 400) loss table needs a few per-draw vectors.
+    # A forward pass over the 100k draws peaks near 18 MB, and per-draw
+    # indices into the (4, 400) loss table near 2.4 MB; the cell counts need
+    # only a few 1,600-cell and 400-row vectors. The untraced call loads
+    # numpy.random, which numpy imports lazily (about 1 MB of modules).
+    check_decomposition(n_draws=2)
     tracemalloc.start()
     try:
         result = check_decomposition()
@@ -56,4 +61,12 @@ def test_decomposition_check_allocates_no_per_draw_activations():
     finally:
         tracemalloc.stop()
     assert result.passed, result.detail
-    assert peak < 5_000_000
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_decomposition_check_needs_two_draws(n_draws):
+    with pytest.raises(ValueError, match="n_draws"):
+        _decomposition_estimates(11, n_draws)
+    with pytest.raises(ValueError, match="n_draws"):
+        check_decomposition(n_draws=n_draws)
