@@ -1,5 +1,4 @@
-"""The fitted imputers of the ``knn`` and ``lin_reg`` baselines, and the
-input-dropout augmentation.
+"""The fitted imputers of the ``knn`` and ``lin_reg`` baselines.
 
 Every imputer is fitted on training data (respecting its observed mask)
 and is the identity on complete rows. Values work in the same normalized
@@ -19,7 +18,6 @@ __all__ = [
     "Imputer",
     "fit_imputer",
     "impute",
-    "dropout_augment",
 ]
 
 
@@ -239,12 +237,3 @@ def _impute_linreg(imputer: LinReg, x: np.ndarray, mask: np.ndarray) -> np.ndarr
         else:
             out[rows, j] = np.delete(base[rows], j, axis=1) @ beta[:-1] + beta[-1]
     return out
-
-
-def dropout_augment(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero each entry independently with the given probability, no rescaling."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    x = np.asarray(x, dtype=float)
-    keep = rng.random(x.shape) >= rate
-    return np.where(keep, x, 0.0)

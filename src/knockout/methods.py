@@ -9,9 +9,9 @@ inference with the swept pattern, so both apply the same rule.
 Three kinds fill masked entries with placeholder values, one rule for
 all: ``common_baseline`` is knockout with the mean/mode fills as its
 placeholders and no induced masks in training, and ``dropout`` is the
-same with zero fills, zeroing entries at random in training. The other
-kinds take the union of the induced and observed masks from
-`augment.mask_union`.
+same with zero fills, trained on induced masks drawn per entry (its
+random zeroing). The other kinds take the union of the induced and
+observed masks from `augment.mask_union`.
 
 ``RULES`` maps each kind to its rule class. A rule class provides
 ``fit(cfg, method, schema, z_train, observed) -> (rule, augment)``, where
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import mask_union, merge_observed
-from .baselines import Imputer, dropout_augment, fit_imputer, impute
+from .baselines import Imputer, fit_imputer, impute
 from .missingness import IID, calibrate_rate, sample_mask, sample_masks
 from .schema import (
     Categorical,
@@ -159,18 +159,16 @@ class CommonBaselineRule(KnockoutRule):
 
 
 class DropoutRule(KnockoutRule):
-    """Knockout with zero fills (the mean of z-scored features) and no
-    induced masks, as `common_baseline`; training also zeroes entries at
-    random."""
+    """Knockout with zero fills (the mean of z-scored features) and the
+    MCAR merge, as `common_baseline`; training zeroes entries at random
+    through induced masks drawn per entry, whatever the mask granularity."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
         _require_continuous(method, schema)
         # Nothing to fit: z-scored features have mean 0.
         rule = cls(schema, _fill_policy(np.zeros(schema.d)), dual_placeholder=False)
-        rate = calibrate_rate(schema.d, method.p_clean)
-        no_mask = np.zeros(schema.d, dtype=np.uint8)
-        return rule, lambda xb, nb, rng: dropout_augment(rule.inputs(xb, no_mask, nb), rate, rng)
+        return rule, _masked_training(rule, _mask_sampler(method, schema.d, "per_sample"))
 
 
 class ZeroIndicatorRule(Rule):

@@ -78,7 +78,8 @@ def inject_mcar(data: np.ndarray, p: float, rng: np.random.Generator) -> np.ndar
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    return (rng.random(np.shape(data)) < p).astype(np.uint8)
+    n, d = np.shape(data)
+    return sample_masks(IID(d, p), n, rng)
 
 
 def inject_mnar_self_censor(data: np.ndarray, q: float) -> np.ndarray:

@@ -655,28 +655,36 @@ def ablate_placeholder(
     out_dir: str | Path | None = None,
     jobs: int = 1,
 ) -> RunArtifacts:
-    """Train one knockout model per placeholder magnitude and sweep each.
+    """Train one knockout model per placeholder magnitude v and sweep each.
 
-    Magnitude 0 puts the placeholder exactly at the feature mean; its
-    observed-missing counterpart is forced distinct (and is unused in the
-    complete-data regime this ablation runs in).
+    The model for v is the method ``knockout_ph{v:g}``, with knockout
+    placeholder v and observed-missing placeholder v - 20, so the two
+    differ; magnitude 0 puts the knockout placeholder exactly at the
+    feature mean. The config's data is used as it is. Under MCAR,
+    observed-missing entries join the induced mask and take v; under
+    MNAR, the rule trains and infers with the dual merge, so they take
+    v - 20. Every magnitude is checked before any model is trained.
     """
     if not values:
         raise ValueError("ablation needs at least one placeholder value")
     if any(not isinstance(kind, ContinuousUnbounded) for kind in _schema_for(cfg).kinds):
         raise ValueError("placeholder ablation needs z-scored continuous features only")
-    methods = []
-    for v in values:
-        if float(v) < 0:
+    magnitudes = {}
+    for v in map(float, values):
+        if not math.isfinite(v):
+            raise ValueError(f"placeholder magnitudes must be finite, got {v!r}")
+        if v < 0:
             raise ValueError("placeholder magnitudes must be nonnegative")
-        methods.append(
-            MethodConfig(
-                name=f"knockout_ph{v:g}",
-                kind="knockout",
-                knockout_value=float(v),
-                observed_value=float(v) - 20.0,
+        name = f"knockout_ph{v:g}"
+        if name in magnitudes:
+            raise ValueError(
+                f"placeholder magnitudes {magnitudes[name]!r} and {v!r} both name method {name!r}"
             )
-        )
+        magnitudes[name] = v
+    methods = [
+        MethodConfig(name=name, kind="knockout", knockout_value=v, observed_value=v - 20.0)
+        for name, v in magnitudes.items()
+    ]
     ablate_cfg = dataclasses.replace(cfg, methods=tuple(methods))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     return _run_jobs(ablate_cfg, out, jobs)

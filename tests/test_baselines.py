@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from knockout import baselines
-from knockout.baselines import KNN, LinReg, dropout_augment, fit_imputer, impute
+from knockout.baselines import KNN, LinReg, fit_imputer, impute
 from knockout.config import parse_config
 from knockout.methods import RULES, KnockoutRule, ZeroIndicatorRule, _fill_values
+from knockout.missingness import calibrate_rate
 from knockout.schema import Categorical, ContinuousUnbounded, FeatureSchema, encode_inputs
 
 
@@ -441,22 +442,36 @@ def test_all_missing_feature_errors():
         _fill_values(schema, train, observed)
 
 
-def test_dropout_extremes_and_rate():
+def _dropout_hook(d: int, z: np.ndarray, observed: np.ndarray):
+    """The training hook of a default `dropout` method on d continuous features."""
+    cfg = parse_config("[world]\nkind = gaussian\n[method.m]\nkind = dropout\n")
+    _, augment = RULES["dropout"].fit(cfg, cfg.methods[0], _continuous(d), z, observed)
+    return calibrate_rate(d, cfg.methods[0].p_clean), augment
+
+
+def test_dropout_zeroes_at_the_calibrated_rate():
+    """Dropout's training hook zeroes every entry the data misses, and each
+    other entry with the calibrated rate, drawn per entry although the
+    config's masks are per batch."""
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(100, 10)) + 5.0
-    np.testing.assert_array_equal(dropout_augment(x, 0.0, rng), x)
-    assert (dropout_augment(x, 1.0, rng) == 0).all()
-    big = rng.normal(size=(10_000, 10)) + 5.0
-    zeroed = (dropout_augment(big, 0.1, rng) == 0).mean()
-    assert abs(zeroed - 0.10) < 0.005
+    z = rng.normal(size=(10_000, 4)) + 5.0  # no input is 0
+    observed = (rng.random(z.shape) < 0.1).astype(np.uint8)
+    rate, augment = _dropout_hook(4, z, observed)
+    zeroed = augment(z, observed, rng) == 0
+    assert zeroed[observed == 1].all()
+    assert abs(zeroed[observed == 0].mean() - rate) < 0.01
+    assert len(np.unique(zeroed, axis=0)) > 1
 
 
 def test_dropout_does_not_rescale_survivors():
     rng = np.random.default_rng(8)
-    x = np.full((2000, 5), 3.0)
-    out = dropout_augment(x, 0.5, rng)
-    survivors = out[out != 0]
-    assert (survivors == 3.0).all()
+    z = rng.normal(size=(2000, 5)) + 5.0
+    observed = (rng.random(z.shape) < 0.1).astype(np.uint8)
+    _, augment = _dropout_hook(5, z, observed)
+    out = augment(z, observed, rng)
+    survivors = out != 0
+    assert survivors.any()
+    np.testing.assert_array_equal(out[survivors], z[survivors])
 
 
 def test_knockout_star_is_policy_substitution():

@@ -14,8 +14,9 @@ MODULES = sorted(
 DELETED = {
     # Superseded by the per-kind missing-input rules in knockout.methods.
     "knockout.augment": ("AugmentedRow", "augment_row", "impute_for_inference"),
-    # Each method kind's fill lives in its rule, not in an imputer object.
-    "knockout.baselines": ("MeanMode", "ZeroIndicator"),
+    # Each method kind's fill lives in its rule, not in an imputer object;
+    # dropout's random zeroing is its rule with a sampled per-entry mask.
+    "knockout.baselines": ("MeanMode", "ZeroIndicator", "dropout_augment"),
     # The union of an induced and an observed mask is `augment.mask_union`.
     "knockout.methods": ("ImputedRule", "_union"),
     # The runner builds the plot rows and the aggregates from one

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -253,14 +254,15 @@ def test_pattern_overrides_observed_missingness():
     assert (inputs == pipe.rule.policy.knockout_values).all()
 
 
-# Every kind whose training inputs are its inference rule with a sampled
-# mask. Dropout is left out: it zeroes entries at random in training only,
-# by design.
+# One method of every kind, and the knockout variants. Each one's training
+# inputs are its inference rule with a sampled mask, or with no induced
+# mask, computed once.
 PROPERTY_METHODS = {
     "knockout": "kind = knockout\n",
     "knockout_star": "kind = knockout\nplaceholder = mean\n",
     "knockout_minus": "kind = knockout\ndual_placeholder = false\n",
     "common_baseline": "kind = common_baseline\n",
+    "dropout": "kind = dropout\n",
     "zero_indicator": "kind = zero_indicator\n",
     "knn": "kind = knn\nk = 3\n",
     "lin_reg": "kind = lin_reg\n",
@@ -354,16 +356,13 @@ class _ReadRecorder:
         return getattr(self._method, name)
 
 
-READ_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
-
-
-@pytest.mark.parametrize("name", sorted(READ_METHODS))
+@pytest.mark.parametrize("name", sorted(PROPERTY_METHODS))
 def test_rules_read_only_the_method_keys_their_kind_declares(name):
     """What fit and its training hook read of a method is what the config
     accepts and hashes for that kind."""
     cfg = parse_config(
         base("mnar_self_censor").replace(
-            "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{READ_METHODS[name]}"
+            "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{PROPERTY_METHODS[name]}"
         )
     )
     data = build_repetition(cfg, 0)
@@ -504,14 +503,11 @@ def test_training_determinism_across_processes_payload(tmp_path):
     assert written_d == [local / "models" / model.name, local / "traces" / trace.name]
 
 
-WRITER_METHODS = {**PROPERTY_METHODS, "dropout": "kind = dropout\n"}
-
-
-@pytest.mark.parametrize("name", sorted(WRITER_METHODS))
+@pytest.mark.parametrize("name", sorted(PROPERTY_METHODS))
 def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
     cfg = parse_config(
         base("mnar_self_censor").replace(
-            "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{WRITER_METHODS[name]}"
+            "[method.knockout]\nkind = knockout\n", f"[method.{name}]\n{PROPERTY_METHODS[name]}"
         )
     )
     pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
@@ -616,6 +612,25 @@ kind = knockout
     )
     with pytest.raises(ValueError, match="continuous"):
         ablate_placeholder(cfg, [0.0, 10.0], out_dir=tmp_path / "never_written")
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([0.0, float("nan")], "must be finite, got nan"),
+        ([float("inf")], "must be finite, got inf"),
+        (
+            [0.1234567, 0.1234568],
+            "magnitudes 0.1234567 and 0.1234568 both name method 'knockout_ph0.123457'",
+        ),
+    ],
+)
+def test_ablation_checks_its_magnitudes_before_any_job(values, message, tmp_path):
+    from knockout.runner import ablate_placeholder
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ablate_placeholder(make_cfg(), values, out_dir=tmp_path / "never_written")
+    assert not (tmp_path / "never_written").exists()
 
 
 def test_knockout_star_on_mixed_world_uses_fitted_mode(tmp_path):
