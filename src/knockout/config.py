@@ -36,7 +36,8 @@ class ConfigError(ValueError):
 
 
 _CLASSIFICATION_WORLDS = ("continuous2d", "mixed")
-_MASK_GRANULARITIES = ("per_batch", "per_sample")
+# The method kinds whose rules take continuous features only.
+_CONTINUOUS_KINDS = ("dropout", "zero_indicator", "knn", "lin_reg")
 
 
 def _bool(raw: str) -> bool:
@@ -73,7 +74,6 @@ _KEYS = (
     ("train", "learning_rate", "learning_rate", float),
     ("train", "hidden", "hidden", _hidden),
     ("train", "seed0", "seed0", int),
-    ("train", "mask_granularity", "mask_granularity", str),
     ("sweep", "k_max", "k_max", int),
     ("sweep", "repetitions", "repetitions", int),
     ("output", "dir", "out_dir", str),
@@ -126,6 +126,10 @@ class MethodConfig:
     k: int = 5
 
     def __post_init__(self):
+        if "/" in self.name or "\\" in self.name:
+            raise ConfigError(
+                f"section [method.{self.name}]: the name is a file name stem, with no '/' or '\\'"
+            )
         if self.kind not in _KIND_KEYS:
             self._reject("kind", f"unknown kind {self.kind!r}")
         if self.placeholder not in ("derived", "mean"):
@@ -166,7 +170,6 @@ class ExperimentConfig:
     learning_rate: float = 3e-3
     hidden: tuple[int, ...] = (100, 100)
     seed0: int = 17
-    mask_granularity: str = "per_batch"
     k_max: int | None = None  # None: `default_k_max` of the feature count, once known
     repetitions: int = 10
     out_dir: str = "out"
@@ -213,12 +216,15 @@ class ExperimentConfig:
             _reject("train", "batch_size", f"must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             _reject("train", "learning_rate", f"must be finite and > 0, got {self.learning_rate}")
-        if self.mask_granularity not in _MASK_GRANULARITIES:
-            _reject(
-                "train",
-                "mask_granularity",
-                f"must be one of {list(_MASK_GRANULARITIES)}, got {self.mask_granularity!r}",
-            )
+        if self.world_kind == "mixed":  # the only world with a categorical feature, x1
+            for method in self.methods:
+                if method.kind in _CONTINUOUS_KINDS:
+                    method._reject("kind", f"{method.kind} supports continuous features only, "
+                                   "and the mixed world's x1 is categorical")
+                for key in ("knockout_value", "observed_value"):
+                    if getattr(method, key) is not None:
+                        method._reject(key, "the mixed world's categorical x1 takes the derived "
+                                       "placeholder codes, not a value")
 
     @property
     def loss(self) -> str:
@@ -325,6 +331,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("world"):
         raise ConfigError("missing required section [world]")
+    # Retired: every run draws its induced masks per row. The one value
+    # that did so is still accepted, and read as nothing.
+    if parser.has_option("train", "mask_granularity"):
+        if parser.get("train", "mask_granularity") != "per_sample":
+            _reject("train", "mask_granularity", "retired: induced masks are drawn per row")
+        parser.remove_option("train", "mask_granularity")
 
     values = {}
     for section in _SECTIONS:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .augment import mask_union, merge_observed
 from .baselines import Imputer, fit_imputer, impute
-from .missingness import IID, calibrate_rate, sample_mask, sample_masks
+from .config import _CONTINUOUS_KINDS
+from .missingness import IID, calibrate_rate, sample_masks
 from .schema import (
     Categorical,
     FeatureSchema,
@@ -44,25 +45,20 @@ from .schema import (
 __all__ = ["RULES"]
 
 
-def _mask_sampler(method, d: int, granularity: str):
-    """Induced masks for a batch of n rows: one shared mask, or one per row."""
+def _masked_training(rule, method, d: int):
+    """Training hook of a kind whose rule sees induced masks: one IID mask
+    per row, at the rate calibrated to the method's ``p_clean``."""
     dist = IID(d, calibrate_rate(d, method.p_clean))
-    if granularity == "per_batch":
-        return lambda rng, n: sample_mask(dist, rng)
-    return lambda rng, n: sample_masks(dist, n, rng)
-
-
-def _masked_training(rule, sample):
-    """Training hook of a kind whose rule sees sampled induced masks."""
 
     def augment(xb, nb, rng):
-        return rule.inputs(xb, sample(rng, xb.shape[0]), nb)
+        return rule.inputs(xb, sample_masks(dist, xb.shape[0], rng), nb)
 
     return augment
 
 
 def _require_continuous(method, schema: FeatureSchema) -> None:
-    if any(isinstance(kind, Categorical) for kind in schema.kinds):
+    """Reject categorical features for a kind the config lists as continuous-only."""
+    if method.kind in _CONTINUOUS_KINDS and any(isinstance(k, Categorical) for k in schema.kinds):
         raise ValueError(
             f"method {method.name!r} ({method.kind}) supports continuous features only"
         )
@@ -139,8 +135,7 @@ class KnockoutRule(Rule):
         rule = train_rule
         if method.placeholder == "mean" and mnar:
             rule = dataclasses.replace(train_rule, dual_placeholder=method.dual_placeholder)
-        sample = _mask_sampler(method, schema.d, cfg.mask_granularity)
-        return rule, _masked_training(train_rule, sample)
+        return rule, _masked_training(train_rule, method, schema.d)
 
     def inputs(self, z, induced, observed):
         merged = merge_observed(z, observed, induced, self.dual_placeholder, self.policy)
@@ -161,14 +156,13 @@ class CommonBaselineRule(KnockoutRule):
 class DropoutRule(KnockoutRule):
     """Knockout with zero fills (the mean of z-scored features) and the
     MCAR merge, as `common_baseline`; training zeroes entries at random
-    through induced masks drawn per entry, whatever the mask granularity."""
+    through induced masks drawn per entry."""
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
-        _require_continuous(method, schema)
         # Nothing to fit: z-scored features have mean 0.
         rule = cls(schema, _fill_policy(np.zeros(schema.d)), dual_placeholder=False)
-        return rule, _masked_training(rule, _mask_sampler(method, schema.d, "per_sample"))
+        return rule, _masked_training(rule, method, schema.d)
 
 
 class ZeroIndicatorRule(Rule):
@@ -177,9 +171,8 @@ class ZeroIndicatorRule(Rule):
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
-        _require_continuous(method, schema)
         rule = cls(schema)  # nothing to fit
-        return rule, _masked_training(rule, _mask_sampler(method, schema.d, cfg.mask_granularity))
+        return rule, _masked_training(rule, method, schema.d)
 
     def inputs(self, z, induced, observed):
         union = mask_union(z, induced, observed)
@@ -198,7 +191,6 @@ class FittedImputerRule(Rule):
 
     @classmethod
     def fit(cls, cfg, method, schema, z_train, observed):
-        _require_continuous(method, schema)
         neighbours = {"k": method.k} if method.kind == "knn" else {}  # lin_reg has no k
         imputer = fit_imputer(method.kind, z_train, observed, **neighbours)
         return cls(schema, imputer), None

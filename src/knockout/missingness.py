@@ -50,7 +50,7 @@ def calibrate_rate(d: int, p_clean: float) -> float:
     """Knockout rate r with (1 - r)^d = p_clean.
 
     p_clean is the probability that a sampled mask knocks out nothing,
-    e.g. 0.5 so that half of the mini-batches stay clean.
+    e.g. 0.5 so that half of the rows stay clean.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -31,7 +31,7 @@ from .evaluate import (
     report_rows,
     run_pattern_sweep,
 )
-from .methods import RULES, Rule
+from .methods import RULES, Rule, _require_continuous
 from .missingness import enumerate_patterns, inject_mcar, inject_mnar_self_censor
 from .nn import NetworkSpec, Parameters, TrainConfig, TrainingDivergedError, predict, train
 from .schema import (
@@ -253,7 +253,7 @@ class ModelPipeline:
 
     def json_fields(self) -> dict:
         """The model file's fields: what training learned. The weights and
-        biases stay numpy arrays, which `_write_model` encodes a row at a
+        biases stay numpy arrays, which `_write_json` encodes a row at a
         time. The rule is not stored: `load_pipeline` fits it again."""
         return {
             "format_version": 2,
@@ -268,6 +268,7 @@ class ModelPipeline:
 def _fit_rule(cfg: ExperimentConfig, method: MethodConfig, data: RepetitionData):
     """The method's rule and training hook, fitted on the normalized
     training split."""
+    _require_continuous(method, data.schema)
     return RULES[method.kind].fit(cfg, method, data.schema, data.z_train, data.train_observed)
 
 
@@ -417,13 +418,13 @@ def _method_job(
         single_observed = list(1 - np.eye(data.schema.d, dtype=np.uint8))
         jsd_metrics = {method.name: [_jsd_metrics(pipeline, data)]}
         jsd_report = run_pattern_sweep(jsd_metrics, single_observed, n_test)[method.name]
-    written = [_write_model(out / "models" / f"{stem}.json", pipeline)]
+    written = [_write_json(out / "models" / f"{stem}.json", pipeline.json_fields())]
     if trace is not None:
         written.append(_write_csv(out / "traces" / f"{stem}.csv", ["step", "loss"], trace))
     if method_index == 0:  # one job per repetition writes its world and data
         if data.world is not None:
             path = out / "worlds" / f"rep{rep}.json"
-            written.append(_write_json_line(path, data.world.to_json_dict()))
+            written.append(_write_json(path, data.world.to_json_dict()))
         names = [name for name, _ in data.schema.features]
         train_rows = _float_rows(data.x_train, data.y_train)
         written.append(_write_csv(out / "data" / f"train_rep{rep}.csv", [*names, "y"], train_rows))
@@ -546,20 +547,13 @@ def _jsd_metrics(pipe: ModelPipeline, data: RepetitionData) -> dict:
 _encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
-def _write_json_line(path: Path, obj) -> Path:
-    with open(path, "w") as fh:
-        fh.write(_encode(obj))
-        fh.write("\n")
-    return path
-
-
-def _write_model(path: Path, pipe: ModelPipeline) -> Path:
-    """Write ``pipe.json_fields()``, its arrays as nested lists, in the bytes
-    of ``json.dumps(..., sort_keys=True, allow_nan=False)`` and a newline,
-    encoding every array a row at a time: the model never exists whole as
+def _write_json(path: Path, obj) -> Path:
+    """Write ``obj``, its arrays as nested lists, in the bytes of
+    ``json.dumps(..., sort_keys=True, allow_nan=False)`` and a newline,
+    encoding every array a row at a time: a model never exists whole as
     lists or as one string."""
     with open(path, "w") as fh:
-        _dump(pipe.json_fields(), fh.write)
+        _dump(obj, fh.write)
         fh.write("\n")
     return path
 

@@ -451,8 +451,7 @@ def _dropout_hook(d: int, z: np.ndarray, observed: np.ndarray):
 
 def test_dropout_zeroes_at_the_calibrated_rate():
     """Dropout's training hook zeroes every entry the data misses, and each
-    other entry with the calibrated rate, drawn per entry although the
-    config's masks are per batch."""
+    other entry with the calibrated rate, drawn per entry."""
     rng = np.random.default_rng(7)
     z = rng.normal(size=(10_000, 4)) + 5.0  # no input is 0
     observed = (rng.random(z.shape) < 0.1).astype(np.uint8)

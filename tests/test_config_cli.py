@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from knockout import methods
 from knockout.cli import main
 from knockout.config import (
+    _CONTINUOUS_KINDS,
     _KEYS,
     _KIND_KEYS,
     _MECHANISM_KEYS,
     _WORLD_KEYS,
     ConfigError,
+    MethodConfig,
     config_hash,
     parse_config,
     serialize_config,
 )
+from knockout.schema import Categorical, ContinuousUnbounded, FeatureSchema
 
 TINY_CONFIG = """
 [world]
@@ -204,13 +207,71 @@ def test_shipped_config_hashes_are_pinned():
 
     configs_dir = Path(__file__).resolve().parent.parent / "configs"
     hashes = {
-        "classification2d.ini": "e8ea809a3a8e3d79c2e4290da31718df3b63e57a6b0885060843202b00bcfd6e",
-        "fig1_complete.ini": "56ee64517b82448b64297a8bb3a4bb85ef95276f11dd97ddc79e975617328a15",
-        "fig1_mcar.ini": "f71c7d831f354ac9ab8ad48b225f5a28bdd304e235089ac8dadee1e1435357f3",
-        "fig1_mnar.ini": "ac77099efa3f4ea6a0ab278cbbf18e21dcf9041631ce89840a46cc28d19a32d5",
+        "classification2d.ini": "caad95489fbe035410447d8a5745c36cc10b3801d7e5b139f49f62eb5d704a1c",
+        "fig1_complete.ini": "599b396576c417828aac734664efbdd8ab7449937578f9b2374c952ad5d7917b",
+        "fig1_mcar.ini": "0316d6af0b57f4d72ed4d495635431370447776ce445ead376ddca09003e4bce",
+        "fig1_mnar.ini": "37f40897fbf45c3ceb2d0b805f775f4b5b36d152c6d6030b5d6629e04d6d4eb0",
     }
     for name, digest in hashes.items():
         assert config_hash(parse_config((configs_dir / name).read_text())) == digest, name
+
+
+def test_the_retired_mask_granularity_key_parses_only_as_per_sample():
+    """Every run draws its induced masks per row: the line that said so
+    parses to the config without it, and any other value is rejected."""
+    text = TINY_CONFIG.format(out="out")
+    retired = text.replace("seed0 = 5\n", "seed0 = 5\nmask_granularity = per_sample\n")
+    assert parse_config(retired) == parse_config(text)
+    assert config_hash(parse_config(retired)) == config_hash(parse_config(text))
+    retired_message = (
+        r"section \[train\], key 'mask_granularity': retired: induced masks are drawn per row"
+    )
+    for value in ("per_batch", "per_row"):
+        with pytest.raises(ConfigError, match=retired_message):
+            parse_config(retired.replace("per_sample", value))
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "..\\escaped"])
+def test_a_method_name_with_a_path_separator_is_rejected(name, tmp_path):
+    """The name is the stem of the method's model and trace files, so a
+    separator in it would write outside the run directory."""
+    text = TINY_CONFIG.format(out=tmp_path / "a" / "b")
+    text = text.replace("[method.knockout]", f"[method.{name}]")
+    with pytest.raises(ConfigError, match=re.escape(f"section [method.{name}]")):
+        parse_config(text)
+    result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path, text))])
+    assert result.exit_code == 1
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize(
+    "method,key",
+    [
+        *[(f"kind = {kind}\n", "kind") for kind in ("dropout", "zero_indicator", "knn", "lin_reg")],
+        ("kind = knockout\nknockout_value = 1\n", "knockout_value"),
+        ("kind = knockout\nobserved_value = 7\n", "observed_value"),
+    ],
+)
+def test_the_mixed_world_rejects_what_its_categorical_feature_cannot_take(method, key):
+    """The mixed world's x1 is categorical: a continuous-only kind, or an
+    explicit placeholder value, which would encode a knocked-out x1 as a
+    class code or as no class, fails at parse time, naming the key."""
+    text = f"[world]\nkind = mixed\n[method.k]\nkind = knockout\n[method.z]\n{method}"
+    with pytest.raises(ConfigError, match=rf"section \[method\.z\], key '{key}'"):
+        parse_config(text)
+    # Elsewhere every feature is continuous, and the same methods parse.
+    parse_config(text.replace("kind = mixed", "kind = continuous2d"))
+
+
+def test_the_rules_require_continuous_features_for_the_kinds_the_config_lists():
+    schema = FeatureSchema((("x1", Categorical(2)), ("x2", ContinuousUnbounded())))
+    for kind in _KIND_KEYS:
+        method = MethodConfig(name="m", kind=kind)
+        if kind in _CONTINUOUS_KINDS:
+            with pytest.raises(ValueError, match="supports continuous features only"):
+                methods._require_continuous(method, schema)
+        else:
+            methods._require_continuous(method, schema)
 
 
 def test_config_validates_values():
@@ -246,7 +307,6 @@ def test_config_validates_values():
         ("train", "learning_rate", "-3e-3"),
         ("train", "learning_rate", "nan"),
         ("train", "learning_rate", "inf"),
-        ("train", "mask_granularity", "per_row"),
         ("world", "dim", "0"),
         ("world", "dim", "1"),
         ("missingness", "mechanism = mcar\np", "-0.1"),
@@ -877,7 +937,7 @@ def test_readme_config_parses():
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block)
     assert [m.name for m in cfg.methods] == ["common_baseline", "knockout", "knockout_star"]
-    assert cfg.loss == "mse" and cfg.mask_granularity == "per_batch"
+    assert cfg.loss == "mse"
 
 
 def test_cli_run_csv_world(tmp_path):
@@ -1023,7 +1083,6 @@ ANY_VALUES = {
     "learning_rate": "0.01",
     "hidden": "4,4",
     "seed0": "3",
-    "mask_granularity": "per_sample",
     "k_max": "1",
     "repetitions": "2",
     "dir": "o",
@@ -1044,7 +1103,7 @@ def test_config_accepts_exactly_the_keys_the_tables_list(world, mechanism, kind,
     reads = {
         "world": ("kind", *_WORLD_KEYS[world]),
         "missingness": ("mechanism", *_MECHANISM_KEYS[mechanism]),
-        "train": ("steps", "batch_size", "learning_rate", "hidden", "seed0", "mask_granularity"),
+        "train": ("steps", "batch_size", "learning_rate", "hidden", "seed0"),
         "sweep": ("k_max", "repetitions"),
         "output": ("dir",),
         "method.m": ("kind", *_KIND_KEYS[kind]),
@@ -1072,6 +1131,21 @@ def test_config_accepts_exactly_the_keys_the_tables_list(world, mechanism, kind,
     if rejected:
         name = rejected[0]  # sections are read in this order
         message = f"section [{name}]: unknown key(s) {unread[name]}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        return
+    method = sections["method.m"]
+    categorical_rejects = [
+        key
+        for key, rejected in (
+            ("kind", kind in _CONTINUOUS_KINDS),
+            ("knockout_value", "knockout_value" in method),
+            ("observed_value", "observed_value" in method),
+        )
+        if rejected
+    ]
+    if world == "mixed" and categorical_rejects:  # its x1 is categorical
+        message = f"section [method.m], key '{categorical_rejects[0]}'"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
         return

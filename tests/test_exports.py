@@ -18,7 +18,8 @@ DELETED = {
     # dropout's random zeroing is its rule with a sampled per-entry mask.
     "knockout.baselines": ("MeanMode", "ZeroIndicator", "dropout_augment"),
     # The union of an induced and an observed mask is `augment.mask_union`.
-    "knockout.methods": ("ImputedRule", "_union"),
+    # Every induced mask is drawn per row, so no sampler picks a granularity.
+    "knockout.methods": ("ImputedRule", "_union", "_mask_sampler"),
     # The runner builds the plot rows and the aggregates from one
     # by_popcount call per report.
     "knockout.evaluate": ("marginal_fidelity", "marginal_jsd_metrics", "aggregates_dict"),
@@ -67,8 +68,16 @@ DELETED = {
     "knockout.nn": ("grad",),
     # A csv world is read once per process, not passed to each job. A
     # model file holds the network only, and `load_pipeline` reads it; the
-    # task is the config's loss.
-    "knockout.runner": ("_world_table", "pipeline_from_json", "_plain", "_task_for"),
+    # task is the config's loss. Models and worlds go through one JSON
+    # writer, `_write_json`.
+    "knockout.runner": (
+        "_world_table",
+        "pipeline_from_json",
+        "_plain",
+        "_task_for",
+        "_write_model",
+        "_write_json_line",
+    ),
 }
 
 # A model file holds the network only: `sweep` fits each rule, with its
@@ -128,10 +137,11 @@ DELETED_MEMBERS = {
     "knockout.methods.CommonBaselineRule": ("fill_values",),
     "knockout.methods.DropoutRule": ("fill_values",),
     # Each rate is solved from p_clean; no config set rescale or dumped test
-    # data; the derived placeholders sit at +/-10 in z units, and only
-    # knockout_value and observed_value move them.
+    # data, and every induced mask is drawn per row; the derived placeholders
+    # sit at +/-10 in z units, and only knockout_value and observed_value
+    # move them.
     "knockout.config.MethodConfig": ("rate", "dropout_rate", "rescale", "zscore_magnitude"),
-    "knockout.config.ExperimentConfig": ("dump_test_data",),
+    "knockout.config.ExperimentConfig": ("dump_test_data", "mask_granularity"),
     # Fields with one value in use, or whose value other state fixes: hidden
     # layers are ReLU, Adam's constants and the trace interval are nn module
     # constants, a pipeline's task is its head's, lin-reg fell back where a

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from knockout.config import _KIND_KEYS, parse_config
 from knockout.methods import RULES
-from knockout.runner import _write_csv, _write_model, build_repetition, load_pipeline
+from knockout.runner import _write_csv, _write_json, build_repetition, load_pipeline
 from knockout.runner import train_method
 from knockout.schema import Categorical, apply_normalization, fit_normalization
 
@@ -67,14 +67,14 @@ def _plain(obj):
 
 
 def _model_text(pipe) -> bytes:
-    """The model file `_write_model` must write: the json.dumps oracle."""
+    """The model file `_write_json` must write: the json.dumps oracle."""
     return (json.dumps(_plain(pipe.json_fields()), sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _written_and_loaded(cfg, method, data, pipe):
-    """``pipe`` written to a model file by `_write_model`, then loaded."""
+    """``pipe`` written to a model file by `_write_json`, then loaded."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_model(Path(tmp) / "model.json", pipe)
+        path = _write_json(Path(tmp) / "model.json", pipe.json_fields())
         return load_pipeline(path, cfg, method, data)
 
 
@@ -307,7 +307,7 @@ def _assert_inference_inputs_equal_training_inputs(name, mechanism, pattern, sta
         if augment is None:  # training inputs computed once, with no induced mask
             training = rule.inputs(z, pattern, observed)
         else:
-            with mock.patch("knockout.methods.sample_mask", lambda dist, rng: pattern), mock.patch(
+            with mock.patch(
                 "knockout.methods.sample_masks", lambda dist, n, rng: np.tile(pattern, (n, 1))
             ):
                 training = augment(z, observed, np.random.default_rng(0))
@@ -342,6 +342,24 @@ def test_knockout_star_mnar_inference_inputs_equal_training_inputs():
     _assert_inference_inputs_equal_training_inputs(
         "knockout_star", "mnar_self_censor", np.zeros(9, dtype=np.uint8), 0
     )
+
+
+@pytest.mark.parametrize("mechanism", ["none", "mcar"])
+def test_knockout_star_and_dropout_train_the_same_network(mechanism):
+    """knockout* fills masked entries with the means of z-scored features,
+    0, as dropout does, and both draw one mask per row: with the same
+    training seed they train the same weights."""
+    cfg = parse_config(
+        base(mechanism).replace(
+            "[method.knockout]\nkind = knockout\n",
+            "[method.dropout]\nkind = dropout\n"
+            "[method.knockout_star]\nkind = knockout\nplaceholder = mean\n",
+        )
+    )
+    data = build_repetition(cfg, 0)
+    dropout, star = (train_method(cfg, method, data, 0)[0].params for method in cfg.methods)
+    for a, b in zip([*dropout.weights, *dropout.biases], [*star.weights, *star.biases]):
+        np.testing.assert_array_equal(a, b)
 
 
 class _ReadRecorder:
@@ -482,11 +500,14 @@ def test_training_determinism_across_processes_payload(tmp_path):
     # repetition, writes its files, and returns its result pickled.
     payload = pickle.loads(pickle.dumps((cfg, cfg.methods[0], 0, 0, worker, None)))
     report_a, jsd_a, written_a = pickle.loads(pickle.dumps(_method_job(*payload)))
-    pipe_b, trace_b = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
+    data_b = build_repetition(cfg, 0)
+    pipe_b, trace_b = train_method(cfg, cfg.methods[0], data_b, 0)
     model, trace = worker / "models" / "knockout_rep0.json", worker / "traces" / "knockout_rep0.csv"
     rep_files = ["worlds/rep0.json", "data/train_rep0.csv", "data/train_mask_rep0.csv"]
     assert written_a == [model, trace, *(worker / name for name in rep_files)]
     assert model.read_bytes() == _model_text(pipe_b)
+    world_text = json.dumps(data_b.world.to_json_dict(), sort_keys=True, allow_nan=False) + "\n"
+    assert (worker / rep_files[0]).read_text() == world_text
     assert trace.read_text().splitlines() == ["step,loss", *(f"{s},{v!r}" for s, v in trace_b)]
     # Sweeping the worker's saved model, as `knockout sweep` does, gives
     # the worker's report and files, and writes no trace.
@@ -512,10 +533,10 @@ def test_model_writer_writes_the_bytes_of_json_dumps(name, tmp_path):
     )
     pipe, _ = train_method(cfg, cfg.methods[0], build_repetition(cfg, 0), 0)
     path = tmp_path / "model.json"
-    assert _write_model(path, pipe).read_bytes() == _model_text(pipe)
+    assert _write_json(path, pipe.json_fields()).read_bytes() == _model_text(pipe)
     pipe.params.weights[-1][0, 0] = np.nan
     with pytest.raises(ValueError, match="Out of range float values"):
-        _write_model(path, pipe)
+        _write_json(path, pipe.json_fields())
 
 
 def test_csv_writer_writes_each_float_as_a_plain_decimal(tmp_path):
@@ -537,10 +558,10 @@ def test_writing_a_fig1_size_model_allocates_less_than_the_file(tmp_path):
     spec = NetworkSpec((9, 100, 100, 1))
     pipe = dataclasses.replace(pipe, net_spec=spec, params=init_params(spec, np.random.default_rng(0)))
     path = tmp_path / "model.json"
-    _write_model(path, pipe)
+    _write_json(path, pipe.json_fields())
     tracemalloc.start()
     try:
-        _write_model(path, pipe)
+        _write_json(path, pipe.json_fields())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
